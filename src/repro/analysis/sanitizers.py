@@ -255,6 +255,8 @@ BENIGN_RACE_FIELDS: Dict[Tuple[str, str], str] = {
     ("SetAssociativeTLB", "hits"): _COMMUTATIVE,
     ("SetAssociativeTLB", "misses"): _COMMUTATIVE,
     ("SetAssociativeTLB", "evictions"): _COMMUTATIVE,
+    ("TranslationHierarchy", "filter_negatives"): _COMMUTATIVE,
+    ("TranslationHierarchy", "false_positives"): _COMMUTATIVE,
     ("IOMMU", "prefetch_pushed"): _COMMUTATIVE,
     ("GPM", "rtt_sum"): _COMMUTATIVE,
     ("GPM", "rtt_count"): _COMMUTATIVE,
@@ -266,6 +268,11 @@ BENIGN_RACE_FIELDS: Dict[Tuple[str, str], str] = {
     ("Link", "busy_until"): _ARBITRATION,
     ("Link", "last_serialization"): _ARBITRATION,
     ("GPM", "_probe_port_busy"): _ARBITRATION,
+    ("GPM", "_reserved"): (
+        "MSHR slot arbitration: same-cycle misses and wakeups claim free "
+        "slots in arrival (seq) order, like the _pending/_stalled "
+        "containers it counts against"
+    ),
     ("WalkerPool", "busy_walkers"): _ARBITRATION,
     ("WalkerPool", "_queue"): _ARBITRATION,
     ("FiniteBuffer", "peak_occupancy"): _ARBITRATION,

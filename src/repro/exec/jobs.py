@@ -39,7 +39,10 @@ from repro.system.runner import run_benchmark
 #: key's material — changed shape).
 #: 3: FaultPlan grew a ``timeline`` field and fail-slow link events
 #: (plan repr changed shape; serialisation accounting changed).
-CACHE_SCHEMA = 3
+#: 4: MSHR-stalled accesses wake one per freed slot, in FIFO order, with
+#: the slot reserved across their re-probe (runs that fill the MSHRs,
+#: e.g. spmv/pr/mt, moved slightly).
+CACHE_SCHEMA = 4
 
 #: run_benchmark kwargs value types a job may carry across processes.
 _SIMPLE = (int, float, str, bool, type(None))

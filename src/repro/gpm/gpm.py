@@ -14,7 +14,8 @@ pages it owns, and accepting proactive PTE pushes from the IOMMU.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from collections import deque
+from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.config.gpm import GPMConfig
 from repro.core.request import ServedBy
@@ -134,7 +135,12 @@ class GPM(Component):
         # Outstanding translation misses (bounded by the L2 TLB MSHRs).
         self._pending: Dict[int, PendingTranslation] = {}
         self._mshr_capacity = config.l2_tlb.num_mshrs
-        self._stalled: List[int] = []
+        #: Accesses that found every MSHR busy, oldest first, each with
+        #: the cycle it stalled.  A freed slot wakes exactly one of them.
+        self._stalled: Deque[Tuple[int, int]] = deque()
+        #: MSHR slots promised to woken accesses still in their re-probe
+        #: latency, so a newer miss cannot take the slot from under them.
+        self._reserved = 0
         # Results
         self.finish_time: Optional[int] = None
         self.served_by_counts: Dict[ServedBy, int] = {}
@@ -166,13 +172,15 @@ class GPM(Component):
         """Fail-stop: stop issuing and abandon every in-flight access.
 
         Everything the driver still counts outstanding — queued waiters,
-        MSHR-stalled accesses, and accesses out in the data phase whose
-        replies may never arrive (a response to a dead module is a dead
-        letter) — is abandoned and rewound, so a later resume() re-issues
-        the lost work from a clean ledger.  Bumping ``_fail_epoch``
-        invalidates every already-scheduled continuation of those
-        accesses: a late miss check, HBM completion, or data response
-        from before the kill is dropped instead of double-completing.
+        MSHR-stalled accesses, woken ones holding a reserved MSHR slot,
+        and accesses out in the data phase whose replies may never arrive
+        (a response to a dead module is a dead letter) — is abandoned and
+        rewound, so a later resume() re-issues the lost work from a clean
+        ledger, with no stall queue or reservation left behind.
+        Bumping ``_fail_epoch`` invalidates every already-scheduled
+        continuation of those accesses: a late miss check, HBM
+        completion, or data response from before the kill is dropped
+        instead of double-completing.
         """
         self._halted = True
         self._fail_epoch += 1
@@ -189,6 +197,7 @@ class GPM(Component):
                     )
         self._pending.clear()
         self._stalled.clear()
+        self._reserved = 0
         if abandoned:
             self.bump("halt_abandoned_accesses", abandoned)
             self.driver.abandon(abandoned)
@@ -201,7 +210,12 @@ class GPM(Component):
     # ------------------------------------------------------------------
     # Access pipeline: translate, then touch data
     # ------------------------------------------------------------------
-    def _begin_access(self, vaddr: int) -> None:
+    def _begin_access(self, vaddr: int, reserved: bool = False) -> bool:
+        """Probe the local hierarchy for ``vaddr``; True on a local hit.
+
+        ``reserved`` marks a woken stalled access that holds an MSHR
+        reservation across its re-probe latency.
+        """
         vpn = vaddr >> self._page_shift
         epoch = self._fail_epoch
         result = self.hierarchy.probe_local(vpn)
@@ -211,29 +225,39 @@ class GPM(Component):
                 result.latency,
                 lambda: self._data_phase(vaddr, result.entry, epoch),
             )
-        else:
-            needs_walk = result.outcome is ProbeOutcome.NEEDS_WALK
-            self.sim.schedule(
-                result.latency,
-                lambda: self._translation_miss(vaddr, vpn, needs_walk, epoch),
-            )
+            return True
+        needs_walk = result.outcome is ProbeOutcome.NEEDS_WALK
+        self.sim.schedule(
+            result.latency,
+            lambda: self._translation_miss(
+                vaddr, vpn, needs_walk, epoch, reserved
+            ),
+        )
+        return False
 
     def _translation_miss(
-        self, vaddr: int, vpn: int, needs_walk: bool, epoch: int
+        self, vaddr: int, vpn: int, needs_walk: bool, epoch: int,
+        reserved: bool = False,
     ) -> None:
         if epoch != self._fail_epoch:
             # The module died between issue and the miss check; halt()
-            # already abandoned this access, so the stale continuation
-            # just evaporates.
+            # already abandoned this access (and dropped every
+            # reservation), so the stale continuation just evaporates.
             self.bump("halted_drops")
             return
         pending = self._pending.get(vpn)
         if pending is not None:
             pending.waiters.append(vaddr)
             self.bump("merged_misses")
+            if reserved:
+                # The reserved slot went unused: pass it on.
+                self._reserved -= 1
+                self._wake_stalled()
             return
-        if len(self._pending) >= self._mshr_capacity:
-            self._stalled.append(vaddr)
+        if reserved:
+            self._reserved -= 1
+        elif len(self._pending) + self._reserved >= self._mshr_capacity:
+            self._stalled.append((vaddr, self.sim.now))
             self.bump("mshr_stalls")
             return
         pending = PendingTranslation(vpn, self.sim.now)
@@ -335,12 +359,25 @@ class GPM(Component):
         self.hierarchy.fill_from_translation(vpn, entry)
         for vaddr in pending.waiters:
             self._data_phase(vaddr, entry)
-        self._drain_stalled()
+        self._wake_stalled()
 
-    def _drain_stalled(self) -> None:
-        while self._stalled and len(self._pending) < self._mshr_capacity:
-            vaddr = self._stalled.pop()
-            self._begin_access(vaddr)
+    def _wake_stalled(self) -> None:
+        """Hand free MSHR slots to stalled accesses, oldest first.
+
+        Each woken access re-probes once, holding a reservation until its
+        miss check; one that now hits locally never takes the slot, so
+        the next stalled access is woken in its place.
+        """
+        stalled = self._stalled
+        while (
+            stalled
+            and len(self._pending) + self._reserved < self._mshr_capacity
+        ):
+            vaddr, stalled_at = stalled.popleft()
+            self.bump("mshr_wakeups")
+            self.bump("mshr_stall_cycles", self.sim.now - stalled_at)
+            if not self._begin_access(vaddr, reserved=True):
+                self._reserved += 1  # held until its miss check
 
     # ------------------------------------------------------------------
     # Remote-translation completion entry points

@@ -90,6 +90,19 @@ class TestRunJob:
         keys = {base.cache_key()} | {v.cache_key() for v in variants}
         assert len(keys) == len(variants) + 1
 
+    def test_schema_bump_changes_the_key(
+        self, small_system_config, monkeypatch
+    ):
+        import repro.exec.jobs as jobs
+
+        # Results from before the FIFO MSHR wakeup (schema 3) must never
+        # be served: the schema is part of every key's material.
+        assert CACHE_SCHEMA >= 4
+        job = make_job(small_system_config, "aes", 0.02, seed=1)
+        current = job.cache_key()
+        monkeypatch.setattr(jobs, "CACHE_SCHEMA", 3)
+        assert job.cache_key() != current
+
     def test_rich_flag_does_not_change_identity(self, small_system_config):
         plain = make_job(small_system_config, "aes", 0.02, seed=1)
         rich = make_job(small_system_config, "aes", 0.02, seed=1, rich=True)

@@ -258,8 +258,12 @@ class TestEndToEnd:
             run_benchmark(config, "spmv", scale=SCALE, seed=3)
 
     def test_sanitize_stays_green_under_drops(self):
+        # This checks byte conservation, not the retry budget: at the
+        # default max_retries=4 a drop rate of 0.1 exhausts some
+        # translation's retries on about a third of the plan seeds, so
+        # the budget is raised (all of seeds 1-16 complete at 8).
         config = wafer_7x7_config().with_faults(
-            FaultPlan(seed=1, drop_prob=0.1)
+            FaultPlan(seed=1, drop_prob=0.1, max_retries=8)
         )
         result = run_benchmark(
             config, "spmv", scale=SCALE, seed=3, sanitize=True
@@ -272,8 +276,10 @@ class TestEndToEnd:
         )
 
     def test_retries_recover_from_partial_drops(self):
+        # Same budget as above: at drop_prob 0.05 and max_retries=4 one
+        # of plan seeds 1-16 (seed 9) still exhausts a translation.
         config = wafer_7x7_config().with_faults(
-            FaultPlan(seed=1, drop_prob=0.05)
+            FaultPlan(seed=1, drop_prob=0.05, max_retries=8)
         )
         result = run_benchmark(config, "spmv", scale=SCALE, seed=3)
         assert result.extras["all_finished"]

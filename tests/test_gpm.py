@@ -2,14 +2,23 @@
 
 These drive single GPMs through a real WaferScaleGPU (3x3, baseline
 policy) so message plumbing, merging, and data access paths are exercised
-without a workload generator.
+without a workload generator.  The MSHR probe law is checked on a full
+7x7 HDPAT spmv run, where the MSHRs fill.
 """
+
+from dataclasses import replace
 
 import pytest
 
+from repro.config.hdpat import HDPATConfig
+from repro.config.presets import wafer_7x7_config
+from repro.config.scaling import capacity_scaled
 from repro.core.request import ServedBy
+from repro.faults import FaultPlan, FaultTimeline, KillGpm, RecoverGpm
 from repro.mem.allocator import PageAllocator
 from repro.mem.page import PageTableEntry
+from repro.obs import Observability
+from repro.system.runner import run_benchmark
 from repro.system.wafer import WaferScaleGPU
 
 
@@ -203,3 +212,97 @@ class TestDataPath:
         wafer.sim.run()
         assert gpm.stat("remote_data_accesses") == 1  # second is an L2 hit
         assert gpm.l2_data.hits == 1
+
+
+def _with_mshrs(config, num_mshrs):
+    l2_tlb = replace(config.gpm.l2_tlb, num_mshrs=num_mshrs)
+    return replace(config, gpm=replace(config.gpm, l2_tlb=l2_tlb))
+
+
+def _remote_trace(wafer, gpm_id, count):
+    allocation = _install_pages(wafer, num_pages=256)
+    remote = [v for v, owner in allocation.owner_of.items() if owner != gpm_id]
+    return [_addr(wafer, v) for v in remote[:count]]
+
+
+class TestMshrWakeup:
+    def test_each_stalled_access_is_probed_once_more(self):
+        config = capacity_scaled(
+            wafer_7x7_config().with_hdpat(HDPATConfig.full()), 0.02
+        )
+        obs = Observability(metrics=True)
+        result = run_benchmark(config, "spmv", scale=0.02, seed=42, obs=obs)
+        totals = {}
+        for name, value in obs.registry.flat().items():
+            if name.startswith("gpm") and isinstance(value, int):
+                key = name.split(".", 1)[1]
+                totals[key] = totals.get(key, 0) + value
+        accesses = result.total_accesses
+        stalls = totals["mshr_stalls"]
+        probes = totals["tlb.l1v.hits"] + totals["tlb.l1v.misses"]
+        assert stalls > 0
+        # Every local probe looks up the L1 vector TLB once: one probe
+        # at issue, plus exactly one re-probe per stall.
+        assert probes == accesses + stalls
+        # A woken access holds a reserved slot, so it never stalls twice.
+        assert stalls <= accesses
+        assert totals["mshr_wakeups"] == stalls
+        assert totals["mshr_stall_cycles"] > 0
+
+    def test_stalled_accesses_get_mshrs_in_stall_order(
+        self, small_system_config
+    ):
+        wafer = WaferScaleGPU(_with_mshrs(small_system_config, 2))
+        gpm = wafer.gpms[0]
+        trace = _remote_trace(wafer, 0, 10)
+        started = []
+        go_remote = gpm._go_remote
+
+        def record(pending):
+            started.append(pending.vpn)
+            go_remote(pending)
+
+        gpm._go_remote = record
+        gpm.load_trace(trace, burst=64)
+        gpm.start()
+        wafer.sim.run()
+        page_size = wafer.address_space.page_size
+        assert started == [vaddr // page_size for vaddr in trace]
+        assert gpm.stat("mshr_stalls") == len(trace) - 2
+        assert gpm.stat("mshr_wakeups") == len(trace) - 2
+        assert gpm.stat("accesses_completed") == len(trace)
+        assert gpm._reserved == 0 and not gpm._stalled
+
+    def test_kill_while_stalled_and_reserved_then_recover(
+        self, small_system_config
+    ):
+        coordinate = WaferScaleGPU(small_system_config).gpms[0].coordinate
+        # Cycle 300 of this trace finds four accesses stalled, four
+        # woken ones holding reservations, and four MSHRs busy.
+        timeline = FaultTimeline(events=(
+            KillGpm(300, coordinate), RecoverGpm(800, coordinate),
+        ))
+        wafer = WaferScaleGPU(
+            small_system_config.with_faults(
+                FaultPlan(seed=1, timeline=timeline)
+            )
+        )
+        gpm = wafer.gpms[0]
+        trace = _remote_trace(wafer, 0, 40)
+        at_kill = []
+        halt = gpm.halt
+
+        def record_then_halt():
+            at_kill.append((len(gpm._stalled), gpm._reserved))
+            halt()
+
+        gpm.halt = record_then_halt
+        gpm.load_trace(trace, burst=64)
+        gpm.start()
+        wafer.sim.run()
+        (stalled, reserved), = at_kill
+        assert stalled > 0 and reserved > 0
+        assert gpm.stat("halt_abandoned_accesses") > 0
+        assert gpm.stat("accesses_completed") == len(trace)
+        assert gpm.driver.drained and gpm.finish_time is not None
+        assert gpm._reserved == 0 and not gpm._stalled and not gpm._pending

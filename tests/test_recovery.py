@@ -347,6 +347,16 @@ class TestEndToEndRecovery:
         assert a == b
 
 
+#: Relative tolerance on recovered <= fail-stop for the IOMMU-walk-bound
+#: baseline scheme.  Its makespan tracks IOMMU walks x walk latency /
+#: walkers within 2% in all three variants, so both faulted variants
+#: cost about +4.5% walks per completed access (re-walks of the redone
+#: work vs. walks spent on abandoned work): a structural tie that sits
+#: within 0.03% either way (EXPERIMENTS.md, ext_recovery).  HDPAT, whose
+#: makespan is not walk-bound, stays strictly ordered.
+WALK_BOUND_TIE_TOLERANCE = 0.005
+
+
 class TestRecoveryExperiment:
     def test_three_way_ordering_is_monotone(self):
         result = ext_recovery.run(scale=0.03, seed=3)
@@ -354,9 +364,14 @@ class TestRecoveryExperiment:
         for key, curve in result.series["recovery"].items():
             variants = [variant for variant, _slowdown in curve]
             assert variants == ["healthy", "recovered", "failstop"]
-            slowdowns = [slowdown for _variant, slowdown in curve]
-            assert slowdowns[0] == pytest.approx(1.0)
-            assert slowdowns[0] <= slowdowns[1] <= slowdowns[2], key
+            healthy, recovered, failstop = (
+                slowdown for _variant, slowdown in curve
+            )
+            assert healthy == pytest.approx(1.0)
+            assert healthy < recovered, key
+            if key.endswith(".baseline"):
+                failstop *= 1.0 + WALK_BOUND_TIE_TOLERANCE
+            assert recovered <= failstop, key
 
 
 class TestRecoveryCLI:
