@@ -11,7 +11,7 @@ from repro.obs.bench import HEAP_MICRO_EVENTS, BenchHarness
 
 
 def test_micro_engine_scheduler(benchmark):
-    harness = BenchHarness(verify_digests=False)
+    harness = BenchHarness()
     record = benchmark.pedantic(
         harness.suite()["micro_engine_heap"], rounds=1, iterations=1
     )
@@ -19,5 +19,5 @@ def test_micro_engine_scheduler(benchmark):
     # truncated or double-counted run shows up here before the digest.
     assert record["events"] == HEAP_MICRO_EVENTS + 64
     # Behavioural fingerprint: byte-identical to the classic-heap design.
-    rerun = BenchHarness(verify_digests=False).suite()["micro_engine_heap"]()
+    rerun = BenchHarness().suite()["micro_engine_heap"]()
     assert record["digest"] == rerun["digest"]

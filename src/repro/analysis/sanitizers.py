@@ -74,25 +74,13 @@ class EventOrderSanitizer:
             )
         self.schedules_checked += 1
 
-    def on_pop(self, time: int) -> None:
-        """Called after every single-event pop, before the callback fires."""
-        self.events_checked += 1
-        self._check_monotonic(time)
-
     def on_batch_start(self, time: int) -> None:
-        """Called once before a cycle slot is dispatched.
+        """Called once before a cycle slot (or a single step) is dispatched.
 
         All events in a batch share one timestamp, so one monotonicity
         check covers them; :meth:`on_batch_end` keeps the checked-event
         count identical to the per-event accounting.
         """
-        self._check_monotonic(time)
-
-    def on_batch_end(self, count: int) -> None:
-        """Called once after a cycle slot drained ``count`` events."""
-        self.events_checked += count
-
-    def _check_monotonic(self, time: int) -> None:
         if time < self.last_popped:
             raise EventOrderError(
                 f"event heap lost monotonicity: popped cycle {time} after "
@@ -100,6 +88,10 @@ class EventOrderSanitizer:
                 f"mutated without heapq?)"
             )
         self.last_popped = time
+
+    def on_batch_end(self, count: int) -> None:
+        """Called once after a cycle slot drained ``count`` events."""
+        self.events_checked += count
 
 
 class ConservationSanitizer:

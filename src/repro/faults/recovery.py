@@ -29,10 +29,8 @@ stats merged as ``recovery.*`` metrics.
 
 from __future__ import annotations
 
-from time import perf_counter  # lint: allow-wallclock (phase attribution only)
 from typing import Dict, List
 
-from repro.obs.phases import PHASE_RECOVERY
 from repro.faults.timeline import (
     DegradeLink,
     DrainWarning,
@@ -63,10 +61,6 @@ class RecoveryManager(Component):
         #: gpm_id -> vpns checkpoint-drained before its kill.
         self._drained: Dict[int, List[int]] = {}
         self._migration = None
-        #: Optional :class:`repro.obs.phases.PhaseAccumulator`; books
-        #: timeline replay (kill/recover/drain batches) under
-        #: ``faults.recovery``.
-        self._phases = getattr(wafer.obs, "phases", None)
         for event in timeline.events:
             sim.schedule_at(event.cycle, lambda e=event: self._apply(e))
 
@@ -95,14 +89,6 @@ class RecoveryManager(Component):
 
     # ------------------------------------------------------------------
     def _apply(self, event) -> None:
-        if self._phases is not None:
-            start = perf_counter()
-            self._apply_impl(event)
-            self._phases.add(PHASE_RECOVERY, perf_counter() - start)
-            return
-        self._apply_impl(event)
-
-    def _apply_impl(self, event) -> None:
         if isinstance(event, DegradeLink):
             self._apply_degrade(event)
         elif isinstance(event, RestoreLink):
@@ -195,21 +181,9 @@ class RecoveryManager(Component):
         ]
         self._both("drain_warnings")
         if queue:
-            # _apply's wrapper already times this call; only the paced
-            # follow-up batches go through the timed _drain_batch entry.
-            self._drain_batch_impl(gpm_id, queue, event.deadline, 0)
+            self._drain_batch(gpm_id, queue, event.deadline, 0)
 
     def _drain_batch(
-        self, gpm_id: int, queue: List[int], deadline: int, checkpoint: int
-    ) -> None:
-        if self._phases is not None:
-            start = perf_counter()
-            self._drain_batch_impl(gpm_id, queue, deadline, checkpoint)
-            self._phases.add(PHASE_RECOVERY, perf_counter() - start)
-            return
-        self._drain_batch_impl(gpm_id, queue, deadline, checkpoint)
-
-    def _drain_batch_impl(
         self, gpm_id: int, queue: List[int], deadline: int, checkpoint: int
     ) -> None:
         faults = self.wafer.faults

@@ -21,11 +21,9 @@ than a stale detour.
 from __future__ import annotations
 
 import random
-from time import perf_counter  # lint: allow-wallclock (phase attribution only)
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.errors import ConfigurationError
-from repro.obs.phases import PHASE_FAULTS
 from repro.faults.plan import FaultPlan
 from repro.faults.retry import RetryPolicy
 from repro.noc.routing import detour_links, hop_count, route_links
@@ -106,10 +104,6 @@ class FaultState:
             multiplier=2.0,
         )
         self.counters: Dict[str, int] = {}
-        #: Optional :class:`repro.obs.phases.PhaseAccumulator` (set by the
-        #: wafer builder); books routing and verdict draws under
-        #: ``faults.state``.
-        self.phases = None
 
     def _validate_timeline(self, timeline, width: int, height: int) -> None:
         cpu = self.topology.cpu_coordinate
@@ -219,14 +213,6 @@ class FaultState:
         the timeline is actually used again.  Raises
         :class:`~repro.errors.UnreachableError` when partitioned.
         """
-        if self.phases is not None:
-            start = perf_counter()
-            result = self._route(src, dst)
-            self.phases.add(PHASE_FAULTS, perf_counter() - start)
-            return result
-        return self._route(src, dst)
-
-    def _route(self, src: Coordinate, dst: Coordinate) -> Tuple[List[LinkKey], int]:
         if self._routes_epoch != self.topology_epoch:
             self._routes.clear()
             self._routes_epoch = self.topology_epoch
@@ -250,14 +236,6 @@ class FaultState:
     # ------------------------------------------------------------------
     def transient_verdict(self) -> Optional[str]:
         """One fault draw for one eligible message; None = unharmed."""
-        if self.phases is not None:
-            start = perf_counter()
-            verdict = self._transient_verdict()
-            self.phases.add(PHASE_FAULTS, perf_counter() - start)
-            return verdict
-        return self._transient_verdict()
-
-    def _transient_verdict(self) -> Optional[str]:
         plan = self.plan
         if not plan.has_transients:
             return None

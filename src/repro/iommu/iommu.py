@@ -20,7 +20,6 @@ chosen by the active placement policy, updating the redirection table.
 from __future__ import annotations
 
 from collections import deque
-from time import perf_counter  # lint: allow-wallclock (phase attribution only)
 from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.config.hdpat import HDPATConfig
@@ -32,7 +31,6 @@ from repro.mem.page import PageTableEntry
 from repro.mem.page_table import GlobalPageTable
 from repro.noc.messages import Message, MessageKind
 from repro.obs import NULL_OBS
-from repro.obs.phases import PHASE_IOMMU
 from repro.sim.component import Component
 from repro.sim.engine import Simulator
 from repro.sim.queueing import FiniteBuffer, WalkerPool
@@ -64,9 +62,6 @@ class IOMMU(Component):
         super().__init__(sim, "iommu")
         self.obs = obs if obs is not None else NULL_OBS
         self._tracer = self.obs.tracer if self.obs.tracer.enabled else None
-        #: Optional :class:`repro.obs.phases.PhaseAccumulator`; books walk
-        #: completion (revisit, pushes, prefetch) under ``iommu.walk``.
-        self._phases = getattr(self.obs, "phases", None)
         if self.obs.registry.enabled:
             registry = self.obs.registry
             self._lat_hists = {
@@ -204,14 +199,6 @@ class IOMMU(Component):
     # Walk completion
     # ------------------------------------------------------------------
     def _walk_done(self, request: TranslationRequest, record) -> None:
-        if self._phases is not None:
-            start = perf_counter()
-            self._walk_done_impl(request, record)
-            self._phases.add(PHASE_IOMMU, perf_counter() - start)
-            return
-        self._walk_done_impl(request, record)
-
-    def _walk_done_impl(self, request: TranslationRequest, record) -> None:
         entry = self.page_table.walk(request.vpn)
         if entry is None:
             raise AddressError(

@@ -101,13 +101,6 @@ class Link:
             self.translation_bytes += size_bytes
         return start + self.latency
 
-    def utilization(self, now: int) -> float:
-        """Fraction of cycles spent serialising, as a load proxy."""
-        if now <= 0:
-            return 0.0
-        busy = self.messages_carried  # ~1 cycle serialisation per message
-        return min(1.0, busy / now)
-
     def busy_fraction(self, now: int) -> float:
         """Exact fraction of elapsed cycles the link spent serialising."""
         if now <= 0:

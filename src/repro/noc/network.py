@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from collections import defaultdict
-from time import perf_counter  # lint: allow-wallclock (phase attribution only)
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import DeadDestinationError, RoutingError
@@ -12,7 +11,6 @@ from repro.noc.messages import TRANSLATION_KINDS, Message, MessageKind
 from repro.noc.routing import route_links
 from repro.noc.topology import MeshTopology
 from repro.obs import NULL_OBS
-from repro.obs.phases import PHASE_NOC
 from repro.sim.component import Component
 from repro.sim.engine import Simulator
 from repro.units import bytes_per_cycle
@@ -42,7 +40,6 @@ class MeshNetwork(Component):
     __slots__ = (
         "obs",
         "_tracer",
-        "_phases",
         "_conservation",
         "_faults",
         "topology",
@@ -71,9 +68,6 @@ class MeshNetwork(Component):
         super().__init__(sim, "mesh")
         self.obs = obs if obs is not None else NULL_OBS
         self._tracer = self.obs.tracer if self.obs.tracer.enabled else None
-        #: Optional :class:`repro.obs.phases.PhaseAccumulator`; books the
-        #: host cost of route + serialisation under ``noc.send``.
-        self._phases = getattr(self.obs, "phases", None)
         sanitizer = getattr(sim, "sanitizer", None)
         #: Byte-conservation shadow ledger, armed by ``sanitize=True`` runs.
         self._conservation = (
@@ -182,14 +176,6 @@ class MeshNetwork(Component):
         :class:`DeadDestinationError` for a fault-disabled tile) instead
         of scheduling an event that would silently hang the run.
         """
-        if self._phases is not None:
-            start = perf_counter()
-            arrival = self._send(message, on_deliver)
-            self._phases.add(PHASE_NOC, perf_counter() - start)
-            return arrival
-        return self._send(message, on_deliver)
-
-    def _send(self, message: Message, on_deliver: DeliveryFn = None) -> int:
         src = message.src
         dst = message.dst
         faults = self._faults

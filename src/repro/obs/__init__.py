@@ -8,7 +8,8 @@ One :class:`Observability` object accompanies one run.  It bundles
   structured, integer-cycle events (exportable to JSONL and Chrome
   trace-event format — see :mod:`repro.obs.export`),
 * an optional :class:`~repro.obs.profile.HostProfiler` timing the host
-  Python event loop per callback type.
+  Python event loop per callback, with a per-layer view whose rows sum
+  to the run wall.
 
 Everything is disabled by default: components built against the shared
 :data:`NULL_OBS` pay one ``is None`` check per instrumentation point and
@@ -27,19 +28,7 @@ from repro.obs.metrics import (
     MetricsRegistry,
     NULL_METRIC,
 )
-from repro.obs.phases import (
-    PHASE_ENGINE,
-    PHASE_FAULTS,
-    PHASE_IOMMU,
-    PHASE_MIGRATION,
-    PHASE_NOC,
-    PHASE_OTHER,
-    PHASE_RECOVERY,
-    PHASE_SANITIZE,
-    PHASE_TLB,
-    PhaseAccumulator,
-)
-from repro.obs.profile import HostProfiler, callback_key, summarize
+from repro.obs.profile import HostProfiler, summarize
 from repro.obs.trace import AsyncSpan, TraceEvent, Tracer
 from repro.obs.export import (
     chrome_trace_events,
@@ -60,19 +49,8 @@ __all__ = [
     "NULL_METRIC",
     "NULL_OBS",
     "Observability",
-    "PHASE_ENGINE",
-    "PHASE_FAULTS",
-    "PHASE_IOMMU",
-    "PHASE_MIGRATION",
-    "PHASE_NOC",
-    "PHASE_OTHER",
-    "PHASE_RECOVERY",
-    "PHASE_SANITIZE",
-    "PHASE_TLB",
-    "PhaseAccumulator",
     "TraceEvent",
     "Tracer",
-    "callback_key",
     "chrome_trace_events",
     "chrome_trace_json",
     "read_jsonl",
@@ -94,7 +72,6 @@ class Observability:
         metrics: bool = False,
         trace: bool = False,
         profile: bool = False,
-        phases: bool = False,
         sample_period: int = DEFAULT_SAMPLE_PERIOD,
     ) -> None:
         if sample_period <= 0:
@@ -103,11 +80,6 @@ class Observability:
         self.registry = MetricsRegistry(enabled=metrics or trace)
         self.tracer = Tracer(enabled=trace)
         self.profiler: Optional[HostProfiler] = HostProfiler() if profile else None
-        #: Per-subsystem wall-time attribution (the cheap, counter-based
-        #: sibling of the profiler — see :mod:`repro.obs.phases`).
-        self.phases: Optional[PhaseAccumulator] = (
-            PhaseAccumulator() if phases else None
-        )
         self.sample_period = sample_period
 
     @property
@@ -117,15 +89,13 @@ class Observability:
             self.registry.enabled
             or self.tracer.enabled
             or self.profiler is not None
-            or self.phases is not None
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"Observability(metrics={self.registry.enabled}, "
             f"trace={self.tracer.enabled}, "
-            f"profile={self.profiler is not None}, "
-            f"phases={self.phases is not None})"
+            f"profile={self.profiler is not None})"
         )
 
 

@@ -12,11 +12,14 @@ workflow (docs/OBSERVABILITY.md):
    prints a per-benchmark delta table, and exits non-zero past the
    regression threshold (or on any determinism-digest mismatch).
 
-Each benchmark records wall-clock seconds, simulator events per host
-second, peak RSS, TLB cache-hit rates, the per-subsystem wall-time
-attribution (:mod:`repro.obs.phases`), and the run's determinism digest.
-Digests are additionally *verified* against an uninstrumented re-run by
-default: observability must never perturb simulated behaviour.
+Each simulation benchmark runs twice.  The bare (uninstrumented) run is
+the headline: its wall-clock seconds and simulator events per host
+second.  A second, profiled run supplies peak RSS, TLB cache-hit rates,
+the per-layer wall-time attribution (:class:`repro.obs.HostProfiler`,
+whose per-event timing would inflate the headline) with its own wall as
+``profiled_wall_seconds``, and the run's determinism digest.  The two
+runs' digests must match: observability must never perturb simulated
+behaviour.
 
 Records carry a machine fingerprint and the git SHA so a cross-machine
 comparison is visibly apples-to-oranges; the comparator prints both
@@ -40,8 +43,9 @@ from repro.errors import BenchError
 
 #: Bump whenever the record layout changes incompatibly.  Readers refuse
 #: records *newer* than this (they cannot know what the fields mean) and
-#: accept older ones best-effort.
-BENCH_SCHEMA_VERSION = 1
+#: accept older ones best-effort.  Version 2: ``wall_seconds`` is the bare
+#: run, ``phase_seconds`` holds per-layer rows.
+BENCH_SCHEMA_VERSION = 2
 
 #: First record of the trajectory; ``BENCH_<n>.json`` numbering starts
 #: here and continues from the largest number already in the output dir.
@@ -110,14 +114,12 @@ class BenchHarness:
         self,
         scale: float = DEFAULT_BENCH_SCALE,
         seed: int = 42,
-        verify_digests: bool = True,
         progress: Optional[Callable[[str], None]] = None,
     ) -> None:
         if not 0.0 < scale <= 1.0:
             raise BenchError(f"bench scale must be in (0, 1], got {scale}")
         self.scale = scale
         self.seed = seed
-        self.verify_digests = verify_digests
         self._progress = progress
 
     # -- suite definition ----------------------------------------------
@@ -161,7 +163,6 @@ class BenchHarness:
             "git_sha": git_sha(),
             "suite_scale": self.scale,
             "seed": self.seed,
-            "digests_verified": self.verify_digests,
             "benchmarks": benchmarks,
             "total_wall_seconds": perf_counter() - started,
         }
@@ -193,7 +194,8 @@ class BenchHarness:
     def _sim_bench(
         self, workload: str, scheme: str, fault_fraction: float = 0.0
     ) -> Dict[str, object]:
-        """One instrumented run: wall, events/s, RSS, hit rates, phases."""
+        """A bare run (the headline wall) and a profiled run (RSS, hit
+        rates, layer rows, digest)."""
         import gc
 
         from repro.analysis.sanitizers import result_digest
@@ -201,20 +203,18 @@ class BenchHarness:
         from repro.system.runner import run_benchmark
 
         config = self._config(scheme, fault_fraction)
-        obs = Observability(metrics=True, phases=True)
+        gc.collect()
+        start = perf_counter()
+        bare = run_benchmark(config, workload, scale=self.scale, seed=self.seed)
+        wall = perf_counter() - start
+        obs = Observability(metrics=True, profile=True)
         gc.collect()
         start = perf_counter()
         result = run_benchmark(
             config, workload, scale=self.scale, seed=self.seed, obs=obs
         )
-        wall = perf_counter() - start
+        profiled_wall = perf_counter() - start
         digest = result_digest(result)
-        digest_verified = None
-        if self.verify_digests:
-            bare = run_benchmark(
-                config, workload, scale=self.scale, seed=self.seed
-            )
-            digest_verified = result_digest(bare) == digest
         events = int(result.extras.get("events_processed", 0))
         return {
             "kind": "simulation",
@@ -222,6 +222,7 @@ class BenchHarness:
             "scheme": scheme,
             "fault_fraction": fault_fraction,
             "wall_seconds": wall,
+            "profiled_wall_seconds": profiled_wall,
             "events": events,
             "events_per_sec": (events / wall) if wall > 0 else 0.0,
             "peak_rss_kb": _peak_rss_kb(),
@@ -229,7 +230,7 @@ class BenchHarness:
             "cache_hit_rates": _tlb_hit_rates(obs.registry),
             "phase_seconds": result.extras.get("phase_profile", {}),
             "digest": digest,
-            "digest_verified": digest_verified,
+            "digest_verified": result_digest(bare) == digest,
         }
 
     # -- micro-benchmarks ----------------------------------------------
@@ -563,10 +564,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="comma-separated benchmark subset of the canonical suite",
     )
     parser.add_argument(
-        "--no-verify-digests", action="store_true",
-        help="skip the uninstrumented re-run that proves digests match",
-    )
-    parser.add_argument(
         "--replay", metavar="BENCH.json", default=None,
         help="compare an existing record instead of running the suite",
     )
@@ -597,7 +594,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     harness = BenchHarness(
         scale=args.scale,
         seed=args.seed,
-        verify_digests=not args.no_verify_digests,
         progress=lambda message: print(message, file=sys.stderr),
     )
     if args.list:

@@ -1,60 +1,133 @@
 """Profiling: host-loop wall-clock attribution and the run summary report.
 
 The :class:`HostProfiler` answers "where does the *host Python* spend its
-time" (per event-callback type), which is the lever for making the
-simulator itself faster.  Wall-clock numbers never enter trace payloads —
-they live only in this side report, keeping traces deterministic.
+time", which is the lever for making the simulator itself faster.  The
+engine feeds it from one place, its dispatch hooks
+(:mod:`repro.sim.engine`): every event's wall time is booked to the
+event's callback, the sanitizer hooks to a ``sanitize`` row, and each
+:meth:`~repro.sim.engine.Simulator.run` wall to the run total.  Leaf
+modules carry no timing code.  Wall-clock numbers never enter trace
+payloads or digests — they live only in this side report.
 
 :func:`summarize` renders one run's observability data as a text report:
-top-k latency contributors, per-link utilisation, and per-GPM queue depth
-over time.
+top-k latency contributors, per-link utilisation, per-GPM queue depth
+over time, and the wall-time attribution.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Tuple
 
 _SPARK = " .:-=+*#%@"
 
+#: Attribution rows that are not ``repro`` sub-packages.
+SANITIZE_ROW = "sanitize"
+ENGINE_ROW = "engine"
+
+
+def layer_of(module: str) -> str:
+    """The ``repro`` sub-package a module belongs to (``repro.gpm.gpm`` ->
+    ``gpm``); ``other`` for code outside the package (tests, scripts)."""
+    parts = module.split(".")
+    return parts[1] if len(parts) > 1 and parts[0] == "repro" else "other"
+
 
 class HostProfiler:
-    """Aggregates wall-clock seconds per simulator event-callback type."""
+    """Aggregates host wall-clock seconds per event callback.
 
-    __slots__ = ("seconds", "counts")
+    Callbacks are keyed by ``(module, qualname)``.  :meth:`layer_report`
+    groups them by ``repro`` sub-package and adds the ``sanitize`` row and
+    an ``engine`` row — the measured run wall minus every other row — so
+    the rows partition the run wall by construction.
+
+    Walker-pool completions (IOMMU and GMMU walks finishing) are
+    scheduled as :mod:`repro.sim.queueing` lambdas, so their seconds land
+    in the ``sim`` row, not in the layer that submitted the walk.
+    """
+
+    __slots__ = ("seconds", "counts", "run_seconds", "sanitize_seconds",
+                 "sanitize_calls")
 
     def __init__(self) -> None:
-        self.seconds: Dict[str, float] = {}
-        self.counts: Dict[str, int] = {}
+        self.seconds: Dict[Tuple[str, str], float] = {}
+        self.counts: Dict[Tuple[str, str], int] = {}
+        #: Summed wall of every timed run()/run_until() call.
+        self.run_seconds = 0.0
+        self.sanitize_seconds = 0.0
+        self.sanitize_calls = 0
 
-    def record(self, key: str, elapsed: float) -> None:
+    def record(self, callback, elapsed: float) -> None:
+        """Book one dispatched event's wall time to its callback."""
+        key = (
+            getattr(callback, "__module__", None) or "",
+            getattr(callback, "__qualname__", None) or type(callback).__name__,
+        )
         self.seconds[key] = self.seconds.get(key, 0.0) + elapsed
         self.counts[key] = self.counts.get(key, 0) + 1
 
+    def add_sanitize(self, elapsed: float) -> None:
+        self.sanitize_seconds += elapsed
+        self.sanitize_calls += 1
+
+    def add_run(self, elapsed: float) -> None:
+        self.run_seconds += elapsed
+
     @property
     def total_seconds(self) -> float:
-        return sum(self.seconds.values())
+        """The run wall the layer rows partition."""
+        return self.run_seconds
 
     def report(self, top_k: int = 20) -> List[Dict[str, object]]:
-        """Rows sorted by total seconds, descending (ties by name)."""
+        """Per-callback rows sorted by total seconds, descending."""
         rows = [
             {
-                "callback": key,
-                "calls": self.counts[key],
-                "seconds": self.seconds[key],
-                "us_per_call": 1e6 * self.seconds[key] / self.counts[key],
+                "callback": qualname,
+                "module": module,
+                "layer": layer_of(module),
+                "calls": self.counts[module, qualname],
+                "seconds": seconds,
+                "us_per_call": 1e6 * seconds / self.counts[module, qualname],
             }
-            for key in self.seconds
+            for (module, qualname), seconds in self.seconds.items()
         ]
-        rows.sort(key=lambda row: (-row["seconds"], row["callback"]))
+        rows.sort(key=lambda row: (-row["seconds"], row["module"], row["callback"]))
         return rows[:top_k]
 
+    def layer_report(self) -> List[Dict[str, object]]:
+        """One row per layer, then ``sanitize`` (if any), then ``engine``.
 
-def callback_key(callback) -> str:
-    """Stable grouping key for an event callback (its qualified name)."""
-    key = getattr(callback, "__qualname__", None)
-    if key is None:  # pragma: no cover - exotic callables
-        key = type(callback).__name__
-    return key
+        Each row carries ``phase`` / ``calls`` / ``seconds`` / ``share``
+        (fraction of the run wall).  The engine row is clamped at zero
+        for step()-driven simulations, which have no run wall.
+        """
+        seconds: Dict[str, float] = {}
+        calls: Dict[str, int] = {}
+        for (module, _), elapsed in self.seconds.items():
+            layer = layer_of(module)
+            seconds[layer] = seconds.get(layer, 0.0) + elapsed
+            calls[layer] = calls.get(layer, 0) + self.counts[module, _]
+        order = sorted(seconds, key=lambda layer: (-seconds[layer], layer))
+        if self.sanitize_calls:
+            order.append(SANITIZE_ROW)
+            seconds[SANITIZE_ROW] = self.sanitize_seconds
+            calls[SANITIZE_ROW] = self.sanitize_calls
+        seconds[ENGINE_ROW] = max(0.0, self.run_seconds - sum(seconds.values()))
+        calls[ENGINE_ROW] = 0
+        order.append(ENGINE_ROW)
+        wall = self.run_seconds
+        return [
+            {
+                "phase": layer,
+                "calls": calls[layer],
+                "seconds": seconds[layer],
+                "share": seconds[layer] / wall if wall > 0 else 0.0,
+            }
+            for layer in order
+        ]
+
+    def layer_seconds(self) -> Dict[str, float]:
+        """``{row: seconds}`` of :meth:`layer_report`, for JSON export."""
+        return {row["phase"]: row["seconds"] for row in self.layer_report()}
 
 
 # ----------------------------------------------------------------------
@@ -172,21 +245,20 @@ def _queue_depth_section(obs) -> List[str]:
 
 
 def _phase_section(result) -> List[str]:
-    """Per-subsystem wall-time attribution ("where did the seconds go").
+    """Per-layer wall-time attribution ("where did the seconds go").
 
-    Rendered from ``extras["phase_report"]`` (a phases-enabled run);
-    sanitizer and fault-machinery overhead appear as their own rows
-    rather than being smeared across the subsystems that triggered them.
+    Rendered from ``extras["phase_report"]`` (a profiled run); the rows
+    are disjoint and sum to the run wall.
     """
     rows = result.extras.get("phase_report")
     if not rows:
         return []
-    lines = ["-- wall-time attribution (per subsystem) --"]
+    lines = ["-- wall-time attribution (per layer) --"]
     for row in rows:
         calls = f"calls={row['calls']:<9,}" if row["calls"] else " " * 15
         lines.append(
             f"    {row['phase']:<18} {calls} "
-            f"{row['seconds']:8.3f}s  {row['share']:6.1%} of dispatch"
+            f"{row['seconds']:8.3f}s  {row['share']:6.1%} of run wall"
         )
     return lines
 
@@ -198,7 +270,7 @@ def _host_profile_section(result, top_k: int) -> List[str]:
     lines = ["-- host Python loop (wall clock, per callback type) --"]
     for row in rows[:top_k]:
         lines.append(
-            f"    {row['callback']:<48} calls={row['calls']:<9,} "
+            f"    {row['layer'] + ':' + row['callback']:<48} calls={row['calls']:<9,} "
             f"{row['seconds']:8.3f}s  {row['us_per_call']:7.1f}us/call"
         )
     return lines

@@ -13,9 +13,11 @@ sequence)`` heap order *before* any same-cycle event can be scheduled
 directly (a cycle only becomes schedulable-in-window after its overflow
 events have drained).  Every determinism digest is therefore unchanged.
 
-Dispatch is *batched*: :meth:`run` drains a whole cycle slot per loop
-iteration, hoisting the sanitizer/profiler/phase branches out of the
-per-event path into per-batch checks.
+Dispatch is *batched*: one routine drains a whole cycle slot for
+:meth:`run`, :meth:`run_until` and :meth:`step`.  An attached profiler,
+event-order sanitizer and race detector are composed once per run into
+:class:`_DispatchHooks`, the only place host wall time is read; without
+them the loop pays one ``is None`` test per event.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from time import perf_counter  # lint: allow-wallclock (host profiler only)
 from typing import TYPE_CHECKING, Callable, List, Optional, Tuple, Union
 
 from repro.errors import EventOrderError, SimulationError
-from repro.obs.phases import PHASE_ENGINE, PHASE_RACES, PHASE_SANITIZE
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.analysis.sanitizers import SanitizerContext
@@ -39,6 +40,9 @@ Callback = Callable[[], None]
 #: depends on the window size, only the near-future fast path does.
 SLOT_COUNT = 1024
 _SLOT_MASK = SLOT_COUNT - 1
+
+#: ``sanitize=`` values -> race-detector mode (None: detector off).
+_RACE_MODES = {True: None, "races": "raise", "races:report": "report"}
 
 
 class Simulator:
@@ -66,7 +70,6 @@ class Simulator:
         "_dropped_events",
         "_running",
         "profiler",
-        "phases",
         "sanitizer",
     )
 
@@ -98,15 +101,11 @@ class Simulator:
         self._events_processed = 0
         self._dropped_events = 0
         self._running = False
-        #: Optional host wall-clock profiler (duck-typed: ``record(key, s)``,
-        #: see :class:`repro.obs.profile.HostProfiler`).  When attached,
-        #: :meth:`run` times every callback by its qualified name.
+        #: Optional host wall-clock profiler
+        #: (:class:`repro.obs.profile.HostProfiler`).  When attached, every
+        #: dispatched callback, the sanitizer hooks and the whole
+        #: :meth:`run` wall are timed and booked to it.
         self.profiler = profiler
-        #: Optional :class:`repro.obs.phases.PhaseAccumulator`.  When
-        #: attached, :meth:`run` books every dispatch batch (slot drain,
-        #: all callbacks) under ``engine.dispatch``; subsystems slice
-        #: their own phases out of that total.
-        self.phases = None
         #: Runtime sanitizers (:class:`repro.analysis.SanitizerContext`).
         #: Components discover it via ``sim.sanitizer`` and register their
         #: invariants; None when sanitizing is off (the default).
@@ -115,20 +114,14 @@ class Simulator:
         #: collects race findings instead of raising on the first one.
         self.sanitizer: Optional["SanitizerContext"] = None
         if sanitize:
-            races: Optional[str] = None
-            if isinstance(sanitize, str):
-                if sanitize == "races":
-                    races = "raise"
-                elif sanitize == "races:report":
-                    races = "report"
-                else:
-                    raise SimulationError(
-                        f"unknown sanitize mode {sanitize!r}: expected "
-                        f"True, 'races' or 'races:report'"
-                    )
+            if sanitize not in _RACE_MODES:
+                raise SimulationError(
+                    f"unknown sanitize mode {sanitize!r}: expected "
+                    f"True, 'races' or 'races:report'"
+                )
             from repro.analysis.sanitizers import SanitizerContext
 
-            self.sanitizer = SanitizerContext(races=races)
+            self.sanitizer = SanitizerContext(races=_RACE_MODES[sanitize])
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -138,51 +131,31 @@ class Simulator:
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
         time = self.now + int(delay)
-        if self.sanitizer is None:
-            # Fast path: a non-negative delay can never land in the past,
-            # so this skips schedule_at's validation branch entirely.
-            if time - self._ring_base < SLOT_COUNT:
-                self._slots[time & _SLOT_MASK].append(callback)
-                self._ring_events += 1
-            else:
-                heapq.heappush(self._queue, (time, self._sequence, callback))
-                self._sequence += 1
-            return
-        self.schedule_at(time, callback)
+        if self.sanitizer is not None:
+            self.sanitizer.event_order.on_schedule(time, self.now)
+        if time - self._ring_base < SLOT_COUNT:
+            self._slots[time & _SLOT_MASK].append(callback)
+            self._ring_events += 1
+        else:
+            heapq.heappush(self._queue, (time, self._sequence, callback))
+            self._sequence += 1
 
     def schedule_at(self, time: int, callback: Callback) -> None:
         """Schedule ``callback`` to fire at absolute cycle ``time``."""
         # Validate before any sanitizer hook runs: a rejected schedule
         # must not mutate sanitizer state (a stale schedules_checked
         # counter would misreport later, legitimate checks).
-        if self.sanitizer is None:
-            # Fast path: validation plus direct slot/overflow insert,
-            # skipping the second sanitizer branch below.
-            if time < self.now:
-                raise SimulationError(
-                    f"cannot schedule at cycle {time}, "
-                    f"current cycle is {self.now}"
-                )
-            time = int(time)
-            if time - self._ring_base < SLOT_COUNT:
-                self._slots[time & _SLOT_MASK].append(callback)
-                self._ring_events += 1
-            else:
-                heapq.heappush(self._queue, (time, self._sequence, callback))
-                self._sequence += 1
-            return
         if time < self.now:
-            raise EventOrderError(
-                f"event scheduled in the past: target cycle {time} < "
-                f"current cycle {self.now}"
+            if self.sanitizer is not None:
+                raise EventOrderError(
+                    f"event scheduled in the past: target cycle {time} < "
+                    f"current cycle {self.now}"
+                )
+            raise SimulationError(
+                f"cannot schedule at cycle {time}, current cycle is {self.now}"
             )
         if self.sanitizer is not None:
-            if self.profiler is not None or self.phases is not None:
-                start = perf_counter()
-                self.sanitizer.event_order.on_schedule(time, self.now)
-                self._record_sanitizer_overhead(perf_counter() - start)
-            else:
-                self.sanitizer.event_order.on_schedule(time, self.now)
+            self.sanitizer.event_order.on_schedule(time, self.now)
         time = int(time)
         if time - self._ring_base < SLOT_COUNT:
             self._slots[time & _SLOT_MASK].append(callback)
@@ -236,7 +209,6 @@ class Simulator:
             if next_overflow >= 0 and next_overflow - base < SLOT_COUNT:
                 self._ring_base = base
                 self._drain_overflow()
-                overflow = self._queue
                 next_overflow = overflow[0][0] if overflow else -1
             if slots[base & _SLOT_MASK]:
                 self._ring_base = base
@@ -254,77 +226,24 @@ class Simulator:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def step(self) -> bool:
-        """Process the next single event.  Returns False when the queue
-        is empty.
+    def _hooks(self) -> Optional["_DispatchHooks"]:
+        """Everything attached, composed; None for the plain loop."""
+        if self.sanitizer is None and self.profiler is None:
+            return None
+        return _DispatchHooks(self.sanitizer, self.profiler)
 
-        Hitting ``max_cycles`` discards the pending event and everything
-        still queued; the count of discarded events is recorded in
-        :attr:`dropped_events` so callers can tell a drained run from a
-        truncated one (see :attr:`truncated`).
-        """
-        sanitizer = self.sanitizer
-        races = sanitizer.races if sanitizer is not None else None
-        time = self._advance()
-        if time is None:
-            if races is not None and races.armed:
-                try:
-                    races.flush()
-                finally:
-                    races.disarm()
-            return False
-        if sanitizer is not None:
-            sanitizer.event_order.on_pop(time)
-        if self.max_cycles is not None and time > self.max_cycles:
-            self._truncate()
-            if races is not None and races.armed:
-                races.disarm()
-            return False
-        slot = self._slots[time & _SLOT_MASK]
-        callback = slot.pop(0)
-        self._ring_events -= 1
-        self.now = time
-        self._events_processed += 1
-        if races is None:
-            callback()
-            return True
-        # Step-driven race detection: arm lazily, let begin_cycle close
-        # (and analyze) the previous cycle when time advances, and rely
-        # on the queue-empty path above to flush the tail and disarm.
-        if not races.armed:
-            races.arm()
-        try:
-            races.begin_cycle(time)
-            races.begin_event(callback)
-            try:
-                callback()
-            finally:
-                races.end_event()
-        except BaseException:
-            # A race (or a dying callback) ends step-driven simulation;
-            # restore the patched classes before propagating.
-            races.disarm()
-            raise
-        return True
+    def _dispatch_batch(
+        self, hooks: Optional["_DispatchHooks"], single: bool = False
+    ) -> bool:
+        """Drain the next cycle slot, or only its first event when
+        ``single``.  False when the queue is empty or the run truncates.
 
-    def _record_sanitizer_overhead(self, elapsed: float) -> None:
-        """Book sanitizer hook time as its own row / phase bucket.
-
-        Keeps ``--sanitize`` overhead visible instead of smeared across
-        the subsystems whose callbacks happen to trigger the hooks.
-        """
-        if self.profiler is not None:
-            self.profiler.record("sanitizer.event_order", elapsed)
-        if self.phases is not None:
-            self.phases.add(PHASE_SANITIZE, elapsed)
-
-    def _dispatch_batch(self) -> bool:
-        """Drain the entire next cycle slot.  False when queue is empty.
-
-        The per-batch sanitizer check is equivalent to the old per-event
-        one: all events in a slot share a timestamp, so one monotonicity
-        check covers the batch, and the checked-event count is kept
-        identical via :meth:`EventOrderSanitizer.on_batch_end`.
+        Callbacks may append same-cycle events to this very slot; the
+        list iterator re-checks bounds on every step, so they are picked
+        up in schedule order.  The in-flight event is uncounted from
+        pending_events *before* its callback runs, matching the old
+        pop-then-dispatch view (self-rescheduling tickers probe it to
+        decide termination).
         """
         # Inline _advance's fast path: the current base slot is usually
         # already the next non-empty cycle (event clusters share cycles).
@@ -335,152 +254,66 @@ class Simulator:
             if time is None:
                 return False
             slot = self._slots[time & _SLOT_MASK]
-        sanitizer = self.sanitizer
-        races = sanitizer.races if sanitizer is not None else None
-        if sanitizer is not None:
-            sanitizer.event_order.on_batch_start(time)
+        # A truncated cycle is past max_cycles, hence past every cycle
+        # already dispatched: checking it before the sanitizer hooks can
+        # never hide a monotonicity violation.
         if self.max_cycles is not None and time > self.max_cycles:
             self._truncate()
             return False
+        call = None
+        if hooks is not None:
+            hooks.batch_start(time)
+            call = hooks.call
         self.now = time
         index = 0
-        if races is None:
-            try:
-                # Callbacks may append same-cycle events to this very slot;
-                # the list iterator re-checks bounds on every step, so they
-                # are picked up in schedule order.  The in-flight event is
-                # uncounted from pending_events *before* its callback runs,
-                # matching the old pop-then-dispatch view (self-rescheduling
-                # tickers probe it to decide termination).
-                for callback in slot:
-                    index += 1
-                    self._ring_events -= 1
-                    callback()
-            finally:
-                del slot[:index]
-                self._events_processed += index
-                if sanitizer is not None:
-                    sanitizer.event_order.on_batch_end(index)
-            return True
-        # Race-sanitized variant: one batch is one cycle, so the access
-        # log opens at batch start and is analyzed right after the batch.
-        races.begin_cycle(time)
         try:
-            for callback in slot:
+            for callback in slot[:1] if single else slot:
                 index += 1
                 self._ring_events -= 1
-                races.begin_event(callback)
-                try:
+                if call is None:
                     callback()
-                finally:
-                    races.end_event()
+                else:
+                    call(callback)
         finally:
             del slot[:index]
             self._events_processed += index
-            sanitizer.event_order.on_batch_end(index)  # type: ignore[union-attr]
-        # Analyze outside the accounting finally: an OrderRaceError must
-        # never mask a genuine callback exception.
-        races.end_cycle()
+            if hooks is not None:
+                hooks.batch_end(index)
         return True
 
-    def _dispatch_batch_instrumented(self) -> bool:
-        """:meth:`_dispatch_batch` with host wall-clock attribution.
+    def step(self) -> bool:
+        """Process the next single event.  Returns False when the queue
+        is empty.
 
-        Feeds the per-callback :attr:`profiler`, the per-subsystem
-        :attr:`phases` accumulator, or both — whichever is attached.  The
-        phase bucket ``engine.dispatch`` covers the full batch (window
-        advance, sanitizer hook, every callback) and its call count keeps
-        counting *events*, not batches; sanitizer time is additionally
-        booked under its own leaf bucket.
+        Hitting ``max_cycles`` discards the pending event and everything
+        still queued; the count of discarded events is recorded in
+        :attr:`dropped_events` so callers can tell a drained run from a
+        truncated one (see :attr:`truncated`).  Under ``sanitize="races"``
+        the detector stays armed from the first step until one returns
+        False (after scanning the last cycle) or raises.
         """
-        dispatch_start = perf_counter()
-        time = self._ring_base
-        slot = self._slots[time & _SLOT_MASK]
-        if not slot:
-            time = self._advance()
-            if time is None:
-                return False
-            slot = self._slots[time & _SLOT_MASK]
-        sanitizer = self.sanitizer
-        races = sanitizer.races if sanitizer is not None else None
-        if sanitizer is not None:
-            hook_start = perf_counter()
-            sanitizer.event_order.on_batch_start(time)
-            self._record_sanitizer_overhead(perf_counter() - hook_start)
-        if self.max_cycles is not None and time > self.max_cycles:
-            self._truncate()
-            return False
-        self.now = time
-        profiler = self.profiler
-        index = 0
-        if races is not None:
-            races.begin_cycle(time)
+        hooks = self._hooks()
+        races = hooks.races if hooks is not None else None
+        if races is None:
+            return self._dispatch_batch(hooks, single=True)
+        races.arm()
         try:
-            if races is not None:
-                for callback in slot:
-                    index += 1
-                    self._ring_events -= 1
-                    races.begin_event(callback)
-                    if profiler is not None:
-                        callback_start = perf_counter()
-                        try:
-                            callback()
-                        finally:
-                            races.end_event()
-                        elapsed = perf_counter() - callback_start
-                        key = (
-                            getattr(callback, "__qualname__", None)
-                            or type(callback).__name__
-                        )
-                        profiler.record(key, elapsed)
-                    else:
-                        try:
-                            callback()
-                        finally:
-                            races.end_event()
-            elif profiler is not None:
-                for callback in slot:
-                    index += 1
-                    self._ring_events -= 1
-                    callback_start = perf_counter()
-                    callback()
-                    elapsed = perf_counter() - callback_start
-                    key = (
-                        getattr(callback, "__qualname__", None)
-                        or type(callback).__name__
-                    )
-                    profiler.record(key, elapsed)
-            else:
-                for callback in slot:
-                    index += 1
-                    self._ring_events -= 1
-                    callback()
-        finally:
-            del slot[:index]
-            self._events_processed += index
-            if sanitizer is not None:
-                sanitizer.event_order.on_batch_end(index)
-            if self.phases is not None:
-                self.phases.add_batch(
-                    PHASE_ENGINE, perf_counter() - dispatch_start, index
-                )
-        if races is not None:
-            # Cycle-close conflict analysis gets its own attribution row.
-            # It runs outside the batch span, so its time is *added* to
-            # the engine total (count 0: no extra events) to keep the
-            # leaf-is-a-subset accounting that the residual row assumes.
-            analyze_start = perf_counter()
-            races.end_cycle()
-            elapsed = perf_counter() - analyze_start
-            if profiler is not None:
-                profiler.record("sanitizer.races", elapsed)
-            if self.phases is not None:
-                self.phases.add(PHASE_RACES, elapsed)
-                self.phases.add_batch(PHASE_ENGINE, elapsed, 0)
-        return True
+            if self._dispatch_batch(hooks, single=True):
+                return True
+            hooks.flush()  # type: ignore[union-attr]
+        except BaseException:
+            races.disarm()
+            raise
+        races.disarm()
+        return False
 
     def run(self) -> int:
-        """Run until the event queue drains; returns the final cycle.
+        """Run until the event queue drains; returns the final cycle."""
+        return self.run_until(None)
+
+    def run_until(self, time: Optional[int]) -> int:
+        """Run until cycle ``time`` (inclusive) or until the queue drains
+        (``time=None``); returns the final cycle.
 
         Automatic cyclic GC is paused for the duration of the loop (and
         restored afterwards): the event loop allocates heavily enough to
@@ -492,78 +325,35 @@ class Simulator:
         if self._running:
             raise SimulationError("simulator is already running")
         self._running = True
-        races = self.sanitizer.races if self.sanitizer is not None else None
+        hooks = self._hooks()
+        races = hooks.races if hooks is not None else None
         gc_was_enabled = gc.isenabled()
         if gc_was_enabled:
             gc.disable()
+        started = perf_counter()
         try:
             if races is not None:
                 races.arm()
-            if self.profiler is not None or self.phases is not None:
-                while self._dispatch_batch_instrumented():
+            if time is None:
+                while self._dispatch_batch(hooks):
                     pass
             else:
-                while self._dispatch_batch():
-                    pass
+                while (next_time := self._advance()) is not None and next_time <= time:
+                    self._dispatch_batch(hooks)
+                self.now = max(self.now, time)
             if races is not None:
-                races.flush()
+                hooks.flush()  # type: ignore[union-attr]
         finally:
             self._running = False
             if races is not None:
                 races.disarm()
             if gc_was_enabled:
                 gc.enable()
+            if self.profiler is not None:
+                self.profiler.add_run(perf_counter() - started)
         # Quiesce checks only make sense for a drained (not truncated) run:
         # truncation legitimately strands messages and buffer entries.
-        if (
-            self.sanitizer is not None
-            and not self._ring_events
-            and not self._queue
-            and self._dropped_events == 0
-        ):
-            self.sanitizer.at_quiesce()
-        return self.now
-
-    def run_until(self, time: int) -> int:
-        """Run until cycle ``time`` (inclusive) or until the queue drains."""
-        if self._running:
-            raise SimulationError("simulator is already running")
-        self._running = True
-        races = self.sanitizer.races if self.sanitizer is not None else None
-        dispatch = (
-            self._dispatch_batch_instrumented
-            if self.profiler is not None or self.phases is not None
-            else self._dispatch_batch
-        )
-        gc_was_enabled = gc.isenabled()
-        if gc_was_enabled:
-            gc.disable()
-        try:
-            if races is not None:
-                races.arm()
-            while True:
-                next_time = self._advance()
-                if next_time is None or next_time > time:
-                    break
-                dispatch()
-            self.now = max(self.now, time)
-            if races is not None:
-                races.flush()
-        finally:
-            self._running = False
-            if races is not None:
-                races.disarm()
-            if gc_was_enabled:
-                gc.enable()
-        # A genuine drain (queue empty, nothing dropped) gets the same
-        # quiesce checks as run(): run_until-driven harnesses must not
-        # silently skip buffer-leak/conservation validation.
-        if (
-            self.sanitizer is not None
-            and not self._ring_events
-            and not self._queue
-            and self._dropped_events == 0
-        ):
+        if self.sanitizer is not None and not self.pending_events and not self.truncated:
             self.sanitizer.at_quiesce()
         return self.now
 
@@ -589,8 +379,71 @@ class Simulator:
         return self._dropped_events > 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"Simulator(now={self.now}, pending={self.pending_events}, "
-            f"processed={self.events_processed}, "
-            f"dropped={self.dropped_events})"
-        )
+        return (f"Simulator(now={self.now}, pending={self.pending_events}, "
+                f"processed={self.events_processed}, dropped={self.dropped_events})")
+
+
+def _clock(fn: Callable, *args) -> float:
+    """Host seconds ``fn(*args)`` took: the profiler's only probe."""
+    start = perf_counter()
+    fn(*args)
+    return perf_counter() - start
+
+
+class _DispatchHooks:
+    """The attached profiler and sanitizers, composed for one run.
+
+    ``batch_start``/``batch_end`` bracket every dispatched slot (a step
+    is a slot of one).  ``call`` runs one event; it is None unless the
+    profiler or race detector must see each event.  A profiler gets each
+    event's wall under its callback, and the event-order checks plus the
+    race detector's cycle-close scan (run when the next cycle opens, or
+    at the final flush) under its sanitize row.
+    """
+
+    __slots__ = ("order", "races", "profiler", "call")
+
+    def __init__(self, sanitizer, profiler) -> None:
+        self.order = sanitizer.event_order if sanitizer is not None else None
+        self.races = sanitizer.races if sanitizer is not None else None
+        self.profiler = profiler
+        self.call = self._raced if self.races is not None else None
+        if profiler is not None:
+            self.call = self._timed if self.races is None else self._timed_raced
+
+    def _raced(self, callback: Callback) -> None:
+        self.races.begin_event(callback)  # type: ignore[union-attr]
+        try:
+            callback()
+        finally:
+            self.races.end_event()  # type: ignore[union-attr]
+
+    def _timed(self, callback: Callback) -> None:
+        self.profiler.record(callback, _clock(callback))
+
+    def _timed_raced(self, callback: Callback) -> None:
+        self.profiler.record(callback, _clock(self._raced, callback))
+
+    def _sanitize(self, fn: Callable, *args) -> None:
+        if self.profiler is None:
+            fn(*args)
+        else:
+            self.profiler.add_sanitize(_clock(fn, *args))
+
+    def _open_cycle(self, time: int) -> None:
+        self.order.on_batch_start(time)  # type: ignore[union-attr]
+        if self.races is not None:
+            # Closes (and scans) the previous cycle when time moved on.
+            self.races.begin_cycle(time)
+
+    def batch_start(self, time: int) -> None:
+        if self.order is not None:
+            self._sanitize(self._open_cycle, time)
+
+    def batch_end(self, count: int) -> None:
+        if self.order is not None:
+            self._sanitize(self.order.on_batch_end, count)
+
+    def flush(self) -> None:
+        """Scan the last open cycle (race detector only)."""
+        self._sanitize(self.races.flush)  # type: ignore[union-attr]

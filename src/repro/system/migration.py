@@ -26,13 +26,11 @@ few extra remote hops and nothing else.
 
 from __future__ import annotations
 
-from time import perf_counter  # lint: allow-wallclock (phase attribution only)
 from typing import Dict, Optional, Tuple
 
 from repro.config.migration import MigrationConfig
 from repro.mem.page import PageTableEntry
 from repro.noc.messages import Message, MessageKind
-from repro.obs.phases import PHASE_MIGRATION
 from repro.sim.component import Component
 from repro.system.shootdown import shootdown
 
@@ -69,22 +67,11 @@ class MigrationEngine(Component):
         self._cooldown_until: Dict[int, int] = {}
         self._next_pfn = _MIGRATION_PFN_BASE
         self.migration_stats = MigrationStats()
-        #: Optional :class:`repro.obs.phases.PhaseAccumulator`; books walk
-        #: observation and page re-homing under ``migration``.
-        self._phases = getattr(wafer.obs, "phases", None)
 
     # ------------------------------------------------------------------
     # Observation (called by the IOMMU on every completed walk)
     # ------------------------------------------------------------------
     def observe_walk(self, vpn: int, requester_gpm: int) -> None:
-        if self._phases is not None:
-            start = perf_counter()
-            self._observe_walk(vpn, requester_gpm)
-            self._phases.add(PHASE_MIGRATION, perf_counter() - start)
-            return
-        self._observe_walk(vpn, requester_gpm)
-
-    def _observe_walk(self, vpn: int, requester_gpm: int) -> None:
         entry = self.wafer.iommu.page_table.lookup(vpn)
         if entry is None or entry.owner_gpm == requester_gpm:
             return

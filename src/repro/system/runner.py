@@ -141,9 +141,8 @@ def collect_result(wafer: WaferScaleGPU, trace, buffer_series=None) -> RunResult
         obs_extras["noc_links"] = wafer.network.link_report()
         if obs.profiler is not None:
             obs_extras["host_profile"] = obs.profiler.report()
-        if obs.phases is not None:
-            obs_extras["phase_profile"] = obs.phases.snapshot()
-            obs_extras["phase_report"] = obs.phases.report()
+            obs_extras["phase_profile"] = obs.profiler.layer_seconds()
+            obs_extras["phase_report"] = obs.profiler.layer_report()
         if obs.tracer.enabled:
             obs_extras["trace_events"] = len(obs.tracer.events)
         # Host-throughput denominator for events-per-second figures.

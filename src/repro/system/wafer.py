@@ -40,9 +40,6 @@ class WaferScaleGPU:
         self.config = config
         self.obs = obs if obs is not None else NULL_OBS
         self.sim = Simulator(profiler=self.obs.profiler, sanitize=sanitize)
-        #: Per-subsystem wall-time attribution: the engine books dispatch,
-        #: each instrumented component slices its own phase out of it.
-        self.sim.phases = self.obs.phases
         self.topology = MeshTopology(config.mesh_width, config.mesh_height)
         #: Fault state derived from the config's plan; None (the common
         #: case) keeps every downstream component on its historical,
@@ -52,8 +49,6 @@ class WaferScaleGPU:
             if config.faults is not None and not config.faults.is_empty
             else None
         )
-        if self.faults is not None:
-            self.faults.phases = self.obs.phases
         self.network = MeshNetwork(
             self.sim,
             self.topology,
@@ -95,7 +90,6 @@ class WaferScaleGPU:
                 obs=self.obs,
             )
             gpm.policy = self.policy
-            gpm.hierarchy.phases = self.obs.phases
             gpm.iommu_coord = self.topology.cpu_coordinate
             gpm.on_finished = self._gpm_finished
             gpm.faults = self.faults

@@ -16,11 +16,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from time import perf_counter  # lint: allow-wallclock (phase attribution only)
 from typing import Optional
 
 from repro.config.gpm import GPMConfig
-from repro.obs.phases import PHASE_TLB
 from repro.filters.cuckoo import CuckooFilter
 from repro.mem.page import PageTableEntry
 from repro.mem.page_table import LocalPageTable
@@ -70,7 +68,6 @@ class TranslationHierarchy:
         "false_positives",
         "filter_negatives",
         "remote_cached_vpns",
-        "phases",
     )
 
     def __init__(self, gpm_id: int, config: GPMConfig) -> None:
@@ -97,10 +94,6 @@ class TranslationHierarchy:
         self.false_positives = 0
         self.filter_negatives = 0
         self.remote_cached_vpns = 0
-        #: Optional :class:`repro.obs.phases.PhaseAccumulator`; when
-        #: attached, lookup-path entry points book their host wall time
-        #: under ``tlb.hierarchy``.  Simulated latency is untouched.
-        self.phases = None
 
     # ------------------------------------------------------------------
     # Setup
@@ -121,14 +114,6 @@ class TranslationHierarchy:
         last-level TLB missed — the caller must submit a GMMU walk (which
         may still fail if the positive was false).
         """
-        if self.phases is not None:
-            start = perf_counter()
-            result = self._probe_local(vpn)
-            self.phases.add(PHASE_TLB, perf_counter() - start)
-            return result
-        return self._probe_local(vpn)
-
-    def _probe_local(self, vpn: int) -> LocalProbeResult:
         latency = self._l1_latency
         entry = self.l1_vector.lookup(vpn)
         if entry is not None:
@@ -159,14 +144,6 @@ class TranslationHierarchy:
         paper models shared ports with local priority; the capacity
         interference is what matters and is fully modelled here).
         """
-        if self.phases is not None:
-            start = perf_counter()
-            result = self._probe_remote(vpn)
-            self.phases.add(PHASE_TLB, perf_counter() - start)
-            return result
-        return self._probe_remote(vpn)
-
-    def _probe_remote(self, vpn: int) -> LocalProbeResult:
         latency = self._cuckoo_latency
         if not self.cuckoo.contains(vpn):
             return LocalProbeResult(ProbeOutcome.FILTER_NEGATIVE, latency)
@@ -225,14 +202,6 @@ class TranslationHierarchy:
         Returns None when the filter positive was false (page not local) —
         the request must continue to the remote path.
         """
-        if self.phases is not None:
-            start = perf_counter()
-            entry = self._complete_local_walk(vpn)
-            self.phases.add(PHASE_TLB, perf_counter() - start)
-            return entry
-        return self._complete_local_walk(vpn)
-
-    def _complete_local_walk(self, vpn: int) -> Optional[PageTableEntry]:
         entry = self.page_table.walk(vpn)
         if entry is None:
             self.false_positives += 1

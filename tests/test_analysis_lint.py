@@ -358,6 +358,22 @@ class TestDriver:
         assert findings == [], [f.to_dict() for f in findings]
         assert baselined == 0
 
+    def test_only_the_engine_may_read_the_wall_clock(self):
+        # Host wall time is attributed at dispatch, in one engine hook;
+        # no simulation layer times its own code.
+        pragmas = []
+        for layer in ("sim", "tlb", "noc", "iommu", "faults", "gpm", "mem",
+                      "core", "system"):
+            for root, _dirs, files in os.walk(os.path.join(SRC_REPRO, layer)):
+                for name in sorted(files):
+                    if not name.endswith(".py"):
+                        continue
+                    path = os.path.join(root, name)
+                    with open(path, encoding="utf-8") as handle:
+                        if "lint: allow-wallclock" in handle.read():
+                            pragmas.append(os.path.relpath(path, SRC_REPRO))
+        assert pragmas == [os.path.join("sim", "engine.py")]
+
     def test_summarize_counts(self):
         findings = lint_source("def f(a=[], b={}):\n    return a, b\n",
                                layer="sim")

@@ -30,7 +30,6 @@ def _record(benchmarks):
         "git_sha": "test",
         "suite_scale": 0.02,
         "seed": 1,
-        "digests_verified": False,
         "benchmarks": benchmarks,
         "total_wall_seconds": sum(
             b.get("wall_seconds", 0.0) for b in benchmarks.values()
@@ -100,6 +99,22 @@ class TestRecordIO:
         write_bench(record, path)
         with pytest.raises(BenchError, match="invalid schema"):
             load_bench(path)
+
+    def test_schema_one_records_still_load_and_compare(self):
+        import os
+
+        root = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "benchmarks")
+        for name in ("BENCH_6.json", "BENCH_ci_baseline.json"):
+            old = load_bench(os.path.join(root, name))
+            assert old["schema"] == 1 < BENCH_SCHEMA_VERSION
+            current = _record({
+                bench: _bench(entry["wall_seconds"], digest=entry["digest"])
+                for bench, entry in old["benchmarks"].items()
+            })
+            comparison = compare_bench(current, old, threshold=4.0)
+            assert comparison["digest_mismatches"] == []
+            assert comparison["regressions"] == []
 
     def test_missing_benchmarks_rejected(self, tmp_path):
         path = tmp_path / "BENCH_6.json"
@@ -257,7 +272,11 @@ class TestHarness:
         entry = record["benchmarks"]["fig6_counts_bt"]
         assert entry["digest_verified"] is True
         assert entry["events"] > 0
-        assert entry["phase_seconds"]  # attribution rode along
+        assert entry["wall_seconds"] > 0
+        assert entry["profiled_wall_seconds"] > 0
+        # Per-layer rows from the profiled run, ending in the residual.
+        assert list(entry["phase_seconds"])[-1] == "engine"
+        assert entry["phase_seconds"]["gpm"] > 0
         assert "l1v" in entry["cache_hit_rates"]
 
 

@@ -6,7 +6,11 @@ heap keyed on ``(time, sequence)``.  The property suite drives both
 through the same randomly generated event programs — same-cycle ties,
 far-future events past the calendar window, ``max_cycles`` truncation,
 and mid-run ``schedule_at`` calls from inside callbacks — and demands
-identical firing logs.
+identical firing logs.  Every property runs the calendar simulator in
+each instrumentation mode (plain, profiler, sanitizers, race detector,
+profiler plus race detector) and through each driver (``run``,
+``run_until`` then ``run``, ``step``): they share one dispatch loop, so
+none of them may change what fires when.
 
 The regression half pins the timing-math bugfixes that rode along with
 the scheduler change: fractional-bandwidth serialisation ceiling,
@@ -22,6 +26,8 @@ from hypothesis import strategies as st
 
 from repro.errors import EventOrderError, SimulationError
 from repro.noc.link import Link
+from repro.obs import HostProfiler
+from repro.sim.component import Component
 from repro.sim.engine import SLOT_COUNT, Simulator
 from repro.units import serialization_cycles
 
@@ -63,13 +69,15 @@ class ReferenceHeapSimulator:
         return self.now
 
 
-def _run_program(sim, program):
+def _run_program(sim, program, driver="run", pause_at=0):
     """Feed a generated event program into ``sim``; return the firing log.
 
     Each program entry is ``(delay, children)`` where children are
     ``(delay, grandchildren)`` scheduled from inside the parent callback
     via ``schedule_at`` — exercising mid-run scheduling into both the
-    calendar window and the overflow tier.
+    calendar window and the overflow tier.  ``driver`` picks how the
+    program is run: ``run``, ``run_until(pause_at)`` then ``run``, or
+    ``step`` until it returns False.
     """
     log = []
 
@@ -82,8 +90,48 @@ def _run_program(sim, program):
 
     for index, (delay, children) in enumerate(program):
         sim.schedule(delay, fire(index, children))
-    final = sim.run()
+    if driver == "step":
+        processed = sim.events_processed
+        while sim.step():
+            processed += 1
+            assert sim.events_processed == processed  # one event per step
+        final = sim.now
+    else:
+        if driver == "run_until":
+            assert sim.run_until(pause_at) == pause_at
+        final = sim.run()
     return log, final
+
+
+#: Instrumentation modes as Simulator keyword arguments.  The programs
+#: share no simulated state, so the race detector must stay silent.
+MODES = {
+    "plain": {},
+    "profiler": {"profiler": True},
+    "sanitize": {"sanitize": True},
+    "races": {"sanitize": "races"},
+    "profiler+races": {"profiler": True, "sanitize": "races"},
+}
+DRIVERS = ("run", "run_until", "step")
+
+
+def _simulator(mode, max_cycles=None):
+    kwargs = dict(MODES[mode])
+    if kwargs.pop("profiler", False):
+        kwargs["profiler"] = HostProfiler()
+    return Simulator(max_cycles=max_cycles, **kwargs)
+
+
+def _run_calendar(program, reference_log, mode, driver, max_cycles=None):
+    """Run ``program`` on an instrumented calendar simulator; pause a
+    ``run_until`` drive at the cycle of the reference's middle event."""
+    sim = _simulator(mode, max_cycles)
+    pause_at = reference_log[len(reference_log) // 2][0] if reference_log else 0
+    log, final = _run_program(sim, program, driver, pause_at)
+    if sim.profiler is not None:
+        assert sum(sim.profiler.counts.values()) == sim.events_processed
+    assert "__getattribute__" not in vars(Component)
+    return sim, log, final
 
 
 # Delays mixing same-cycle ties, in-window offsets, the exact window
@@ -99,32 +147,37 @@ _CHILDREN = st.lists(st.tuples(_DELAYS, _GRANDCHILDREN), max_size=2)
 _PROGRAM = st.lists(st.tuples(_DELAYS, _CHILDREN), min_size=1, max_size=25)
 
 
+_MODE = st.sampled_from(sorted(MODES))
+_DRIVER = st.sampled_from(DRIVERS)
+
+
 class TestCalendarMatchesReferenceHeap:
-    @given(_PROGRAM)
-    @settings(max_examples=60, deadline=None)
-    def test_same_firing_order_and_final_cycle(self, program):
+    @given(_PROGRAM, _MODE, _DRIVER)
+    @settings(max_examples=100, deadline=None)
+    def test_same_firing_order_and_final_cycle(self, program, mode, driver):
         ref_log, ref_final = _run_program(ReferenceHeapSimulator(), program)
-        cal_log, cal_final = _run_program(Simulator(), program)
+        _, cal_log, cal_final = _run_calendar(program, ref_log, mode, driver)
         assert cal_log == ref_log
         assert cal_final == ref_final
 
-    @given(_PROGRAM)
-    @settings(max_examples=60, deadline=None)
-    def test_event_counts_match(self, program):
+    @given(_PROGRAM, _MODE, _DRIVER)
+    @settings(max_examples=100, deadline=None)
+    def test_event_counts_match(self, program, mode, driver):
         reference = ReferenceHeapSimulator()
-        simulator = Simulator()
-        _run_program(reference, program)
-        _run_program(simulator, program)
+        ref_log, _ = _run_program(reference, program)
+        simulator, _, _ = _run_calendar(program, ref_log, mode, driver)
         assert simulator.events_processed == reference.events_processed
         assert simulator.pending_events == 0
 
-    @given(_PROGRAM, st.integers(0, 3 * SLOT_COUNT))
-    @settings(max_examples=60, deadline=None)
-    def test_max_cycles_truncation_matches(self, program, max_cycles):
+    @given(_PROGRAM, st.integers(0, 3 * SLOT_COUNT), _MODE, _DRIVER)
+    @settings(max_examples=100, deadline=None)
+    def test_max_cycles_truncation_matches(self, program, max_cycles, mode,
+                                           driver):
         reference = ReferenceHeapSimulator(max_cycles=max_cycles)
-        simulator = Simulator(max_cycles=max_cycles)
         ref_log, _ = _run_program(reference, program)
-        cal_log, _ = _run_program(simulator, program)
+        simulator, cal_log, _ = _run_calendar(
+            program, ref_log, mode, driver, max_cycles
+        )
         assert cal_log == ref_log
         assert simulator.events_processed == reference.events_processed
         assert simulator.dropped_events == reference.dropped_events
