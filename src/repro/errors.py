@@ -95,9 +95,8 @@ class DeterminismError(SanitizerError):
 
 class ExecConfigError(ConfigurationError):
     """An execution-layer component was configured inconsistently — e.g.
-    ``SweepExecutor(resume=True)`` without a manifest path (there is no
-    journal to resume from, so the sweep would silently run fresh), or a
-    service verb pointed at a directory that holds no job ledger."""
+    a non-positive lease TTL, tenant weight, or queue cap for the sweep
+    service's job ledger."""
 
 
 class ServiceError(ReproError):
@@ -136,9 +135,8 @@ class SweepAbortedError(ReproError):
     SIGTERM arrived, or a configured ``abort_after`` fired.  Carries the
     partial ``results`` (``{index: RunResult}`` for jobs that completed
     before the abort) and the structured ``failures`` recorded so far;
-    everything in ``results`` is already persisted and journaled when a
-    cache directory and manifest are configured, so an aborted sweep is
-    resumable."""
+    everything in ``results`` is already stored when a cache directory is
+    configured, so rerunning the sweep against it resumes the work."""
 
     def __init__(self, reason, results=None, failures=None):
         super().__init__(reason)

@@ -4,16 +4,17 @@ The execution substrate for the figure harnesses and ad-hoc sweeps:
 picklable :class:`RunJob` descriptions, a content-addressed on-disk
 :class:`DiskResultCache` (L2 under ``RunCache``'s in-memory L1), and the
 :class:`SweepExecutor` that shards jobs across a process pool with
-timeout/retry/speculation robustness and ``sweep.jobs.*`` progress
-metrics.  :mod:`repro.exec.resilience` adds the chaos-testing and
-checkpoint/resume layer: a seeded :class:`WorkerFaultPlan` injected into
-pool workers, a host-level :class:`HostFaultPlan` for the service layer,
-and the append-only :class:`SweepManifest` journal that makes an
-interrupted sweep resumable.  :mod:`repro.exec.service` scales the stack
-to many machines: a :class:`Coordinator` admits campaigns into the
-fcntl-locked :class:`JobLedger` lease table, and :class:`WorkerHost`
-processes drain it with TTL-lease failover (work-stealing) and
-content-addressed exactly-once commits.
+timeout/retry robustness and ``sweep.jobs.*`` progress metrics.  The
+disk cache is also the checkpoint: each result is stored as it
+completes, so an interrupted sweep resumes by rerunning it against the
+same cache directory.  :mod:`repro.exec.resilience` adds chaos testing:
+one seeded :class:`WorkerFaultPlan` faults pool workers and service
+hosts alike.  :mod:`repro.exec.service` scales the stack to many
+machines: a :class:`Coordinator` admits campaigns into the fcntl-locked
+:class:`JobLedger` lease table, and :class:`WorkerHost` processes drain
+it with TTL-lease failover (work-stealing) and content-addressed
+exactly-once commits.  Both schedulers share one attempt budget,
+:data:`~repro.exec.jobs.MAX_ATTEMPTS`.
 
 See docs/EXECUTION.md for the cache-key composition, the resilience
 model, the sweep-service state machine, and CLI examples.
@@ -38,8 +39,6 @@ from repro.exec.progress import (
     read_jsonl_prefix,
 )
 from repro.exec.resilience import (
-    HostFaultPlan,
-    SweepManifest,
     WorkerFaultPlan,
     execute_job_resilient,
     install_worker_fault_plan,
@@ -51,13 +50,11 @@ __all__ = [
     "Coordinator",
     "DiskResultCache",
     "HAVE_FCNTL",
-    "HostFaultPlan",
     "JobFailure",
     "JobLedger",
     "RunJob",
     "SweepExecutor",
     "SweepHeartbeat",
-    "SweepManifest",
     "WorkerFaultPlan",
     "WorkerHost",
     "atomic_write_json",

@@ -39,7 +39,7 @@ class DiskResultCache:
         return self.path_for(job).exists()
 
     def has_key(self, key: str) -> bool:
-        """Existence check by raw cache key (manifest audit helper)."""
+        """Existence check by raw cache key (the service's precommit check)."""
         return (self.root / f"{key}.json").exists()
 
     def load(self, job: RunJob) -> Optional[RunResult]:
@@ -77,10 +77,10 @@ class DiskResultCache:
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
                 json.dump(payload, handle, indent=1, sort_keys=True)
                 handle.write("\n")
-                # fsync before the rename: the sweep service journals a
-                # ledger commit immediately after store() returns, and a
-                # committed key whose bytes never reached disk would be
-                # unservable after a host crash.
+                # fsync before the rename: the cache is the sweep's
+                # checkpoint and the service commits a ledger entry right
+                # after store() returns, so a stored key whose bytes never
+                # reached disk would be unservable after a crash.
                 handle.flush()
                 os.fsync(handle.fileno())
             os.replace(tmp_name, path)

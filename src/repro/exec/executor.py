@@ -3,41 +3,43 @@
 :class:`SweepExecutor` owns the three concerns the experiment layer
 shouldn't: *where* a job runs (in-process for ``jobs=1``, a
 ``ProcessPoolExecutor`` shard otherwise), *whether* it needs to run at all
-(the content-addressed :class:`~repro.exec.diskcache.DiskResultCache` L2,
-plus the :class:`~repro.exec.resilience.SweepManifest` checkpoint journal
-for ``--resume``), and *what happens when it breaks*:
+(the content-addressed :class:`~repro.exec.diskcache.DiskResultCache` L2),
+and *what happens when it breaks*:
 
 - per-job wall-clock timeout (a stuck worker becomes a failure record,
   and its pool is torn down so the slot is recovered);
-- per-job bounded retries with :class:`~repro.faults.retry.RetryPolicy`
-  backoff — scheduled as an *eligibility time*, never a blocking sleep,
-  so a permanently failing job costs zero idle wall-clock after its
-  final attempt;
-- straggler speculation — once the running median job wall-time is
-  known, a job overdue by ``speculate`` x median gets a second copy
-  submitted, first result wins;
+- per-job bounded attempts (:data:`~repro.exec.jobs.MAX_ATTEMPTS`, the
+  budget the service ledger charges too) with
+  :class:`~repro.faults.retry.RetryPolicy` backoff — scheduled as an
+  *eligibility time*, never a blocking sleep, so a permanently failing
+  job costs zero idle wall-clock after its final attempt;
 - a circuit breaker (``max_consecutive_failures``) and SIGINT/SIGTERM
-  handling that drain in-flight jobs, flush the manifest, write the
-  terminal heartbeat, and raise a typed
-  :class:`~repro.errors.SweepAbortedError` with the partial results;
+  handling that drain in-flight jobs, write the terminal heartbeat, and
+  raise a typed :class:`~repro.errors.SweepAbortedError` with the
+  partial results;
 - deterministic chaos testing of all of the above via an injected
   :class:`~repro.exec.resilience.WorkerFaultPlan`.
 
+The disk cache is the checkpoint: every result is stored (fsynced) as it
+completes, abort drain included, and the simulator is deterministic, so
+"done" means "result present".  An interrupted sweep resumes by being
+rerun against the same ``cache_dir`` — finished jobs are disk hits,
+everything else runs.
+
 Progress is published through a
 :class:`~repro.obs.metrics.MetricsRegistry` under ``sweep.jobs.*`` so
-``--metrics-out`` captures queued/done/failed/cache-hit/speculative/
-resumed counts and the per-job wall-clock histogram; ``heartbeat=``
-additionally streams a live JSONL pulse (:mod:`repro.exec.progress`)
-including a per-worker last-seen liveness map, and
-``worker_metrics=True`` folds each worker process's counter totals back
-into the parent registry under ``workers.*``.
+``--metrics-out`` captures queued/done/failed/cache-hit counts and the
+per-job wall-clock histogram; ``heartbeat=`` additionally streams a live
+JSONL pulse (:mod:`repro.exec.progress`) including a per-worker
+last-seen liveness map, and ``worker_metrics=True`` folds each worker
+process's counter totals back into the parent registry under
+``workers.*``.
 """
 
 from __future__ import annotations
 
 import os
 import signal
-import statistics
 import time
 from collections import deque
 from concurrent.futures import (
@@ -46,13 +48,13 @@ from concurrent.futures import (
     wait,
 )
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
 from time import perf_counter
 from typing import Deque, Dict, List, Optional, Sequence, Set
 
-from repro.errors import ExecConfigError, SweepAbortedError
+from repro.errors import SweepAbortedError
 from repro.exec.diskcache import DiskResultCache
 from repro.exec.jobs import (
+    MAX_ATTEMPTS,
     JobFailure,
     RunJob,
     execute_job,
@@ -61,7 +63,6 @@ from repro.exec.jobs import (
 from repro.exec.progress import SweepHeartbeat
 from repro.exec.resilience import (
     CRASH,
-    SweepManifest,
     WorkerFaultPlan,
     execute_job_resilient,
     install_worker_fault_plan,
@@ -69,10 +70,6 @@ from repro.exec.resilience import (
 from repro.faults.retry import RetryPolicy
 from repro.obs.metrics import MetricsRegistry
 from repro.system.result import RunResult
-
-#: Completed wall-time samples required before the speculation deadline
-#: (``speculate`` x running median) is considered meaningful.
-SPECULATE_MIN_SAMPLES = 3
 
 #: How long an abort drain waits for in-flight jobs before giving up and
 #: killing the pool (bounded: a hung worker must not turn a Ctrl-C into
@@ -85,16 +82,6 @@ def default_jobs() -> int:
     return max(1, (os.cpu_count() or 2) - 1)
 
 
-@dataclass
-class _Flight:
-    """One in-flight pool submission (a job attempt or its spec copy)."""
-
-    index: int
-    salt: str
-    started: float
-    speculative: bool = False
-
-
 class SweepExecutor:
     """Executes :class:`RunJob` batches across processes with an L2 cache."""
 
@@ -104,15 +91,10 @@ class SweepExecutor:
         cache_dir=None,
         registry: Optional[MetricsRegistry] = None,
         job_timeout: Optional[float] = None,
-        retries: int = 2,
-        retry_backoff: float = 0.25,
         worker_metrics: bool = False,
         heartbeat: Optional[str] = None,
         heartbeat_every: float = 1.0,
         worker_faults: Optional[WorkerFaultPlan] = None,
-        manifest: Optional[str] = None,
-        resume: bool = False,
-        speculate: Optional[float] = None,
         max_consecutive_failures: Optional[int] = None,
         abort_after: Optional[int] = None,
     ) -> None:
@@ -120,7 +102,6 @@ class SweepExecutor:
         self.disk = DiskResultCache(cache_dir) if cache_dir else None
         self.registry = registry if registry is not None else MetricsRegistry()
         self.job_timeout = job_timeout
-        self.retries = max(0, int(retries))
         #: Deterministic exponential backoff between attempts of one job —
         #: the same policy object the simulator's fault path uses, so
         #: retry semantics are specified in exactly one place.  Applied as
@@ -128,13 +109,13 @@ class SweepExecutor:
         #: keeps executing other jobs while a crashed one waits out its
         #: backoff, and a job's final failure schedules no backoff at all.
         self.retry_policy = RetryPolicy(
-            max_retries=self.retries,
-            base_delay=float(retry_backoff),
+            max_retries=MAX_ATTEMPTS - 1,
+            base_delay=0.25,
             multiplier=2.0,
             max_delay=10.0,
         )
-        #: When True, pool jobs run metrics-enabled and each worker's
-        #: counter totals are folded back into :attr:`registry` under
+        #: When True, jobs run metrics-enabled and each worker's counter
+        #: totals are folded back into :attr:`registry` under
         #: ``workers.*`` (sweep-wide TLB/IOMMU/NoC totals for free).
         self.worker_metrics = bool(worker_metrics)
         #: Optional JSONL progress pulse — see :mod:`repro.exec.progress`.
@@ -147,30 +128,19 @@ class SweepExecutor:
         #: simulation, so a chaos sweep's results stay byte-identical to
         #: serial execution.
         self.worker_faults: Optional[WorkerFaultPlan] = worker_faults
-        #: Optional append-only checkpoint journal (see
-        #: :class:`~repro.exec.resilience.SweepManifest`).
-        if resume and not manifest:
-            raise ExecConfigError(
-                "resume=True requires a manifest path: there is no journal "
-                "to resume from, so the sweep would silently run fresh"
-            )
-        self.manifest: Optional[SweepManifest] = (
-            SweepManifest(manifest, resume=resume) if manifest else None
-        )
-        #: Straggler deadline multiplier over the running median job
-        #: wall-time; None disables speculative re-submission.
-        self.speculate = float(speculate) if speculate else None
         #: Circuit breaker: abort the sweep after this many failures in a
         #: row (resets on any success); None disables.
         self.max_consecutive_failures = max_consecutive_failures
         #: Graceful abort after this many completed jobs — the
-        #: deterministic "simulated interrupt" chaos tests and CI resume
-        #: smoke runs use; None disables.
+        #: deterministic "simulated interrupt" chaos tests and the CI
+        #: interrupt-then-rerun smoke use; None disables.
         self.abort_after = abort_after
         self.failures: List[JobFailure] = []
         #: Why the sweep aborted, or None if it ran to completion.
         self.aborted_reason: Optional[str] = None
         self._abort_requested: Optional[str] = None
+        #: Final failures since the last success (the breaker's input).
+        self._consecutive = 0
         #: Per-worker last-seen wall-clock (pid -> time.time()), fed by
         #: every pool completion and published in the heartbeat.
         self._worker_seen: Dict[int, float] = {}
@@ -182,14 +152,11 @@ class SweepExecutor:
         self._retried = reg.counter("sweep.jobs.retries")
         self._hit_memory = reg.counter("sweep.jobs.cache_hit_memory")
         self._hit_disk = reg.counter("sweep.jobs.cache_hit_disk")
-        self._speculative = reg.counter("sweep.jobs.speculative")
-        self._spec_wins = reg.counter("sweep.jobs.speculative_wins")
-        self._resumed = reg.counter("sweep.jobs.resumed")
         self._aborted = reg.counter("sweep.aborted")
         self._running = reg.gauge("sweep.jobs.running")
         self._wall = reg.histogram("sweep.job_wall_seconds")
         #: Simulated events completed across the sweep (worker-metrics
-        #: pool jobs only — the heartbeat's events/sec numerator).
+        #: jobs only — the heartbeat's events/sec numerator).
         self._events = reg.counter("sweep.events_processed")
 
     # ------------------------------------------------------------------
@@ -207,8 +174,6 @@ class SweepExecutor:
             + getattr(self._hit_disk, "value", 0),
             "running": getattr(self._running, "value", 0),
             "events": getattr(self._events, "value", 0),
-            "speculative": getattr(self._speculative, "value", 0),
-            "resumed": getattr(self._resumed, "value", 0),
             "aborted": getattr(self._aborted, "value", 0),
         }
         if self._worker_seen:
@@ -233,11 +198,6 @@ class SweepExecutor:
             phase = "aborted" if self.aborted_reason else "finished"
             self.heartbeat.finish(self._progress_stats(), phase=phase)
 
-    def close(self) -> None:
-        """Release teardown-sensitive resources (the manifest handle)."""
-        if self.manifest is not None:
-            self.manifest.close()
-
     # ------------------------------------------------------------------
     # L2 cache
     # ------------------------------------------------------------------
@@ -253,75 +213,50 @@ class SweepExecutor:
         result = self.disk.load(job)
         if result is not None:
             self._hit_disk.inc()
-            if (
-                self.manifest is not None
-                and self.manifest.was_resumed(job.cache_key())
-            ):
-                # Served because a previous (crashed/aborted) run
-                # journaled it — the resume path's whole point.
-                self._resumed.inc()
             self._beat()
         return result
 
     def store(self, job: RunJob, result: RunResult) -> None:
-        """Persist a freshly computed result (all jobs are storable — a
-        later non-rich request may be served from the JSON) and journal
-        its completion.  The store happens before the journal append, so
-        every manifest key is servable on resume."""
+        """Persist a result (all jobs are storable — a later non-rich
+        request may be served from the JSON).  Every executed job is
+        stored exactly once, as it completes."""
         if self.disk is not None:
             self.disk.store(job, result)
-            self._journal(job)
-
-    def _journal(self, job: RunJob) -> None:
-        if self.manifest is not None:
-            self.manifest.record(
-                job.cache_key(),
-                {"workload": job.workload, "seed": job.seed},
-            )
 
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
     def run_inline(self, job: RunJob, policy_factory=None) -> RunResult:
-        """Execute one job in-process (the ``jobs=1`` / cache-miss path).
-
-        Honours a caller-supplied ``policy_factory`` (which may close over
-        anything); errors propagate to the caller, preserving the
-        historical serial semantics, but are still counted and recorded.
-        """
+        """Queue and execute one job in-process (``RunCache``'s cache-miss
+        path) — see :meth:`_execute_inline`."""
         self._queued.inc()
-        self._running.set(1)
-        started = perf_counter()
-        try:
-            if policy_factory is not None:
-                from repro.config.scaling import capacity_scaled
-                from repro.system.runner import run_benchmark
+        return self._execute_inline(job, policy_factory)
 
-                result = run_benchmark(
-                    capacity_scaled(job.config, job.scale),
-                    job.workload,
-                    scale=job.scale,
-                    seed=job.seed,
-                    policy=policy_factory(),
-                    **dict(job.run_kwargs),
-                )
+    def _execute_inline(self, job: RunJob, policy_factory=None) -> RunResult:
+        """Execute, account, and store one job in-process.
+
+        The one in-process execution routine, shared by
+        :meth:`run_inline` and the ``jobs=1`` path of :meth:`map`.
+        Honours a caller-supplied ``policy_factory`` (which may close
+        over anything).  A failure is counted and recorded, then
+        re-raised to the caller.
+        """
+        started = perf_counter()
+        counters: Optional[Dict[str, int]] = None
+        self._running.set(1)
+        try:
+            if self.worker_metrics and policy_factory is None:
+                result, _wall, counters = execute_job_observed(job)
             else:
-                result = execute_job(job)
+                result = execute_job(
+                    job, policy_factory() if policy_factory else None
+                )
         except Exception as exc:
-            self._failed.inc()
-            self.failures.append(JobFailure(
-                job=job.describe(),
-                error=repr(exc),
-                attempts=1,
-                wall_seconds=perf_counter() - started,
-            ))
+            self._record_failure(job, repr(exc), 1, perf_counter() - started)
             raise
         finally:
             self._running.set(0)
-        self._executed.inc()
-        self._done.inc()
-        self._wall.observe(perf_counter() - started)
-        self._beat()
+        self._complete(job, result, perf_counter() - started, counters)
         return result
 
     def map(self, jobs: Sequence[RunJob]) -> Dict[int, RunResult]:
@@ -329,13 +264,13 @@ class SweepExecutor:
 
         Failures never raise: each lands in :attr:`failures` (and the
         ``sweep.jobs.failed`` counter) so one broken cell cannot abort a
-        hundred-job sweep.  Worker exceptions and pool crashes get
-        ``retries`` extra attempts with non-blocking backoff; timeouts do
-        not (the stuck worker may still be burning its core, so its pool
-        is torn down and rebuilt instead).  Each pool result is persisted
-        to the disk cache and journaled to the manifest *as it
-        completes*, so an interrupted sweep is resumable from exactly the
-        work it finished.
+        hundred-job sweep.  In the pool, worker exceptions and pool
+        crashes get up to :data:`MAX_ATTEMPTS` attempts with non-blocking
+        backoff; timeouts do not (the stuck worker may still be burning
+        its core, so its pool is torn down and rebuilt instead).  Each
+        result is stored to the disk cache *as it completes*, so a rerun
+        of an interrupted sweep resumes from exactly the work it
+        finished.
 
         The only exception raised is :class:`SweepAbortedError` — the
         circuit breaker tripped, ``abort_after`` fired, or SIGINT/SIGTERM
@@ -345,78 +280,49 @@ class SweepExecutor:
         if not jobs:
             return results
         self._queued.inc(len(jobs))
+        self._consecutive = 0
         self._beat(force=True)
         previous = self._install_signal_handlers()
         try:
             if self.jobs <= 1 or len(jobs) == 1:
-                self._map_serial(jobs, results)
+                for index, job in enumerate(jobs):
+                    reason = self._abort_reason(results)
+                    if reason is not None:
+                        self._finish_abort(results, reason)
+                    try:
+                        results[index] = self._execute_inline(job)
+                    except Exception:
+                        pass  # recorded in self.failures
             else:
                 self._map_pool(jobs, results)
         finally:
             self._restore_signal_handlers(previous)
         return results
 
-    # ------------------------------------------------------------------
-    # Serial path
-    # ------------------------------------------------------------------
-    def _map_serial(
-        self, jobs: Sequence[RunJob], results: Dict[int, RunResult]
-    ) -> None:
-        consecutive = 0
-        for index, job in enumerate(jobs):
-            if self._abort_requested:
-                self._finish_abort(
-                    results, f"received {self._abort_requested}"
-                )
-            before = len(self.failures)
-            self._attempt_inline(index, job, results)
-            if len(self.failures) > before:
-                consecutive += 1
-                if (
-                    self.max_consecutive_failures is not None
-                    and consecutive >= self.max_consecutive_failures
-                ):
-                    self._finish_abort(
-                        results,
-                        "circuit breaker tripped: "
-                        f"{consecutive} consecutive failures",
-                    )
-            else:
-                consecutive = 0
-            if (
-                self.abort_after is not None
-                and len(results) >= self.abort_after
-                and index + 1 < len(jobs)
-            ):
-                self._finish_abort(
-                    results, f"abort_after={self.abort_after} reached"
-                )
-
-    def _attempt_inline(self, index, job, results) -> None:
-        started = perf_counter()
-        self._running.set(1)
-        try:
-            if self.worker_metrics:
-                result, _wall, counters = execute_job_observed(job)
-                self._absorb_worker_counters(counters)
-            else:
-                result = execute_job(job)
-        except Exception as exc:
-            self._record_failure(job, repr(exc), 1, perf_counter() - started)
-            return
-        finally:
-            self._running.set(0)
+    def _complete(self, job, result, wall, counters=None) -> None:
+        """Account one successful job and store its result."""
+        if counters is not None:
+            self.registry.merge_counters(counters, prefix="workers.")
+            self._events.inc(counters.get("sim.events_processed", 0))
         self._executed.inc()
         self._done.inc()
-        self._wall.observe(perf_counter() - started)
+        self._wall.observe(wall)
+        self._consecutive = 0
         self.store(job, result)
         self._beat()
-        results[index] = result
 
-    def _absorb_worker_counters(self, counters: Dict[str, int]) -> None:
-        """Fold one job's worker-registry counters into the parent."""
-        self.registry.merge_counters(counters, prefix="workers.")
-        self._events.inc(counters.get("sim.events_processed", 0))
+    def _record_failure(
+        self, job, error, attempts, wall_seconds, kind="error"
+    ) -> None:
+        self._failed.inc()
+        self._consecutive += 1
+        self.failures.append(JobFailure(
+            job=job.describe(),
+            error=error,
+            attempts=attempts,
+            wall_seconds=wall_seconds,
+            kind=kind,
+        ))
 
     # ------------------------------------------------------------------
     # Pool scheduler
@@ -426,11 +332,11 @@ class SweepExecutor:
     ) -> None:
         """Event-driven pool scheduler over the whole batch.
 
-        One regular flight per unresolved job at a time, identified by a
-        deterministic attempt salt (its charged-failure count) so an
-        installed :class:`WorkerFaultPlan` faults the same attempts
-        regardless of scheduling.  Speculative copies run with chaos
-        suppressed and ``first result wins`` dedup by job index.
+        At most one flight per unresolved job.  A flight's attempt
+        number is its job's charged-failure count, so an installed
+        :class:`WorkerFaultPlan` faults the same attempts regardless of
+        scheduling; a flight lost to another job's crash reruns
+        uncharged, under the same attempt number.
         """
         plan = self.worker_faults
         if plan is not None and plan.is_empty:
@@ -439,51 +345,36 @@ class SweepExecutor:
         width = min(self.jobs, len(jobs))
         backlog: Deque[int] = deque(range(len(jobs)))
         attempts = [0] * len(jobs)       # charged failures so far
-        submissions = [0] * len(jobs)    # next regular attempt salt
         eligible = [0.0] * len(jobs)     # earliest resubmit (monotonic)
-        speculated = [False] * len(jobs)
+        started = [0.0] * len(jobs)      # current flight's submit time
         resolved: Set[int] = set()
-        walls: List[float] = []
-        active: Dict[object, _Flight] = {}
-        state = {"consecutive": 0, "completed": 0}
+        active: Dict[object, int] = {}   # future -> job index
         pool = self._new_pool(plan, width)
         tainted = False  # a hung/abandoned worker means forced teardown
 
-        def submit(index: int, speculative: bool) -> None:
-            """May raise BrokenProcessPool when the pool died since the
-            last wait — callers recover() and resubmit to a fresh one."""
-            salt = f"s{index}" if speculative else str(submissions[index])
+        def submit(index: int) -> None:
             future = pool.submit(
                 execute_job_resilient,
                 jobs[index],
                 keys[index],
-                salt,
+                attempts[index],
                 self.worker_metrics,
-                not speculative,
             )
-            if speculative:
-                self._speculative.inc()
-                speculated[index] = True
-            else:
-                submissions[index] += 1
-            active[future] = _Flight(
-                index, salt, time.monotonic(), speculative
+            started[index] = time.monotonic()
+            active[future] = index
+
+        def fail(index: int, error: str, kind: str) -> None:
+            resolved.add(index)
+            self._record_failure(
+                jobs[index], error, attempts[index],
+                time.monotonic() - started[index], kind=kind,
             )
 
-        def note_failure() -> None:
-            state["consecutive"] += 1
-
-        def charge(flight: _Flight, error: str, kind: str) -> None:
-            """Count one failed attempt; final failures resolve the job."""
-            index = flight.index
+        def charge(index: int, error: str, kind: str) -> None:
+            """Count one failed attempt; the last one resolves the job."""
             attempts[index] += 1
-            if attempts[index] > self.retries:
-                resolved.add(index)
-                self._record_failure(
-                    jobs[index], error, attempts[index],
-                    time.monotonic() - flight.started, kind=kind,
-                )
-                note_failure()
+            if attempts[index] >= MAX_ATTEMPTS:
+                fail(index, error, kind)
             else:
                 self._retried.inc()
                 eligible[index] = (
@@ -492,209 +383,114 @@ class SweepExecutor:
                 )
                 backlog.append(index)
 
-        def requeue_innocent(flight: _Flight) -> None:
-            """Re-run a flight lost to someone else's crash, same salt,
-            uncharged — keeps chaos verdict streams deterministic."""
-            submissions[flight.index] -= 1
-            backlog.appendleft(flight.index)
-
-        def recover(extra) -> None:
-            """Broken-pool recovery: attribute each lost flight (injected
-            crash verdicts are charged, innocent bystanders resubmit with
-            the same salt) and rebuild the pool."""
+        def recover(lost: List[int], crashed: bool) -> None:
+            """Rebuild the pool and requeue every lost flight.  After a
+            crash, flights whose chaos verdict was a crash (every flight,
+            without a plan) are charged; innocent bystanders rerun
+            uncharged."""
             nonlocal pool
-            lost = list(extra)
-            lost.extend(active.values())
+            lost = lost + list(active.values())
             active.clear()
             self._shutdown_pool(pool, force=True)
-            for flight in lost:
-                if flight.index in resolved:
-                    continue
-                if flight.speculative:
-                    speculated[flight.index] = False
-                    continue
-                if plan is not None and plan.verdict_for(
-                    keys[flight.index], flight.salt
-                ) != CRASH:
-                    requeue_innocent(flight)
+            for index in lost:
+                if crashed and (
+                    plan is None
+                    or plan.verdict_for(keys[index], attempts[index]) == CRASH
+                ):
+                    charge(index, "worker process died (broken pool)", "crash")
                 else:
-                    charge(
-                        flight,
-                        "worker process died (broken pool)",
-                        kind="crash",
-                    )
+                    backlog.appendleft(index)
             pool = self._new_pool(plan, width)
 
-        def harvest(future, flight: _Flight) -> None:
+        def harvest(future, index: int) -> None:
             result, wall, counters, pid = future.result()
             self._worker_seen[pid] = time.time()
-            if counters is not None:
-                self._absorb_worker_counters(counters)
-            resolved.add(flight.index)
-            results[flight.index] = result
-            self._executed.inc()
-            self._done.inc()
-            self._wall.observe(wall)
-            walls.append(wall)
-            if flight.speculative:
-                self._spec_wins.inc()
-            self.store(jobs[flight.index], result)
-            state["consecutive"] = 0
-            state["completed"] += 1
-            self._beat()
-
-        def abort_reason() -> Optional[str]:
-            if self._abort_requested:
-                return f"received {self._abort_requested}"
-            if (
-                self.max_consecutive_failures is not None
-                and state["consecutive"] >= self.max_consecutive_failures
-            ):
-                return (
-                    "circuit breaker tripped: "
-                    f"{state['consecutive']} consecutive failures"
-                )
-            if (
-                self.abort_after is not None
-                and state["completed"] >= self.abort_after
-                and len(resolved) < len(jobs)
-            ):
-                return f"abort_after={self.abort_after} reached"
-            return None
+            resolved.add(index)
+            results[index] = result
+            self._complete(jobs[index], result, wall, counters)
 
         try:
             while len(resolved) < len(jobs):
-                reason = abort_reason()
+                reason = self._abort_reason(results)
                 if reason is not None:
-                    self._drain(active, jobs, results, resolved, walls)
+                    # Drain (bounded): in-flight results are harvested
+                    # and stored, so a rerun never repeats them.
+                    deadline = time.monotonic() + min(
+                        DRAIN_TIMEOUT_SECONDS,
+                        self.job_timeout or DRAIN_TIMEOUT_SECONDS,
+                    )
+                    while active and time.monotonic() < deadline:
+                        done, _ = wait(
+                            list(active), timeout=0.2,
+                            return_when=FIRST_COMPLETED,
+                        )
+                        for future in done:
+                            index = active.pop(future)
+                            if future.exception() is None:
+                                harvest(future, index)
                     self._finish_abort(results, reason)
+                # Submit eligible backlog entries up to the pool width.
                 now = time.monotonic()
-                # Submit: at most one regular flight per unresolved job,
-                # respecting per-job backoff eligibility.
-                submit_failed = False
-                while backlog and len(active) < width and not submit_failed:
-                    for _ in range(len(backlog)):
-                        index = backlog.popleft()
-                        if index in resolved:
-                            continue
-                        if eligible[index] <= now:
-                            try:
-                                submit(index, speculative=False)
-                            except BrokenProcessPool:
-                                backlog.appendleft(index)
-                                recover(())
-                                submit_failed = True
-                            break
+                for _ in range(len(backlog)):
+                    if len(active) >= width:
+                        break
+                    index = backlog.popleft()
+                    if eligible[index] > now:
                         backlog.append(index)
-                    else:
-                        break  # backlog non-empty but nothing eligible yet
-                if submit_failed:
-                    continue
-                # Speculate: only once the backlog is clear and enough
-                # wall samples exist to trust the median.
-                if (
-                    self.speculate is not None
-                    and not backlog
-                    and len(walls) >= SPECULATE_MIN_SAMPLES
-                    and len(active) < width
-                ):
-                    deadline = self.speculate * statistics.median(walls)
-                    for flight in list(active.values()):
-                        if len(active) >= width:
-                            break
-                        if (
-                            not flight.speculative
-                            and not speculated[flight.index]
-                            and flight.index not in resolved
-                            and now - flight.started > deadline
-                        ):
-                            try:
-                                submit(flight.index, speculative=True)
-                            except BrokenProcessPool:
-                                recover(())
-                                submit_failed = True
-                                break
-                if submit_failed:
-                    continue
+                        continue
+                    try:
+                        submit(index)
+                    except BrokenProcessPool:
+                        # The pool died since the last wait.
+                        backlog.appendleft(index)
+                        recover([], crashed=True)
+                        break
                 self._running.set(len(active))
                 self._beat()
                 if not active:
-                    if not backlog:
-                        break  # everything resolved or abandoned
-                    # Nothing in flight; wait out the nearest backoff.
-                    pending = [
-                        eligible[i] for i in backlog if i not in resolved
-                    ]
-                    if not pending:
-                        break
+                    # Everything left is backing off; wait for the first.
+                    nearest = min(eligible[i] for i in backlog)
                     time.sleep(
-                        min(0.25, max(0.0, min(pending) - time.monotonic()))
+                        min(0.25, max(0.0, nearest - time.monotonic()))
                     )
                     continue
                 done, _not_done = wait(
                     list(active), timeout=0.1, return_when=FIRST_COMPLETED
                 )
-                broken: List[_Flight] = []
-                pool_broke = False
+                broken: List[int] = []
                 for future in done:
-                    flight = active.pop(future)
-                    if flight.index in resolved:
-                        continue  # late loser of a speculation race
+                    index = active.pop(future)
                     exc = future.exception()
                     if exc is None:
-                        harvest(future, flight)
+                        harvest(future, index)
                     elif isinstance(exc, BrokenProcessPool):
-                        pool_broke = True
-                        broken.append(flight)
-                    elif flight.speculative:
-                        pass  # a failed spec copy charges nobody
+                        broken.append(index)
                     else:
-                        charge(flight, repr(exc), kind="error")
-                if pool_broke:
+                        charge(index, repr(exc), kind="error")
+                if broken:
                     # Every other in-flight future died with the pool.
-                    recover(broken)
+                    recover(broken, crashed=True)
                     continue
                 # Per-flight wall-clock timeout: resolve as failure (no
                 # retry — the worker may still be burning its core) and
                 # rebuild the pool to reclaim the wedged slot.
-                if self.job_timeout is not None and active:
+                if self.job_timeout is not None:
                     now = time.monotonic()
                     expired = [
-                        (future, flight)
-                        for future, flight in active.items()
-                        if now - flight.started > self.job_timeout
+                        future for future, index in active.items()
+                        if now - started[index] > self.job_timeout
                     ]
                     if expired:
                         tainted = True
-                        for future, flight in expired:
-                            future.cancel()
-                            del active[future]
-                            if (
-                                flight.index in resolved
-                                or flight.speculative
-                            ):
-                                continue
-                            attempts[flight.index] += 1
-                            resolved.add(flight.index)
-                            self._record_failure(
-                                jobs[flight.index],
+                        for future in expired:
+                            index = active.pop(future)
+                            attempts[index] += 1
+                            fail(
+                                index,
                                 f"timed out after {self.job_timeout}s",
-                                attempts[flight.index],
-                                now - flight.started,
                                 kind="timeout",
                             )
-                            note_failure()
-                        survivors = list(active.values())
-                        active.clear()
-                        self._shutdown_pool(pool, force=True)
-                        for flight in survivors:
-                            if flight.index in resolved:
-                                continue
-                            if flight.speculative:
-                                speculated[flight.index] = False
-                                continue
-                            requeue_innocent(flight)
-                        pool = self._new_pool(plan, width)
+                        recover([], crashed=False)
         finally:
             self._shutdown_pool(pool, force=tainted or bool(active))
             self._running.set(0)
@@ -702,42 +498,28 @@ class SweepExecutor:
     # ------------------------------------------------------------------
     # Abort machinery
     # ------------------------------------------------------------------
-    def _drain(self, active, jobs, results, resolved, walls) -> None:
-        """Let in-flight jobs finish (bounded) before aborting; completed
-        work is harvested, stored, and journaled so nothing is wasted."""
-        deadline = time.monotonic() + min(
-            DRAIN_TIMEOUT_SECONDS,
-            self.job_timeout if self.job_timeout else DRAIN_TIMEOUT_SECONDS,
-        )
-        while active and time.monotonic() < deadline:
-            done, _ = wait(
-                list(active), timeout=0.2, return_when=FIRST_COMPLETED
+    def _abort_reason(self, results) -> Optional[str]:
+        """Why the batch must stop before its next job, or None.  Only
+        asked while unresolved jobs remain."""
+        if self._abort_requested:
+            return f"received {self._abort_requested}"
+        if (
+            self.max_consecutive_failures is not None
+            and self._consecutive >= self.max_consecutive_failures
+        ):
+            return (
+                "circuit breaker tripped: "
+                f"{self._consecutive} consecutive failures"
             )
-            for future in done:
-                flight = active.pop(future)
-                if flight.index in resolved:
-                    continue
-                if future.exception() is not None:
-                    continue  # aborting anyway; the job reruns on resume
-                result, wall, counters, pid = future.result()
-                self._worker_seen[pid] = time.time()
-                if counters is not None:
-                    self._absorb_worker_counters(counters)
-                resolved.add(flight.index)
-                results[flight.index] = result
-                self._executed.inc()
-                self._done.inc()
-                self._wall.observe(wall)
-                walls.append(wall)
-                self.store(jobs[flight.index], result)
+        if self.abort_after is not None and len(results) >= self.abort_after:
+            return f"abort_after={self.abort_after} reached"
+        return None
 
     def _finish_abort(self, results, reason: str) -> None:
-        """Common abort tail: flush the journal, write the terminal
-        heartbeat, and raise the typed abort carrying partial state."""
+        """Common abort tail: write the terminal heartbeat and raise the
+        typed abort carrying partial state."""
         self.aborted_reason = reason
         self._aborted.inc()
-        if self.manifest is not None:
-            self.manifest.flush()
         self.finish_heartbeat()
         raise SweepAbortedError(
             reason, results=dict(results), failures=list(self.failures)
@@ -789,18 +571,6 @@ class SweepExecutor:
                     process.kill()
                 except Exception:
                     pass
-
-    def _record_failure(
-        self, job, error, attempts, wall_seconds, kind="error"
-    ) -> None:
-        self._failed.inc()
-        self.failures.append(JobFailure(
-            job=job.describe(),
-            error=error,
-            attempts=attempts,
-            wall_seconds=wall_seconds,
-            kind=kind,
-        ))
 
     # ------------------------------------------------------------------
     # Reporting

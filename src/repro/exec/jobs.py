@@ -44,6 +44,11 @@ from repro.system.runner import run_benchmark
 #: e.g. spmv/pr/mt, moved slightly).
 CACHE_SCHEMA = 4
 
+#: Attempts per job (the first run plus retries) before it is recorded as
+#: failed — one budget for the local pool (charged failures) and the
+#: service ledger (failures and expired leases).
+MAX_ATTEMPTS = 3
+
 #: run_benchmark kwargs value types a job may carry across processes.
 _SIMPLE = (int, float, str, bool, type(None))
 
@@ -167,30 +172,22 @@ def revive_policy(job: RunJob):
     return None
 
 
-def execute_job(job: RunJob) -> RunResult:
+def execute_job(job: RunJob, policy=None) -> RunResult:
     """Process-pool worker: run one job to completion.
 
     Mirrors ``RunCache.get``'s execution path bit-for-bit: scaled-capacity
-    config, explicit seed, policy override.  Determinism of the simulator
-    makes the returned :class:`RunResult` identical to a serial run.
+    config, explicit seed, policy override (``policy``, or the one revived
+    from the job's key).  Determinism of the simulator makes the returned
+    :class:`RunResult` identical to a serial run.
     """
     return run_benchmark(
         capacity_scaled(job.config, job.scale),
         job.workload,
         scale=job.scale,
         seed=job.seed,
-        policy=revive_policy(job),
+        policy=revive_policy(job) if policy is None else policy,
         **dict(job.run_kwargs),
     )
-
-
-def execute_job_timed(job: RunJob) -> Tuple[RunResult, float]:
-    """:func:`execute_job` plus worker-side wall-clock (pool entry point)."""
-    from time import perf_counter
-
-    started = perf_counter()
-    result = execute_job(job)
-    return result, perf_counter() - started
 
 
 def execute_job_observed(

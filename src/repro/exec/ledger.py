@@ -15,14 +15,19 @@ corrupting coordination state.
 Job state machine::
 
     pending ──claim──▶ leased ──commit──▶ done
-       ▲                 │ │
-       │   lease expired │ │ fail (attempts < max_attempts)
-       └─────────────────┘ └──fail (exhausted)──▶ failed
+       ▲                 │
+       │ fail or expiry  │ fail or expiry
+       │ (budget left)   │ (budget spent)
+       └─────────────────┴──────────────▶ failed
 
 Leases carry a TTL and are renewed by host heartbeats; a host that
 crashes, stalls, or is SIGKILLed simply stops renewing, its leases
 expire, and any surviving host's next :meth:`JobLedger.claim` returns
-the work to the pool (``steals`` counts each expiry).  Execution is
+the work to the pool (``steals`` counts each expiry).  A failure report
+and an expired lease each charge one attempt against the same
+:data:`~repro.exec.jobs.MAX_ATTEMPTS` budget the local pool uses, so a
+job that kills every host claiming it is marked ``failed`` instead of
+cycling forever.  Execution is
 therefore *at least once*; it becomes effectively exactly-once at
 :meth:`JobLedger.commit`, which is first-writer-wins on the content
 address — a late commit of an already-done key is a counted dedup, not
@@ -45,7 +50,7 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import (
     BackPressureError,
@@ -53,6 +58,7 @@ from repro.errors import (
     ExecConfigError,
     ServiceError,
 )
+from repro.exec.jobs import MAX_ATTEMPTS
 from repro.exec.locking import atomic_write_json, file_lock, read_json
 
 #: Ledger document schema version (bump on incompatible layout change).
@@ -68,10 +74,6 @@ FAILED = "failed"
 #: wall-time, since hosts renew between batches, not mid-job.
 DEFAULT_LEASE_TTL = 30.0
 
-#: Default total attempts (first execution + re-runs after failures)
-#: before a job is marked terminally failed.
-DEFAULT_MAX_ATTEMPTS = 3
-
 
 class JobLedger:
     """Shared lease table over ``<root>/ledger.json``.
@@ -86,7 +88,6 @@ class JobLedger:
         root,
         create: bool = False,
         lease_ttl: Optional[float] = None,
-        max_attempts: Optional[int] = None,
     ) -> None:
         self.root = Path(root)
         self.path = self.root / "ledger.json"
@@ -95,18 +96,11 @@ class JobLedger:
             raise ExecConfigError(
                 f"lease_ttl must be positive, got {lease_ttl}"
             )
-        if max_attempts is not None and max_attempts < 1:
-            raise ExecConfigError(
-                f"max_attempts must be >= 1, got {max_attempts}"
-            )
         if create:
             self.root.mkdir(parents=True, exist_ok=True)
             with self._transaction(create=True) as state:
-                config = state["config"]
                 if lease_ttl is not None:
-                    config["lease_ttl"] = float(lease_ttl)
-                if max_attempts is not None:
-                    config["max_attempts"] = int(max_attempts)
+                    state["config"]["lease_ttl"] = float(lease_ttl)
         elif not self.path.exists():
             raise ServiceError(
                 f"no job ledger at {self.path} — submit a campaign first "
@@ -120,10 +114,7 @@ class JobLedger:
     def _fresh_state() -> Dict[str, object]:
         return {
             "version": LEDGER_VERSION,
-            "config": {
-                "lease_ttl": DEFAULT_LEASE_TTL,
-                "max_attempts": DEFAULT_MAX_ATTEMPTS,
-            },
+            "config": {"lease_ttl": DEFAULT_LEASE_TTL},
             "seq": 0,
             "order": 0,
             "tenants": {},
@@ -276,9 +267,21 @@ class JobLedger:
     # Leases
     # ------------------------------------------------------------------
     @staticmethod
-    def _expire(state: Dict[str, object], now: float) -> int:
-        """Return expired leases to the pending pool (work-stealing's
-        first half; any host's next claim is the second)."""
+    def _charge(job: Dict[str, Any], error: str) -> bool:
+        """Charge one failed attempt: back to pending, or terminally
+        failed once the budget is spent (True)."""
+        job["attempts"] += 1
+        job["host"] = None
+        job["lease_expires"] = None
+        job["error"] = error
+        job["state"] = FAILED if job["attempts"] >= MAX_ATTEMPTS else PENDING
+        return job["state"] == FAILED
+
+    @classmethod
+    def _expire(cls, state: Dict[str, object], now: float) -> int:
+        """Charge expired leases and return them to the pending pool
+        (work-stealing's first half; any host's next claim is the
+        second)."""
         expired = 0
         for job in state["jobs"].values():
             if (
@@ -286,9 +289,7 @@ class JobLedger:
                 and job["lease_expires"] is not None
                 and job["lease_expires"] < now
             ):
-                job["state"] = PENDING
-                job["host"] = None
-                job["lease_expires"] = None
+                cls._charge(job, f"lease expired (host {job['host']})")
                 job["steals"] += 1
                 expired += 1
         state["counters"]["expired_leases"] += expired
@@ -324,7 +325,7 @@ class JobLedger:
         execute without re-reading the ledger: the cell coordinates, the
         content key, the chaos ``job_key``, and ``hold`` — how many
         hosts held this job before (feeds
-        :meth:`~repro.exec.resilience.HostFaultPlan.verdict_for`).
+        :meth:`~repro.exec.resilience.WorkerFaultPlan.verdict_for`).
         """
         now = time.time() if now is None else now
         with self._transaction() as state:
@@ -416,16 +417,7 @@ class JobLedger:
                 raise ServiceError(f"failure report for unknown job {key}")
             if job["state"] == DONE:
                 return False  # someone else already finished it
-            job["attempts"] += 1
-            job["host"] = None
-            job["lease_expires"] = None
-            if job["attempts"] >= state["config"]["max_attempts"]:
-                job["state"] = FAILED
-                job["error"] = error
-                return True
-            job["state"] = PENDING
-            job["error"] = error
-            return False
+            return self._charge(job, error)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -478,7 +470,6 @@ class JobLedger:
 
 __all__ = [
     "DEFAULT_LEASE_TTL",
-    "DEFAULT_MAX_ATTEMPTS",
     "DONE",
     "FAILED",
     "JobLedger",

@@ -1,9 +1,8 @@
 """Cross-process file locking and atomic JSON persistence.
 
 The multi-host service layer (:mod:`repro.exec.ledger`,
-:mod:`repro.exec.service`) and the shared :class:`~repro.exec.resilience.
-SweepManifest` coordinate through plain files on a filesystem every host
-can reach.  Two primitives make that safe:
+:mod:`repro.exec.service`) coordinates through plain files on a
+filesystem every host can reach.  Two primitives make that safe:
 
 :func:`file_lock`
     An advisory ``fcntl`` exclusive lock on a sidecar ``.lock`` file.

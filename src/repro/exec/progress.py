@@ -137,7 +137,7 @@ class SweepHeartbeat:
 def read_jsonl_prefix(path: str):
     """Parse a JSONL file, tolerating a torn *final* line.
 
-    Append-only JSONL files (heartbeats, sweep manifests) may end
+    Append-only JSONL files (heartbeat streams) may end
     mid-record when the writer dies between ``write`` and the kernel
     flushing a full line; the complete prefix is still meaningful and is
     returned.  A malformed line *followed by* further records is real

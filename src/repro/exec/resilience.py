@@ -1,98 +1,67 @@
-"""Chaos worker faults and checkpoint/resume for the sweep executor.
+"""Chaos faults for the sweep executor and the sweep service.
 
-Two pieces make executor degradation testable the same way simulator
-degradation is (:mod:`repro.faults`):
+:class:`WorkerFaultPlan` makes executor degradation testable the same
+way simulator degradation is (:mod:`repro.faults`): a seeded, frozen,
+JSON round-trippable description of what breaks — crash / hang /
+slow-down probabilities plus an explicit poison list of job keys that
+always crash.  Every verdict is a pure function of ``(plan, job key,
+attempt)`` drawn from ``random.Random``, never the global generator, so
+a chaos sweep is exactly reproducible: the same plan faults the same
+attempts of the same jobs no matter how they are scheduled.
 
-:class:`WorkerFaultPlan`
-    A seeded, frozen, JSON round-trippable description of what breaks in
-    the *worker pool* — crash / hang / slow-down probabilities plus an
-    explicit poison list of job keys that always crash.  Every verdict is
-    a pure function of ``(plan, job key, attempt salt)`` drawn from
-    ``random.Random``, never the global generator, so a chaos sweep is
-    exactly reproducible: the same plan faults the same attempts of the
-    same jobs no matter how the pool schedules them.  The plan is shipped
-    into each worker via the process-pool initializer
-    (:func:`install_worker_fault_plan`), mirroring how
-    :class:`~repro.faults.plan.FaultPlan` rides on the config.
+One plan type serves both schedulers.  In the local process pool the
+attempt is the job's charged-failure count, and the plan is shipped
+into each worker via the pool initializer
+(:func:`install_worker_fault_plan`), mirroring how
+:class:`~repro.faults.plan.FaultPlan` rides on the config.  In the
+multi-host sweep service (:mod:`repro.exec.service`) the attempt is the
+ledger's hold index (how many hosts held the job before), and the
+verdict breaks the whole worker host: a crash kills the host right
+after its claim, a hang silences its lease renewals after the result is
+stored (so the lease expires and is stolen), a slow verdict stretches
+its wall-clock.
 
-:class:`SweepManifest`
-    An append-only JSONL journal of completed job cache keys, written
-    next to the :class:`~repro.exec.diskcache.DiskResultCache`.  Each
-    record is flushed and fsynced before the executor acknowledges the
-    job, so a crashed or aborted sweep leaves a complete prefix; opening
-    a manifest in resume mode loads that prefix and the executor serves
-    the journaled jobs straight from the disk cache.  A torn final line
-    (crash mid-append) parses as "not journaled", never as corruption.
-    Appends and the resume-time tail repair run under an fcntl file lock
-    (:func:`~repro.exec.locking.file_lock`) and re-open the file by path
-    each time, so multiple *processes* — the service layer's worker
-    hosts share one manifest — can append concurrently without
-    interleaving torn records or stranding a writer on a replaced inode.
-
-:class:`HostFaultPlan` is the next level up from
-:class:`WorkerFaultPlan`: where a worker plan breaks processes inside
-one machine's pool, a host plan breaks whole *worker hosts* of the
-multi-host sweep service (:mod:`repro.exec.service`) — a host crash
-mid-lease (hard ``os._exit`` between ledger claim and ledger commit), a
-heartbeat stall long enough for its leases to expire and be stolen, or
-a slowed host.  Verdicts are a pure function of ``(plan, job key, hold
-index)``, so the same plan kills the same holds of the same jobs no
-matter which host happens to claim them first.
-
-The pool entry point :func:`execute_job_resilient` subsumes the plain
-timed/observed entries: it applies the worker-local plan's verdict
-(crash = hard process death, hang = a long finite stall, slow = an
-inflated wall-clock), then runs the job exactly as
-:func:`~repro.exec.jobs.execute_job` would — chaos perturbs *timing and
-liveness only*, never the simulation, which is what keeps the digest
+The pool entry point :func:`execute_job_resilient` applies the
+worker-local plan's verdict (crash = hard process death, hang = a long
+finite stall, slow = an inflated wall-clock), then runs the job exactly
+as :func:`~repro.exec.jobs.execute_job` would — chaos perturbs *timing
+and liveness only*, never the simulation, which is what keeps the digest
 invariant (chaos run == serial run) provable.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import random
 import signal
-import tempfile
 import time
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Dict, Optional, Set, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.exec.jobs import RunJob, execute_job, execute_job_observed
-from repro.exec.locking import file_lock
-from repro.exec.progress import read_jsonl_prefix
 
-#: Chaos verdicts, in precedence order.  ``STALL`` is host-level only:
-#: the host stops renewing its leases (heartbeat silence) without dying.
+#: Chaos verdicts, in precedence order.
 OK = "ok"
 CRASH = "crash"
 HANG = "hang"
 SLOW = "slow"
-STALL = "stall"
 
 _CRASH_MODES = ("exit", "kill")
-
-#: Where a :class:`HostFaultPlan` crash verdict kills the host, relative
-#: to the ledger protocol: right after the claim (no work done), or
-#: after the result is durably stored but *before* the ledger commit —
-#: the window that proves commit-time dedup makes re-execution safe.
-_CRASH_POINTS = ("claim", "commit")
 
 
 @dataclass(frozen=True)
 class WorkerFaultPlan:
-    """One deterministic worker-pool chaos scenario."""
+    """One deterministic chaos scenario for pool workers or worker hosts."""
 
     seed: int = 0
-    #: Per-attempt probability that the worker process dies mid-job.
+    #: Per-attempt probability that the worker process (or host) dies.
     crash_prob: float = 0.0
     #: Per-attempt probability that the worker stalls for
-    #: :attr:`hang_seconds` before doing any work (finite, so a sweep
-    #: without timeouts still terminates — a hung worker eventually
-    #: recovers, exactly like a fail-slow link).
+    #: :attr:`hang_seconds` (finite, so a sweep without timeouts still
+    #: terminates — a hung worker eventually recovers, exactly like a
+    #: fail-slow link).  A hung host renews no leases meanwhile.
     hang_prob: float = 0.0
     #: Per-attempt probability that the job runs at ``1/slow_factor``
     #: effective speed (the worker sleeps off the difference).
@@ -100,13 +69,13 @@ class WorkerFaultPlan:
     slow_factor: float = 4.0
     hang_seconds: float = 5.0
     #: Job keys (see :meth:`RunJob.job_key`) that crash on *every*
-    #: attempt — the permanent-failure case the circuit breaker exists
-    #: for.
+    #: attempt — the permanent-failure case the circuit breaker and the
+    #: attempt budget exist for.
     poison_keys: Tuple[str, ...] = ()
-    #: How a crash verdict kills the worker: ``"exit"`` is an immediate
+    #: How a crash verdict kills the process: ``"exit"`` is an immediate
     #: ``os._exit`` (interpreter death), ``"kill"`` is a self-delivered
-    #: SIGKILL (host/OOM-killer death).  Both surface to the parent as a
-    #: broken pool.
+    #: SIGKILL (host/OOM-killer death).  Both surface to a pool parent as
+    #: a broken pool, and to the service as a lease that expires.
     crash_mode: str = "exit"
 
     def __post_init__(self) -> None:
@@ -148,31 +117,18 @@ class WorkerFaultPlan:
             and not self.poison_keys
         )
 
-    def describe(self) -> str:
-        """Short identity string for logs and failure records."""
-        parts = [f"seed={self.seed}"]
-        if self.crash_prob:
-            parts.append(f"crash={self.crash_prob:.3f}({self.crash_mode})")
-        if self.hang_prob:
-            parts.append(f"hang={self.hang_prob:.3f}/{self.hang_seconds:g}s")
-        if self.slow_prob:
-            parts.append(f"slow={self.slow_prob:.3f}x{self.slow_factor:g}")
-        if self.poison_keys:
-            parts.append(f"poison-{len(self.poison_keys)}")
-        return ",".join(parts)
-
-    def verdict_for(self, key: str, salt: str) -> str:
+    def verdict_for(self, job_key: str, attempt: int) -> str:
         """The chaos verdict for one attempt of one job.
 
-        ``key`` is the job's stable human identity
-        (:meth:`RunJob.job_key`); ``salt`` names the attempt (the
-        executor uses the charged-failure count, so verdicts are
-        independent of pool scheduling).  Pure: same plan, key, and salt
-        always give the same verdict.
+        ``job_key`` is the job's stable human identity
+        (:meth:`RunJob.job_key`); ``attempt`` is the pool's
+        charged-failure count or the ledger's hold index, so verdicts
+        are independent of scheduling.  Pure: same plan, key, and
+        attempt always give the same verdict.
         """
-        if key in self.poison_keys:
+        if job_key in self.poison_keys:
             return CRASH
-        draw = random.Random(f"wfp:{self.seed}:{salt}:{key}").random()
+        draw = random.Random(f"wfp:{self.seed}:{attempt}:{job_key}").random()
         if draw < self.crash_prob:
             return CRASH
         draw -= self.crash_prob
@@ -182,6 +138,13 @@ class WorkerFaultPlan:
         if draw < self.slow_prob:
             return SLOW
         return OK
+
+    def die(self) -> None:  # pragma: no cover - exercised in subprocesses
+        """Hard process death, no teardown, no flush — exactly what
+        SIGKILL does to a real worker or host."""
+        if self.crash_mode == "kill":
+            os.kill(os.getpid(), signal.SIGKILL)
+        os._exit(137)
 
     # ------------------------------------------------------------------
     # Serialization (JSON round-trip)
@@ -212,139 +175,6 @@ class WorkerFaultPlan:
         )
 
 
-@dataclass(frozen=True)
-class HostFaultPlan:
-    """One deterministic *worker-host* chaos scenario (service layer).
-
-    Probabilities are per *hold* — one host's tenure over one leased
-    job.  A crash verdict hard-kills the entire host process at
-    :attr:`crash_point`; a stall verdict silences its lease renewals
-    for :attr:`stall_seconds` (long enough, against a short TTL, for
-    surviving hosts to steal the work); a slow verdict stretches the
-    host's wall-clock after the job.  Like every chaos plan in this
-    repository, verdicts perturb timing and liveness only — the
-    simulation, and therefore the campaign's result bytes, are
-    untouched.
-    """
-
-    seed: int = 0
-    #: Per-hold probability that the host dies at :attr:`crash_point`.
-    crash_prob: float = 0.0
-    #: Per-hold probability of a heartbeat stall (no renewals for
-    #: :attr:`stall_seconds`; the host survives and later tries to
-    #: commit, exercising the dedup path when its lease was stolen).
-    stall_prob: float = 0.0
-    #: Per-hold probability the host sleeps off ``slow_factor - 1``
-    #: times the job's wall-clock after finishing it.
-    slow_prob: float = 0.0
-    crash_point: str = "claim"
-    stall_seconds: float = 5.0
-    slow_factor: float = 4.0
-    #: Job keys (:meth:`RunJob.job_key`) whose *first* hold always
-    #: crashes its host — the deterministic failover fixture: the first
-    #: claimant dies mid-lease, the steal (hold 1) survives.
-    doomed_keys: Tuple[str, ...] = ()
-
-    def __post_init__(self) -> None:
-        for name in ("crash_prob", "stall_prob", "slow_prob"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ConfigurationError(
-                    f"{name} must be in [0, 1], got {value}"
-                )
-        if self.crash_prob + self.stall_prob + self.slow_prob > 1.0:
-            raise ConfigurationError(
-                "crash_prob + stall_prob + slow_prob must not exceed 1"
-            )
-        if self.crash_point not in _CRASH_POINTS:
-            raise ConfigurationError(
-                f"crash_point must be one of {_CRASH_POINTS}, "
-                f"got {self.crash_point!r}"
-            )
-        if self.stall_seconds < 0.0:
-            raise ConfigurationError(
-                f"stall_seconds must be >= 0, got {self.stall_seconds}"
-            )
-        if self.slow_factor < 1.0:
-            raise ConfigurationError(
-                f"slow_factor must be >= 1, got {self.slow_factor}"
-            )
-        object.__setattr__(
-            self, "doomed_keys", tuple(sorted(set(self.doomed_keys)))
-        )
-
-    @property
-    def is_empty(self) -> bool:
-        return (
-            self.crash_prob == 0.0
-            and self.stall_prob == 0.0
-            and self.slow_prob == 0.0
-            and not self.doomed_keys
-        )
-
-    def describe(self) -> str:
-        parts = [f"seed={self.seed}"]
-        if self.crash_prob:
-            parts.append(
-                f"crash={self.crash_prob:.3f}@{self.crash_point}"
-            )
-        if self.stall_prob:
-            parts.append(
-                f"stall={self.stall_prob:.3f}/{self.stall_seconds:g}s"
-            )
-        if self.slow_prob:
-            parts.append(f"slow={self.slow_prob:.3f}x{self.slow_factor:g}")
-        if self.doomed_keys:
-            parts.append(f"doomed-{len(self.doomed_keys)}")
-        return ",".join(parts)
-
-    def verdict_for(self, job_key: str, hold: int) -> str:
-        """The verdict for one hold of one job.
-
-        ``hold`` is the ledger's count of previous holders (0 for the
-        first claimant), so a doomed job's steal — hold 1 — survives
-        by construction, and probabilistic verdicts are independent of
-        which host claims first.  Pure and reproducible.
-        """
-        if job_key in self.doomed_keys and hold == 0:
-            return CRASH
-        draw = random.Random(f"hfp:{self.seed}:{hold}:{job_key}").random()
-        if draw < self.crash_prob:
-            return CRASH
-        draw -= self.crash_prob
-        if draw < self.stall_prob:
-            return STALL
-        draw -= self.stall_prob
-        if draw < self.slow_prob:
-            return SLOW
-        return OK
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "seed": self.seed,
-            "crash_prob": self.crash_prob,
-            "stall_prob": self.stall_prob,
-            "slow_prob": self.slow_prob,
-            "crash_point": self.crash_point,
-            "stall_seconds": self.stall_seconds,
-            "slow_factor": self.slow_factor,
-            "doomed_keys": list(self.doomed_keys),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "HostFaultPlan":
-        return cls(
-            seed=data.get("seed", 0),
-            crash_prob=data.get("crash_prob", 0.0),
-            stall_prob=data.get("stall_prob", 0.0),
-            slow_prob=data.get("slow_prob", 0.0),
-            crash_point=data.get("crash_point", "claim"),
-            stall_seconds=data.get("stall_seconds", 5.0),
-            slow_factor=data.get("slow_factor", 4.0),
-            doomed_keys=tuple(data.get("doomed_keys", ())),
-        )
-
-
 # ----------------------------------------------------------------------
 # Worker-side plan installation and the chaos-aware pool entry
 # ----------------------------------------------------------------------
@@ -359,33 +189,23 @@ def install_worker_fault_plan(data: Optional[Dict[str, object]]) -> None:
     _WORKER_PLAN = WorkerFaultPlan.from_dict(data) if data else None
 
 
-def _die(plan: WorkerFaultPlan) -> None:
-    if plan.crash_mode == "kill":
-        os.kill(os.getpid(), signal.SIGKILL)
-    os._exit(13)
-
-
 def execute_job_resilient(
     job: RunJob,
     key: str,
-    salt: str,
+    attempt: int,
     observed: bool = False,
-    chaos: bool = True,
 ) -> Tuple[object, float, Optional[Dict[str, int]], int]:
     """Pool entry point: chaos-aware job execution with liveness.
 
     Returns ``(result, wall_seconds, counters_or_None, pid)`` — the pid
-    feeds the heartbeat's per-worker last-seen map.  ``chaos=False``
-    suppresses the installed plan for this attempt; the executor uses it
-    for speculative copies, so a speculation race never breaks the pool
-    it was meant to rescue.
+    feeds the heartbeat's per-worker last-seen map.
     """
-    plan = _WORKER_PLAN if chaos else None
+    plan = _WORKER_PLAN
     verdict = OK
     if plan is not None and not plan.is_empty:
-        verdict = plan.verdict_for(key, salt)
+        verdict = plan.verdict_for(key, attempt)
         if verdict == CRASH:
-            _die(plan)
+            plan.die()
         if verdict == HANG:
             time.sleep(plan.hang_seconds)
     started = perf_counter()
@@ -400,106 +220,11 @@ def execute_job_resilient(
     return result, perf_counter() - started, counters, os.getpid()
 
 
-# ----------------------------------------------------------------------
-# Checkpoint manifest
-# ----------------------------------------------------------------------
-class SweepManifest:
-    """Append-only JSONL journal of completed job cache keys.
-
-    Crash-safety contract: a key appears in the manifest only *after*
-    its result is durably in the disk cache, and each record is flushed
-    and fsynced before :meth:`record` returns — so every journaled key
-    is servable on resume, and a torn final line means exactly one job
-    that must simply re-run.
-
-    Multi-writer contract: every append (and the resume-time tail
-    repair) holds an fcntl lock on a ``<path>.lock`` sidecar and
-    re-opens the journal by *path*, so any number of processes — the
-    sweep service runs one writer per worker host — can share one
-    manifest without interleaving torn records, and a repair's atomic
-    replace can never strand another writer on a dead inode.  Keys are
-    deduplicated per process; a cross-process duplicate is harmless
-    (resume reads the journal as a set).
-    """
-
-    def __init__(self, path, resume: bool = False) -> None:
-        self.path = str(path)
-        #: Keys journaled by the run(s) this manifest resumed from.
-        self.resumed_keys: Set[str] = set()
-        #: Every key journaled, inherited or appended by this process.
-        self.seen: Set[str] = set()
-        directory = os.path.dirname(os.path.abspath(self.path))
-        os.makedirs(directory, exist_ok=True)
-        self._lock_path = self.path + ".lock"
-        with file_lock(self._lock_path):
-            if resume and os.path.exists(self.path):
-                entries = read_jsonl_prefix(self.path)
-                for entry in entries:
-                    key = entry.get("key")
-                    if isinstance(key, str):
-                        self.resumed_keys.add(key)
-                self.seen = set(self.resumed_keys)
-                # Repair a torn tail before appending: a new record
-                # written after a partial line would corrupt an
-                # otherwise-parseable journal.  Atomic rewrite of the
-                # complete prefix, under the append lock so concurrent
-                # writers cannot append to the replaced inode mid-repair.
-                fd, tmp_name = tempfile.mkstemp(
-                    dir=directory, prefix="manifest", suffix=".tmp"
-                )
-                with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                    for entry in entries:
-                        handle.write(
-                            json.dumps(entry, sort_keys=True) + "\n"
-                        )
-                    handle.flush()
-                    os.fsync(handle.fileno())
-                os.replace(tmp_name, self.path)
-            else:
-                # A fresh manifest describes exactly one sweep.
-                with open(self.path, "w", encoding="utf-8"):
-                    pass
-
-    def record(self, key: str, meta: Optional[Dict[str, object]] = None) -> bool:
-        """Journal one completed key (idempotent); True when written."""
-        if key in self.seen:
-            return False
-        self.seen.add(key)
-        entry: Dict[str, object] = {"key": key}
-        if meta:
-            entry.update(meta)
-        line = json.dumps(entry, sort_keys=True) + "\n"
-        with file_lock(self._lock_path):
-            with open(self.path, "a", encoding="utf-8") as handle:
-                handle.write(line)
-                handle.flush()
-                os.fsync(handle.fileno())
-        return True
-
-    def was_resumed(self, key: str) -> bool:
-        """Whether ``key`` was journaled by a previous, resumed run."""
-        return key in self.resumed_keys
-
-    def flush(self) -> None:
-        """Durability no-op: every append is already flushed + fsynced
-        inside :meth:`record`'s locked critical section."""
-
-    def close(self) -> None:
-        """Teardown no-op: no persistent handle is held (each append
-        re-opens by path so multi-writer repairs stay safe)."""
-
-    def __len__(self) -> int:
-        return len(self.seen)
-
-
 __all__ = [
     "CRASH",
     "HANG",
-    "HostFaultPlan",
     "OK",
     "SLOW",
-    "STALL",
-    "SweepManifest",
     "WorkerFaultPlan",
     "execute_job_resilient",
     "install_worker_fault_plan",

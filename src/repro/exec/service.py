@@ -7,7 +7,6 @@ filesystem directory (the service root)::
     <root>/ledger.json      the JobLedger lease table (fcntl-locked)
     <root>/ledger.lock      its advisory lock sidecar
     <root>/cache/           the shared content-addressed DiskResultCache
-    <root>/manifest.jsonl   the shared SweepManifest journal (locked)
     <root>/hosts/<id>.jsonl per-host heartbeat streams
 
 A :class:`Coordinator` admits config grids as named campaigns: it
@@ -20,8 +19,8 @@ stream.
 
 A :class:`WorkerHost` is one claim-execute-commit loop: claim a job
 under a TTL lease, serve it from the shared disk cache or execute it
-through a local :class:`~repro.exec.SweepExecutor`, durably store +
-journal the result, then commit the ledger entry.  Failover is emergent
+through a local :class:`~repro.exec.SweepExecutor`, which durably
+stores the result, then commit the ledger entry.  Failover is emergent
 rather than orchestrated: a host that is SIGKILLed, crashes, or stalls
 simply stops renewing its leases; they expire, and any surviving host's
 next claim steals the work.  Execution is therefore at-least-once, and
@@ -30,13 +29,14 @@ and the cache's atomic writes) makes results effectively exactly-once —
 a stolen job re-executes, produces byte-identical JSON, and the late
 loser's commit is counted as a dedup, never double-applied.
 
-Chaos for all of this lives in :class:`~repro.exec.resilience.
-HostFaultPlan`: seeded, JSON-round-trippable host-level verdicts (crash
-at the claim or commit point, heartbeat stall, slow host) keyed on
-``(job_key, hold)`` so a doomed job's *steal* survives by construction.
-The provable invariant carries over from the single-machine chaos work:
-a chaos-faulted, host-killed, work-stolen campaign's result table is
-byte-identical to ``--jobs 1`` serial execution
+Chaos for all of this is the same seeded, JSON-round-trippable
+:class:`~repro.exec.resilience.WorkerFaultPlan` the local pool uses,
+keyed on ``(job_key, hold)``: a crash kills the host right after its
+claim, a hang silences its renewals after the result is stored, a slow
+verdict stretches its wall-clock.  The provable invariant carries over
+from the single-machine chaos work: a chaos-faulted, host-killed,
+work-stolen campaign's result table is byte-identical to ``--jobs 1``
+serial execution
 (:meth:`Coordinator.result_table` renders it from the shared cache
 through the very same ``sweep`` harness).
 """
@@ -55,12 +55,11 @@ from repro.exec.executor import SweepExecutor
 from repro.exec.jobs import RunJob, make_job
 from repro.exec.ledger import JobLedger
 from repro.exec.progress import SweepHeartbeat, merge_heartbeat_streams
-from repro.exec.resilience import CRASH, OK, SLOW, STALL, HostFaultPlan
+from repro.exec.resilience import CRASH, HANG, OK, SLOW, WorkerFaultPlan
 
 #: Service-root layout (relative to the root directory).
 CACHE_DIRNAME = "cache"
 HOSTS_DIRNAME = "hosts"
-MANIFEST_NAME = "manifest.jsonl"
 
 
 def default_host_id() -> str:
@@ -126,22 +125,15 @@ class Coordinator:
         root,
         create: bool = True,
         lease_ttl: Optional[float] = None,
-        max_attempts: Optional[int] = None,
     ) -> None:
         self.root = Path(root)
         self.cache_dir = self.root / CACHE_DIRNAME
         self.hosts_dir = self.root / HOSTS_DIRNAME
-        self.manifest_path = self.root / MANIFEST_NAME
         if create:
             self.root.mkdir(parents=True, exist_ok=True)
             self.cache_dir.mkdir(exist_ok=True)
             self.hosts_dir.mkdir(exist_ok=True)
-        self.ledger = JobLedger(
-            self.root,
-            create=create,
-            lease_ttl=lease_ttl,
-            max_attempts=max_attempts,
-        )
+        self.ledger = JobLedger(self.root, create=create, lease_ttl=lease_ttl)
 
     # ------------------------------------------------------------------
     # Submission
@@ -237,16 +229,13 @@ class Coordinator:
             )
         grid = record["grid"]
         executor = SweepExecutor(jobs=1, cache_dir=str(self.cache_dir))
-        try:
-            return sweep_module.run(
-                benchmarks=grid["benchmarks"],
-                cache=RunCache(executor),
-                schemes=grid["schemes"],
-                scales=grid["scales"],
-                seeds=grid["seeds"],
-            )
-        finally:
-            executor.close()
+        return sweep_module.run(
+            benchmarks=grid["benchmarks"],
+            cache=RunCache(executor),
+            schemes=grid["schemes"],
+            scales=grid["scales"],
+            seeds=grid["seeds"],
+        )
 
 
 class WorkerHost:
@@ -264,7 +253,7 @@ class WorkerHost:
         self,
         root,
         host_id: Optional[str] = None,
-        faults: Optional[HostFaultPlan] = None,
+        faults: Optional[WorkerFaultPlan] = None,
         poll: float = 0.2,
         heartbeat_every: float = 0.2,
         max_runtime: Optional[float] = None,
@@ -272,7 +261,7 @@ class WorkerHost:
         self.root = Path(root)
         self.ledger = JobLedger(self.root)  # must already exist
         self.host_id = host_id or default_host_id()
-        self.faults = faults
+        self.faults = faults or WorkerFaultPlan()
         self.poll = max(0.01, float(poll))
         self.max_runtime = max_runtime
         hosts_dir = self.root / HOSTS_DIRNAME
@@ -282,13 +271,8 @@ class WorkerHost:
             every=heartbeat_every,
             host_id=self.host_id,
         )
-        # resume=True: the manifest is shared — hosts must inherit (and
-        # tail-repair) whatever earlier hosts journaled, never truncate.
         self.executor = SweepExecutor(
-            jobs=1,
-            cache_dir=str(self.root / CACHE_DIRNAME),
-            manifest=str(self.root / MANIFEST_NAME),
-            resume=True,
+            jobs=1, cache_dir=str(self.root / CACHE_DIRNAME)
         )
         reg = self.executor.registry
         self._claims = reg.counter("service.claims")
@@ -299,37 +283,30 @@ class WorkerHost:
         self._chaos = reg.counter("service.chaos_verdicts")
 
     # ------------------------------------------------------------------
-    def _die(self) -> None:  # pragma: no cover - exercised in subprocesses
-        """Chaos host crash: hard process death, no teardown, no flush —
-        exactly what SIGKILL does to a real host."""
-        os._exit(137)
-
-    def _stats(self) -> Dict[str, object]:
+    def _stats(self, running: int = 0) -> Dict[str, object]:
         done = self._commits.value + self._dedups.value
         return {
             "total": self._claims.value,
             "done": done,
             "failed": self._failures.value,
             "cache_hits": self._served.value,
-            "running": 0,
+            "running": running,
             "chaos": self._chaos.value,
         }
 
-    def _beat(self, force: bool = False) -> None:
-        self.heartbeat.beat(self._stats(), force=force)
+    def _beat(self, running: int = 0) -> None:
+        self.heartbeat.beat(self._stats(running))
 
     # ------------------------------------------------------------------
     def _execute_claim(self, claim: Dict[str, object]) -> None:
         key = str(claim["key"])
-        verdict = OK
-        if self.faults is not None and not self.faults.is_empty:
-            verdict = self.faults.verdict_for(
-                str(claim["job_key"]), int(claim["hold"])
-            )
-            if verdict != OK:
-                self._chaos.inc()
-        if verdict == CRASH and self.faults.crash_point == "claim":
-            self._die()
+        verdict = self.faults.verdict_for(
+            str(claim["job_key"]), int(claim["hold"])
+        )
+        if verdict != OK:
+            self._chaos.inc()
+        if verdict == CRASH:
+            self.faults.die()
         job = cell_job(*claim["cell"])
         started = time.perf_counter()
         result = self.executor.lookup(job)
@@ -342,20 +319,17 @@ class WorkerHost:
                 self._failures.inc()
                 self.ledger.fail(key, self.host_id, repr(exc))
                 return
-            # Durable store + journal *before* the ledger commit: a
-            # committed key is always servable, even if this host dies
-            # on the very next instruction.
-            self.executor.store(job, result)
+            # run_inline stored the result durably *before* the ledger
+            # commit: a committed key is always servable, even if this
+            # host dies on the very next instruction.
         wall = time.perf_counter() - started
-        if verdict == STALL:
+        if verdict == HANG:
             # Heartbeat silence: sleep without renewing.  Against a
-            # short TTL the lease expires mid-stall and another host
+            # short TTL the lease expires mid-hang and another host
             # steals the job; our late commit below lands as a dedup.
-            time.sleep(self.faults.stall_seconds)
+            time.sleep(self.faults.hang_seconds)
         elif verdict == SLOW:
             time.sleep((self.faults.slow_factor - 1.0) * wall)
-        if verdict == CRASH:  # crash_point == "commit"
-            self._die()
         if self.ledger.commit(key, self.host_id):
             self._commits.inc()
         else:
@@ -385,6 +359,7 @@ class WorkerHost:
                     time.sleep(self.poll)
                     continue
                 self._claims.inc()
+                self._beat(running=1)
                 self._execute_claim(claim)
                 self.ledger.renew(self.host_id)
                 self._beat()
@@ -392,7 +367,6 @@ class WorkerHost:
             stats = self._stats()
             stats["exit"] = reason
             self.heartbeat.finish(stats)
-            self.executor.close()
         summary = self._stats()
         summary["host"] = self.host_id
         summary["exit"] = reason
@@ -403,7 +377,6 @@ __all__ = [
     "CACHE_DIRNAME",
     "Coordinator",
     "HOSTS_DIRNAME",
-    "MANIFEST_NAME",
     "WorkerHost",
     "campaign_cells",
     "cell_job",

@@ -14,7 +14,9 @@ Experiment runs shard their config×workload grids across ``--jobs`` worker
 processes and memoise results in ``--cache-dir`` (content-addressed JSON;
 see docs/EXECUTION.md), so re-running a figure is free and a cold ``all``
 saturates the machine.  ``--metrics-out`` captures the ``sweep.jobs.*``
-progress counters and per-job wall-clock histogram.
+progress counters and per-job wall-clock histogram.  The cache is also
+the checkpoint: an interrupted run resumes by being rerun with the same
+``--cache-dir``.
 
 Multi-host sweep service verbs (see docs/EXECUTION.md, "Sweep service")::
 
@@ -45,7 +47,6 @@ from repro.errors import (
     SweepAbortedError,
 )
 from repro.exec import SweepExecutor, WorkerFaultPlan, default_jobs
-from repro.exec.resilience import HostFaultPlan
 from repro.exec.service import Coordinator, WorkerHost
 from repro.experiments import sweep as sweep_module
 from repro.experiments.common import DEFAULT_SCALE, RunCache
@@ -128,31 +129,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     resilience = parser.add_argument_group("resilience")
     resilience.add_argument(
-        "--manifest",
-        default=None,
-        metavar="PATH",
-        help="journal each completed job's cache key to this append-only "
-             "JSONL file (requires --cache-dir); a crashed or aborted "
-             "sweep can later be continued with --resume PATH",
-    )
-    resilience.add_argument(
-        "--resume",
-        default=None,
-        metavar="PATH",
-        help="resume from a previous run's manifest: jobs journaled "
-             "there are served from the cache, everything else runs; "
-             "the manifest keeps growing (requires --cache-dir)",
-    )
-    resilience.add_argument(
-        "--speculate",
-        type=float,
-        default=None,
-        metavar="FACTOR",
-        help="straggler mitigation: once the running median job "
-             "wall-time is known, a job overdue by FACTOR x median gets "
-             "a speculative second copy (first result wins)",
-    )
-    resilience.add_argument(
         "--max-consecutive-failures",
         type=int,
         default=None,
@@ -166,15 +142,16 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help="gracefully abort after N completed jobs — a deterministic "
-             "simulated interrupt for testing --resume",
+             "simulated interrupt; rerun with the same --cache-dir to "
+             "resume",
     )
     resilience.add_argument(
         "--worker-faults",
         default=None,
         metavar="PLAN.json",
-        help="chaos-test the executor under a WorkerFaultPlan JSON file "
-             "(seeded crash/hang/slow worker faults; results stay "
-             "byte-identical to a fault-free run)",
+        help="chaos-test pool workers (or, with serve, this worker host) "
+             "under a WorkerFaultPlan JSON file (seeded crash/hang/slow "
+             "faults; results stay byte-identical to a fault-free run)",
     )
     grid = parser.add_argument_group("sweep grid (sweep verb only)")
     grid.add_argument(
@@ -200,9 +177,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--service-dir",
         default=None,
         metavar="PATH",
-        help="shared service root (ledger, result cache, manifest, and "
-             "per-host heartbeats all live here); required by every "
-             "service verb",
+        help="shared service root (ledger, result cache, and per-host "
+             "heartbeats all live here); required by every service verb",
     )
     service.add_argument(
         "--campaign",
@@ -243,25 +219,10 @@ def build_parser() -> argparse.ArgumentParser:
              "leases stolen by surviving hosts (submit only)",
     )
     service.add_argument(
-        "--max-attempts",
-        type=int,
-        default=None,
-        metavar="N",
-        help="attempts before a job is terminally failed (submit only)",
-    )
-    service.add_argument(
         "--host-id",
         default=None,
         metavar="ID",
         help="this worker host's id (default: hostname-pid)",
-    )
-    service.add_argument(
-        "--host-faults",
-        default=None,
-        metavar="PLAN.json",
-        help="chaos-test the serve loop under a HostFaultPlan JSON file "
-             "(seeded host crash / heartbeat stall / slow host; results "
-             "stay byte-identical to serial)",
     )
     service.add_argument(
         "--poll",
@@ -288,14 +249,11 @@ def _split(text: Optional[str]) -> Optional[List[str]]:
     return [part.strip() for part in text.split(",") if part.strip()]
 
 
-def _load_worker_faults(path: str) -> WorkerFaultPlan:
+def _load_worker_faults(path: Optional[str]) -> Optional[WorkerFaultPlan]:
+    if not path:
+        return None
     with open(path, "r", encoding="utf-8") as handle:
         return WorkerFaultPlan.from_dict(json.load(handle))
-
-
-def _load_host_faults(path: str) -> HostFaultPlan:
-    with open(path, "r", encoding="utf-8") as handle:
-        return HostFaultPlan.from_dict(json.load(handle))
 
 
 def _floats(parts: Optional[List[str]]) -> Optional[List[float]]:
@@ -315,11 +273,7 @@ def _service_main(parser: argparse.ArgumentParser, args) -> int:
         if verb == "submit":
             if not args.campaign:
                 parser.error("submit requires --campaign")
-            coordinator = Coordinator(
-                args.service_dir,
-                lease_ttl=args.lease_ttl,
-                max_attempts=args.max_attempts,
-            )
+            coordinator = Coordinator(args.service_dir, lease_ttl=args.lease_ttl)
             summary = coordinator.submit(
                 args.campaign,
                 args.tenant,
@@ -333,14 +287,10 @@ def _service_main(parser: argparse.ArgumentParser, args) -> int:
             print(json.dumps(summary, sort_keys=True))
             return 0
         if verb == "serve":
-            host_faults = (
-                _load_host_faults(args.host_faults)
-                if args.host_faults else None
-            )
             host = WorkerHost(
                 args.service_dir,
                 host_id=args.host_id,
-                faults=host_faults,
+                faults=_load_worker_faults(args.worker_faults),
                 poll=args.poll,
                 max_runtime=args.max_runtime,
             )
@@ -380,25 +330,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.experiment.lower() in SERVICE_VERBS:
         return _service_main(parser, args)
 
-    if args.manifest and args.resume:
-        parser.error("--manifest and --resume are mutually exclusive")
-    manifest_path = args.resume or args.manifest
-    if manifest_path and not args.cache_dir:
-        parser.error(
-            "--manifest/--resume require --cache-dir (the manifest "
-            "journals keys into the disk result cache)"
+    try:
+        worker_faults = _load_worker_faults(args.worker_faults)
+    except (OSError, ValueError, KeyError, ReproError) as exc:
+        print(
+            f"error: cannot load worker fault plan "
+            f"{args.worker_faults}: {exc}",
+            file=sys.stderr,
         )
-    worker_faults = None
-    if args.worker_faults:
-        try:
-            worker_faults = _load_worker_faults(args.worker_faults)
-        except (OSError, ValueError, KeyError, ReproError) as exc:
-            print(
-                f"error: cannot load worker fault plan "
-                f"{args.worker_faults}: {exc}",
-                file=sys.stderr,
-            )
-            return 2
+        return 2
 
     benchmarks = _split(args.benchmarks)
     executor = SweepExecutor(
@@ -408,9 +348,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         worker_metrics=args.worker_metrics,
         heartbeat=args.progress,
         worker_faults=worker_faults,
-        manifest=manifest_path,
-        resume=bool(args.resume),
-        speculate=args.speculate,
         max_consecutive_failures=args.max_consecutive_failures,
         abort_after=args.abort_after,
     )
@@ -444,7 +381,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     finally:
         # Nested so a failing sink close can never swallow the terminal
         # heartbeat record, and a failing heartbeat write can never
-        # swallow the metrics snapshot or the manifest close.
+        # swallow the metrics snapshot.
         try:
             if sink is not None:
                 sink.close()
@@ -452,7 +389,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             try:
                 executor.finish_heartbeat()
             finally:
-                executor.close()
                 if args.metrics_out:
                     with open(args.metrics_out, "w", encoding="utf-8") as handle:
                         json.dump(
@@ -465,8 +401,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     if aborted is not None:
         print(
             f"sweep aborted: {aborted.reason} "
-            f"({len(aborted.results)} jobs completed and journaled, "
-            f"{len(aborted.failures)} failed)",
+            f"({len(aborted.results)} jobs completed, "
+            f"{len(aborted.failures)} failed); rerun with the same "
+            "--cache-dir to resume",
             file=sys.stderr,
         )
         return 3

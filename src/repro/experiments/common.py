@@ -147,7 +147,6 @@ class RunCache:
         self.misses += 1
         if self.executor is not None:
             result = self.executor.run_inline(job, policy_factory)
-            self.executor.store(job, result)
         else:
             policy = policy_factory() if policy_factory else None
             # Scaled-capacity methodology: shrink capacity-sensitive
@@ -201,7 +200,6 @@ class RunCache:
             job = jobs[index]
             self._runs[job.memory_key] = result
             self._from_disk.discard(job.memory_key)
-            executor.store(job, result)
 
 
 def resolve_benchmarks(

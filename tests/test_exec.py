@@ -15,6 +15,7 @@ from repro.exec import (
     execute_job,
     make_job,
 )
+from repro.exec.jobs import MAX_ATTEMPTS
 from repro.experiments.cli import main
 from repro.experiments.common import RunCache
 from repro.system.result import RunResult
@@ -200,7 +201,7 @@ class TestSweepExecutor:
             assert serial[index].to_dict() == parallel[index].to_dict()
 
     def test_failure_recorded_not_raised(self, small_system_config):
-        executor = SweepExecutor(jobs=2, retries=1)
+        executor = SweepExecutor(jobs=2)
         jobs = [
             make_job(small_system_config, "aes", 0.02, seed=1),
             make_job(small_system_config, "no-such-benchmark", 0.02, seed=1),
@@ -210,7 +211,7 @@ class TestSweepExecutor:
         assert len(executor.failures) == 1
         failure = executor.failures[0]
         assert failure.kind == "error"
-        assert failure.attempts == 2  # original + one retry
+        assert failure.attempts == MAX_ATTEMPTS
         assert failure.job["workload"] == "no-such-benchmark"
         snapshot = executor.snapshot()
         assert snapshot["sweep"]["jobs"]["failed"] == 1
@@ -225,8 +226,6 @@ class TestSweepExecutor:
         ]
         cold = SweepExecutor(jobs=2, cache_dir=tmp_path)
         results = cold.map(jobs)
-        for index, result in results.items():
-            cold.store(jobs[index], result)
         warm = SweepExecutor(jobs=2, cache_dir=tmp_path)
         for index, job in enumerate(jobs):
             cached = warm.lookup(job)
@@ -264,6 +263,18 @@ class TestRunCacheIntegration:
         snap = executor.snapshot()["sweep"]["jobs"]
         assert snap["executed"] == 2
         assert snap["cache_hit_memory"] == 2
+
+    def test_cold_parallel_warm_stores_each_result_once(
+        self, tmp_path, small_system_config
+    ):
+        executor = SweepExecutor(jobs=2, cache_dir=tmp_path)
+        specs = [
+            dict(config=small_system_config, workload="aes", scale=0.02,
+                 seed=seed)
+            for seed in (1, 2, 3)
+        ]
+        RunCache(executor=executor).warm(specs)
+        assert executor.disk.stores == len(specs)
 
     def test_warm_is_noop_without_parallelism(self, small_system_config):
         serial = RunCache(executor=SweepExecutor(jobs=1))

@@ -1,9 +1,9 @@
-"""Tests for repro.exec.resilience: chaos plans, checkpoint/resume,
-speculation, the circuit breaker, and graceful abort.
+"""Tests for repro.exec.resilience: chaos plans, resume from the disk
+cache, the circuit breaker, and graceful abort.
 
 The overarching invariant: chaos only ever perturbs worker *timing and
-liveness*, so a faulted / interrupted / resumed / speculated sweep must
-produce result digests byte-identical to plain serial execution.
+liveness*, so a faulted / interrupted / rerun sweep must produce result
+digests byte-identical to plain serial execution.
 """
 
 import json
@@ -15,13 +15,13 @@ from repro.analysis.sanitizers import result_digest
 from repro.errors import ConfigurationError, ReproError, SweepAbortedError
 from repro.exec import (
     SweepExecutor,
-    SweepManifest,
     WorkerFaultPlan,
     make_job,
     read_heartbeats,
     read_jsonl_prefix,
 )
-from repro.exec.resilience import CRASH, HANG, OK
+from repro.exec.jobs import MAX_ATTEMPTS
+from repro.exec.resilience import CRASH, OK
 from repro.experiments.cli import main
 from repro.faults.retry import RetryPolicy
 
@@ -79,8 +79,8 @@ def _serial_digests(jobs):
     return {index: result_digest(results[index]) for index in results}
 
 
-def _crashy_seed(keys, retries):
-    """A plan seed where every key survives within ``retries`` attempts
+def _crashy_seed(keys):
+    """A plan seed where every key survives within the attempt budget
     and at least one crashes on its first attempt — found by scanning,
     so the test stays valid if the config repr (and thus the job keys)
     ever changes shape."""
@@ -89,7 +89,7 @@ def _crashy_seed(keys, retries):
             seed=seed, crash_prob=0.3, slow_prob=0.2, slow_factor=2.0
         )
         streams = [
-            [plan.verdict_for(key, str(salt)) for salt in range(retries + 1)]
+            [plan.verdict_for(key, attempt) for attempt in range(MAX_ATTEMPTS)]
             for key in keys
         ]
         if (
@@ -98,16 +98,6 @@ def _crashy_seed(keys, retries):
         ):
             return seed
     raise AssertionError("no suitable chaos seed in range")
-
-
-def _hangy_seed(keys):
-    """A plan seed where 1-2 keys hang on their first attempt."""
-    for seed in range(200):
-        plan = WorkerFaultPlan(seed=seed, hang_prob=0.3, hang_seconds=4.0)
-        first = [plan.verdict_for(key, "0") for key in keys]
-        if first.count(HANG) in (1, 2):
-            return seed
-    raise AssertionError("no suitable hang seed in range")
 
 
 class TestWorkerFaultPlan:
@@ -143,22 +133,22 @@ class TestWorkerFaultPlan:
 
     def test_verdicts_deterministic_and_salted(self):
         plan = WorkerFaultPlan(seed=3, crash_prob=0.5, hang_prob=0.25)
-        verdicts = [plan.verdict_for("job-a", "0") for _ in range(5)]
+        verdicts = [plan.verdict_for("job-a", 0) for _ in range(5)]
         assert len(set(verdicts)) == 1
-        # Different salts / keys / seeds draw independent streams.
+        # Different attempts / keys / seeds draw independent streams.
         draws = {
-            plan.verdict_for(f"job-{n}", str(salt))
-            for n in range(20) for salt in range(3)
+            plan.verdict_for(f"job-{n}", attempt)
+            for n in range(20) for attempt in range(3)
         }
         assert len(draws) > 1
 
     def test_poison_keys_always_crash(self):
         plan = WorkerFaultPlan(seed=1, poison_keys=("doomed",))
         assert all(
-            plan.verdict_for("doomed", str(salt)) == CRASH
-            for salt in range(10)
+            plan.verdict_for("doomed", attempt) == CRASH
+            for attempt in range(10)
         )
-        assert plan.verdict_for("healthy", "0") == OK
+        assert plan.verdict_for("healthy", 0) == OK
 
     def test_job_key_is_stable_and_config_scoped(self, small_system_config):
         a = make_job(small_system_config, "aes", 0.02, seed=1)
@@ -181,38 +171,16 @@ class TestTornLines:
         with pytest.raises(ValueError):
             read_jsonl_prefix(str(path))
 
-    def test_manifest_resume_tolerates_and_repairs_torn_tail(
-        self, tmp_path
-    ):
-        path = tmp_path / "manifest.jsonl"
-        first = SweepManifest(str(path))
-        assert first.record("k1", {"workload": "aes"})
-        assert not first.record("k1")  # idempotent
-        first.close()
-        with open(path, "a", encoding="utf-8") as handle:
-            handle.write('{"key": "k2"')  # crash mid-append
-        resumed = SweepManifest(str(path), resume=True)
-        assert resumed.was_resumed("k1")
-        assert not resumed.was_resumed("k2")
-        assert resumed.record("k3")
-        resumed.close()
-        # The torn fragment was repaired, not appended onto.
-        records = read_jsonl_prefix(str(path))
-        assert [record["key"] for record in records] == ["k1", "k3"]
-
 
 class TestChaosDigestParity:
     def test_chaos_sweep_matches_serial(self, small_system_config):
         jobs = _jobs(small_system_config, 4)
         keys = [job.job_key() for job in jobs]
-        retries = 3
         plan = WorkerFaultPlan(
-            seed=_crashy_seed(keys, retries),
+            seed=_crashy_seed(keys),
             crash_prob=0.3, slow_prob=0.2, slow_factor=2.0,
         )
-        chaotic = SweepExecutor(
-            jobs=2, retries=retries, retry_backoff=0.05, worker_faults=plan
-        )
+        chaotic = SweepExecutor(jobs=2, worker_faults=plan)
         results = chaotic.map(jobs)
         assert set(results) == set(range(len(jobs)))
         assert not chaotic.failures
@@ -230,60 +198,36 @@ class TestChaosDigestParity:
         plan = WorkerFaultPlan(
             seed=0, poison_keys=(doomed,), crash_mode="kill"
         )
-        executor = SweepExecutor(
-            jobs=2, retries=1, retry_backoff=0.05, worker_faults=plan
-        )
+        executor = SweepExecutor(jobs=2, worker_faults=plan)
         results = executor.map(jobs)
         # The pool survived: every non-poisoned job completed.
         assert set(results) == {0, 2}
         assert len(executor.failures) == 1
         failure = executor.failures[0]
         assert failure.kind == "crash"
-        assert failure.attempts == 2  # original + one retry
+        assert failure.attempts == MAX_ATTEMPTS
         snap = executor.snapshot()["sweep"]["jobs"]
-        assert snap["retries"] == 1
+        assert snap["retries"] == MAX_ATTEMPTS - 1
         serial = _serial_digests([jobs[0], jobs[2]])
         assert result_digest(results[0]) == serial[0]
         assert result_digest(results[2]) == serial[1]
-
-
-class TestSpeculation:
-    def test_straggler_gets_speculative_copy(self, small_system_config):
-        jobs = _jobs(small_system_config, 4)
-        keys = [job.job_key() for job in jobs]
-        plan = WorkerFaultPlan(
-            seed=_hangy_seed(keys), hang_prob=0.3, hang_seconds=4.0
-        )
-        executor = SweepExecutor(
-            jobs=2, retries=0, worker_faults=plan, speculate=3.0
-        )
-        results = executor.map(jobs)
-        assert set(results) == set(range(len(jobs)))
-        snap = executor.snapshot()["sweep"]["jobs"]
-        assert snap["speculative"] >= 1
-        # The speculative copy ran chaos-suppressed and won the race
-        # against the hung original.
-        assert snap["speculative_wins"] >= 1
-        serial = _serial_digests(jobs)
-        for index, result in results.items():
-            assert result_digest(result) == serial[index]
 
 
 class TestCheckpointResume:
     def test_abort_after_then_resume_matches_serial(
         self, tmp_path, small_system_config
     ):
+        """The disk cache is the checkpoint: an interrupted sweep resumes
+        by being rerun against the same cache directory."""
         jobs = _jobs(small_system_config, 6)
         cache_dir = tmp_path / "cache"
-        manifest = tmp_path / "manifest.jsonl"
         heartbeat = tmp_path / "hb.jsonl"
         interrupted = SweepExecutor(
-            jobs=2, cache_dir=cache_dir, manifest=str(manifest),
-            abort_after=2, heartbeat=str(heartbeat),
+            jobs=2, cache_dir=cache_dir, abort_after=2,
+            heartbeat=str(heartbeat),
         )
         with pytest.raises(SweepAbortedError) as excinfo:
             interrupted.map(jobs)
-        interrupted.close()
         assert "abort_after" in str(excinfo.value.reason)
         partial = excinfo.value.results
         assert 2 <= len(partial) < len(jobs)
@@ -293,31 +237,22 @@ class TestCheckpointResume:
         interrupted.finish_heartbeat()
         records = read_heartbeats(str(heartbeat))
         assert records[-1]["phase"] == "aborted"
-        # Every partial result was journaled and persisted before abort.
-        journaled = {
-            record["key"] for record in read_jsonl_prefix(str(manifest))
-        }
-        assert {jobs[i].cache_key() for i in partial} <= journaled
 
-        resumed = SweepExecutor(
-            jobs=2, cache_dir=cache_dir, manifest=str(manifest), resume=True
-        )
+        rerun = SweepExecutor(jobs=2, cache_dir=cache_dir)
         results = {}
         remaining = []
         for index, job in enumerate(jobs):
-            cached = resumed.lookup(job)
+            cached = rerun.lookup(job)
             if cached is not None:
                 results[index] = cached
             else:
                 remaining.append(index)
-        assert len(remaining) == len(jobs) - len(partial)
-        mapped = resumed.map([jobs[i] for i in remaining])
+        mapped = rerun.map([jobs[i] for i in remaining])
         for position, result in mapped.items():
             results[remaining[position]] = result
-        resumed.close()
-        snap = resumed.snapshot()["sweep"]["jobs"]
-        assert snap["resumed"] == len(partial)
+        snap = rerun.snapshot()["sweep"]["jobs"]
         assert snap["cache_hit_disk"] == len(partial)
+        assert snap["executed"] == len(jobs) - len(partial)
         serial = _serial_digests(jobs)
         assert set(results) == set(serial)
         for index in serial:
@@ -346,8 +281,7 @@ class TestCircuitBreaker:
             seed=0, poison_keys=tuple(job.job_key() for job in jobs)
         )
         executor = SweepExecutor(
-            jobs=2, retries=0, worker_faults=plan,
-            max_consecutive_failures=2,
+            jobs=2, worker_faults=plan, max_consecutive_failures=2,
         )
         with pytest.raises(SweepAbortedError) as excinfo:
             executor.map(jobs)
@@ -388,14 +322,14 @@ class TestRetryBackoffAudit:
             return 0.0
 
         monkeypatch.setattr(RetryPolicy, "delay_for", counting)
-        executor = SweepExecutor(jobs=2, retries=2)
+        executor = SweepExecutor(jobs=2)
         jobs = [
             make_job(small_system_config, "aes", 0.02, seed=1),
             make_job(small_system_config, "no-such-benchmark", 0.02, seed=1),
         ]
         results = executor.map(jobs)
         assert set(results) == {0}
-        assert executor.failures[0].attempts == 3
+        assert executor.failures[0].attempts == MAX_ATTEMPTS == 3
         # Backoff is computed for the two retries and never for the
         # final, unretried failure.
         assert calls == [0, 1]
@@ -406,18 +340,6 @@ class TestCliResilience:
         "sweep", "--schemes", "baseline", "--benchmarks", "aes,fir",
         "--scales", "0.02", "--seeds", "1,2",
     ]
-
-    def test_resume_requires_cache_dir(self, tmp_path):
-        with pytest.raises(SystemExit):
-            main(self.GRID + ["--resume", str(tmp_path / "m.jsonl")])
-
-    def test_manifest_and_resume_exclusive(self, tmp_path):
-        with pytest.raises(SystemExit):
-            main(self.GRID + [
-                "--cache-dir", str(tmp_path / "c"),
-                "--manifest", str(tmp_path / "m.jsonl"),
-                "--resume", str(tmp_path / "m.jsonl"),
-            ])
 
     def test_unreadable_fault_plan_is_an_error(self, tmp_path, capsys):
         assert main(self.GRID + [
@@ -438,7 +360,6 @@ class TestCliResilience:
         serial_out = tmp_path / "serial.txt"
         resumed_out = tmp_path / "resumed.txt"
         cache_dir = tmp_path / "cache"
-        manifest = tmp_path / "manifest.jsonl"
         plan_path = tmp_path / "plan.json"
         plan_path.write_text(json.dumps(
             WorkerFaultPlan(seed=5, crash_prob=0.2).to_dict()
@@ -449,17 +370,16 @@ class TestCliResilience:
         # Chaos run, interrupted after one completed job: exit code 3.
         assert main(self.GRID + [
             "--jobs", "2", "--cache-dir", str(cache_dir),
-            "--manifest", str(manifest), "--abort-after", "1",
-            "--worker-faults", str(plan_path),
+            "--abort-after", "1", "--worker-faults", str(plan_path),
         ]) == 3
         assert "sweep aborted" in capsys.readouterr().err
-        assert read_jsonl_prefix(str(manifest))  # progress journaled
+        # Rerun against the same cache: finished jobs are disk hits.
         metrics = tmp_path / "metrics.json"
         assert main(self.GRID + [
             "--jobs", "2", "--cache-dir", str(cache_dir),
-            "--resume", str(manifest), "--worker-faults", str(plan_path),
+            "--worker-faults", str(plan_path),
             "--output", str(resumed_out), "--metrics-out", str(metrics),
         ]) == 0
         assert resumed_out.read_bytes() == serial_out.read_bytes()
-        snapshot = json.loads(metrics.read_text())
-        assert snapshot["sweep"]["jobs"]["resumed"] >= 1
+        jobs = json.loads(metrics.read_text())["sweep"]["jobs"]
+        assert jobs["cache_hit_disk"] >= 1 and jobs["failed"] == 0

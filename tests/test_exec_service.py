@@ -1,6 +1,6 @@
 """Tests for the multi-host sweep service: the fcntl-locked JobLedger,
-host failover with work-stealing, HostFaultPlan chaos, tenant fairness
-with back-pressure, and the serve/submit/status CLI verbs.
+host failover with work-stealing, WorkerFaultPlan host chaos, tenant
+fairness with back-pressure, and the serve/submit/status CLI verbs.
 
 The load-bearing invariant carries over from the single-machine chaos
 layer: host faults perturb *liveness* only, so a chaos-faulted,
@@ -26,13 +26,18 @@ from repro.errors import (
     ExecConfigError,
     ServiceError,
 )
-from repro.exec import SweepExecutor, SweepManifest, make_job
+from repro.exec import WorkerFaultPlan, make_job
 from repro.exec.diskcache import DiskResultCache
-from repro.exec.jobs import execute_job
+from repro.exec.jobs import MAX_ATTEMPTS, execute_job
 from repro.exec.ledger import JobLedger
 from repro.exec.progress import SweepHeartbeat, merge_heartbeat_streams
-from repro.exec.resilience import CRASH, OK, SLOW, STALL, HostFaultPlan
-from repro.exec.service import Coordinator, WorkerHost, cell_job
+from repro.exec.resilience import CRASH, HANG, OK, SLOW
+from repro.exec.service import (
+    Coordinator,
+    WorkerHost,
+    campaign_cells,
+    cell_job,
+)
 from repro.experiments.cli import main
 
 
@@ -49,57 +54,53 @@ def _entries(count, tenant_tag=""):
 
 
 # ---------------------------------------------------------------------------
-# HostFaultPlan
+# Host chaos: the WorkerFaultPlan a WorkerHost draws per (key, ledger hold)
 # ---------------------------------------------------------------------------
 class TestHostFaultPlan:
     def test_validation(self):
         with pytest.raises(ConfigurationError):
-            HostFaultPlan(crash_prob=1.5)
+            WorkerFaultPlan(crash_prob=1.5)
         with pytest.raises(ConfigurationError):
-            HostFaultPlan(crash_prob=0.6, stall_prob=0.6)
+            WorkerFaultPlan(crash_prob=0.6, hang_prob=0.6)
         with pytest.raises(ConfigurationError):
-            HostFaultPlan(crash_point="mid-sleep")
+            WorkerFaultPlan(crash_mode="mid-sleep")
         with pytest.raises(ConfigurationError):
-            HostFaultPlan(stall_seconds=-1.0)
+            WorkerFaultPlan(hang_seconds=-1.0)
         with pytest.raises(ConfigurationError):
-            HostFaultPlan(slow_factor=0.5)
+            WorkerFaultPlan(slow_factor=0.5)
 
     def test_json_round_trip(self):
-        plan = HostFaultPlan(
+        plan = WorkerFaultPlan(
             seed=9,
             crash_prob=0.2,
-            stall_prob=0.1,
+            hang_prob=0.1,
             slow_prob=0.05,
-            crash_point="commit",
-            stall_seconds=2.5,
+            crash_mode="kill",
+            hang_seconds=2.5,
             slow_factor=3.0,
-            doomed_keys=("b", "a"),
+            poison_keys=("b", "a"),
         )
-        revived = HostFaultPlan.from_dict(json.loads(json.dumps(plan.to_dict())))
+        revived = WorkerFaultPlan.from_dict(
+            json.loads(json.dumps(plan.to_dict()))
+        )
         assert revived == plan
-        assert revived.doomed_keys == ("a", "b")  # sorted + deduped
+        assert revived.poison_keys == ("a", "b")  # sorted + deduped
 
     def test_verdicts_deterministic_and_hold_dependent(self):
-        plan = HostFaultPlan(seed=3, crash_prob=0.3, stall_prob=0.3, slow_prob=0.3)
+        plan = WorkerFaultPlan(
+            seed=3, crash_prob=0.3, hang_prob=0.3, slow_prob=0.3
+        )
         keys = [f"job-{i}" for i in range(64)]
         first = [plan.verdict_for(k, 0) for k in keys]
         assert first == [plan.verdict_for(k, 0) for k in keys]
         # All verdict kinds appear across a reasonable key population...
-        assert {CRASH, STALL, SLOW, OK} <= set(first)
+        assert {CRASH, HANG, SLOW, OK} <= set(first)
         # ...and verdicts are drawn per (key, hold), not per key.
         assert first != [plan.verdict_for(k, 1) for k in keys]
 
-    def test_doomed_key_crashes_first_hold_only(self):
-        plan = HostFaultPlan(seed=0, doomed_keys=("victim",))
-        assert not plan.is_empty
-        assert plan.verdict_for("victim", 0) == CRASH
-        # The steal — hold 1 — survives by construction.
-        assert plan.verdict_for("victim", 1) == OK
-        assert plan.verdict_for("bystander", 0) == OK
-
     def test_empty_plan(self):
-        assert HostFaultPlan().is_empty
-        assert HostFaultPlan().verdict_for("anything", 0) == OK
+        assert WorkerFaultPlan().is_empty
+        assert WorkerFaultPlan().verdict_for("anything", 0) == OK
 
 
 # ---------------------------------------------------------------------------
@@ -113,8 +114,6 @@ class TestJobLedger:
     def test_config_validation(self, tmp_path):
         with pytest.raises(ExecConfigError):
             JobLedger(tmp_path, create=True, lease_ttl=0.0)
-        with pytest.raises(ExecConfigError):
-            JobLedger(tmp_path, create=True, max_attempts=0)
 
     def test_submit_claim_commit_lifecycle(self, tmp_path):
         ledger = JobLedger(tmp_path, create=True)
@@ -165,6 +164,23 @@ class TestJobLedger:
         assert stolen["key"] == first["key"] and stolen["hold"] == 1
         assert ledger.progress("c1")["steals"] == 1
 
+    def test_expired_leases_spend_the_attempt_budget(self, tmp_path):
+        """A job whose every claimant dies must not cycle forever: each
+        expired lease charges one attempt, and the last one fails it."""
+        ledger = JobLedger(tmp_path, create=True, lease_ttl=1.0)
+        ledger.submit("c1", "alice", _entries(1))
+        now = 1000.0
+        for hold in range(MAX_ATTEMPTS):
+            claim = ledger.claim(f"h{hold}", now=now)
+            assert claim["hold"] == hold and claim["attempts"] == hold
+            now += 1.5  # the holder dies; its lease expires
+        assert ledger.claim("h-last", now=now) is None
+        (job,) = ledger.snapshot()["jobs"].values()
+        assert job["state"] == "failed" and job["attempts"] == MAX_ATTEMPTS
+        assert "lease expired" in job["error"]
+        progress = ledger.progress("c1")
+        assert progress["failed"] == 1 and ledger.outstanding() == 0
+
     def test_renew_extends_leases(self, tmp_path):
         ledger = JobLedger(tmp_path, create=True, lease_ttl=10.0)
         ledger.submit("c1", "alice", _entries(1))
@@ -182,12 +198,13 @@ class TestJobLedger:
         assert ledger.claim("h2", now=1000.1) is not None
 
     def test_fail_requeues_then_terminal(self, tmp_path):
-        ledger = JobLedger(tmp_path, create=True, max_attempts=2)
+        ledger = JobLedger(tmp_path, create=True)
         ledger.submit("c1", "alice", _entries(1))
+        for attempt in range(MAX_ATTEMPTS - 1):
+            claim = ledger.claim("h1")
+            assert claim["attempts"] == attempt
+            assert ledger.fail(claim["key"], "h1", "boom") is False
         claim = ledger.claim("h1")
-        assert ledger.fail(claim["key"], "h1", "boom") is False
-        claim = ledger.claim("h1")
-        assert claim["attempts"] == 1
         assert ledger.fail(claim["key"], "h1", "boom again") is True
         progress = ledger.progress("c1")
         assert progress["failed"] == 1 and progress["pending"] == 0
@@ -236,44 +253,6 @@ class TestJobLedger:
         ledger = JobLedger(tmp_path, create=True)
         with pytest.raises(CampaignError):
             ledger.progress("ghost")
-
-
-# ---------------------------------------------------------------------------
-# Satellite: SweepManifest under concurrent cross-process appenders
-# ---------------------------------------------------------------------------
-def _manifest_appender(path, tag, count):
-    manifest = SweepManifest(path, resume=True)
-    for i in range(count):
-        manifest.record(f"{tag}-{i}", {"tag": tag})
-
-
-class TestManifestConcurrentAppend:
-    def test_no_torn_records_across_processes(self, tmp_path):
-        path = str(tmp_path / "manifest.jsonl")
-        SweepManifest(path)  # create fresh
-        workers = [
-            multiprocessing.Process(
-                target=_manifest_appender, args=(path, f"w{n}", 40)
-            )
-            for n in range(4)
-        ]
-        for proc in workers:
-            proc.start()
-        for proc in workers:
-            proc.join(timeout=60)
-            assert proc.exitcode == 0
-        revived = SweepManifest(path, resume=True)
-        expected = {f"w{n}-{i}" for n in range(4) for i in range(40)}
-        # Every record parses (no interleaved/torn lines) and every
-        # appended key survived.
-        assert revived.resumed_keys == expected
-
-    def test_flush_close_remain_callable(self, tmp_path):
-        manifest = SweepManifest(str(tmp_path / "m.jsonl"))
-        manifest.record("k1")
-        manifest.flush()
-        manifest.close()
-        assert manifest.record("k1") is False  # still dedupes after close
 
 
 # ---------------------------------------------------------------------------
@@ -378,25 +357,6 @@ class TestHeartbeatHostFields:
 
 
 # ---------------------------------------------------------------------------
-# Satellite: resume without a manifest fails fast
-# ---------------------------------------------------------------------------
-class TestResumeRequiresManifest:
-    def test_executor_rejects_resume_without_manifest(self):
-        with pytest.raises(ExecConfigError):
-            SweepExecutor(jobs=1, resume=True)
-
-    def test_resume_with_manifest_accepted(self, tmp_path):
-        executor = SweepExecutor(
-            jobs=1,
-            cache_dir=str(tmp_path / "cache"),
-            manifest=str(tmp_path / "m.jsonl"),
-            resume=True,
-        )
-        assert executor.manifest is not None
-        executor.close()
-
-
-# ---------------------------------------------------------------------------
 # End-to-end: campaigns, failover, exactly-once commits
 # ---------------------------------------------------------------------------
 GRID = dict(schemes=["baseline"], benchmarks="aes,fir", scales=[0.02], seeds=[1, 2])
@@ -416,8 +376,22 @@ def _serial_table():
 
 
 def _run_host(root, host_id, faults=None, poll=0.05):
-    plan = HostFaultPlan.from_dict(faults) if faults else None
+    plan = WorkerFaultPlan.from_dict(faults) if faults else None
     WorkerHost(root, host_id=host_id, faults=plan, poll=poll).run()
+
+
+def _one_crash_seed(keys):
+    """A plan seed under which exactly one key's first hold crashes its
+    host and every later hold (a steal) survives — found by scanning,
+    the way the pool chaos tests pick theirs, so the test stays valid if
+    the job keys ever change shape."""
+    for seed in range(500):
+        plan = WorkerFaultPlan(seed=seed, crash_prob=0.3)
+        first = [plan.verdict_for(key, 0) for key in keys]
+        later = [plan.verdict_for(key, hold) for key in keys for hold in (1, 2)]
+        if first.count(CRASH) == 1 and set(later) == {OK}:
+            return seed
+    raise AssertionError("no suitable host crash seed in range")
 
 
 @pytest.fixture(scope="module")
@@ -437,6 +411,10 @@ class TestServiceEndToEnd:
         progress = coordinator.ledger.progress("c1")
         assert progress["done"] == 4 and progress["failed"] == 0
         assert coordinator.result_table("c1").format_table() == serial_table
+        # The host's first beat lands as its first claim starts running;
+        # the terminal beat reports it idle.
+        beats = coordinator.host_heartbeats()
+        assert beats[0]["running"] == 1 and beats[-1]["running"] == 0
 
     def test_resubmission_precommits_from_shared_cache(self, tmp_path):
         import shutil
@@ -470,12 +448,19 @@ class TestServiceEndToEnd:
     def test_chaos_doomed_host_failover_byte_identical(
         self, tmp_path, serial_table
     ):
-        """Seeded HostFaultPlan failover: the doomed job's first claimant
+        """Seeded host-crash failover: one job's first claimant
         hard-crashes mid-lease; the surviving host steals and finishes."""
         coordinator = Coordinator(tmp_path, lease_ttl=1.0)
         coordinator.submit("c1", "alice", **GRID)
-        faults = HostFaultPlan(
-            seed=1, doomed_keys=(cell_job("baseline", "aes", 0.02, 1).job_key(),)
+        keys = [
+            cell_job(*cell).job_key()
+            for cell in campaign_cells(
+                GRID["schemes"], GRID["benchmarks"], GRID["scales"],
+                GRID["seeds"],
+            )
+        ]
+        faults = WorkerFaultPlan(
+            seed=_one_crash_seed(keys), crash_prob=0.3
         ).to_dict()
         hosts = [
             multiprocessing.Process(
@@ -504,8 +489,8 @@ class TestServiceEndToEnd:
         coordinator.submit("c1", "alice", **GRID)
         # Host A stalls forever before every commit, so from its first
         # claim until the SIGKILL it is guaranteed to hold a live lease.
-        stall_all = HostFaultPlan(
-            seed=0, stall_prob=1.0, stall_seconds=600.0
+        stall_all = WorkerFaultPlan(
+            seed=0, hang_prob=1.0, hang_seconds=600.0
         ).to_dict()
         victim = multiprocessing.Process(
             target=_run_host, args=(str(tmp_path), "victim", stall_all)
@@ -536,8 +521,8 @@ class TestServiceEndToEnd:
             "c1", "alice",
             schemes=["baseline"], benchmarks="aes", scales=[0.02], seeds=[1],
         )
-        stall_first = HostFaultPlan(
-            seed=0, stall_prob=1.0, stall_seconds=4.0
+        stall_first = WorkerFaultPlan(
+            seed=0, hang_prob=1.0, hang_seconds=4.0
         ).to_dict()
         staller = multiprocessing.Process(
             target=_run_host, args=(str(tmp_path), "staller", stall_first)
@@ -629,6 +614,25 @@ class TestCliService:
             ["status", "--service-dir", str(tmp_path / "empty")]
         ) == 2
         assert "no job ledger" in capsys.readouterr().err
+
+    def test_serve_applies_worker_faults_to_the_host(self, tmp_path, capsys):
+        root = str(tmp_path / "svc")
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps(
+            WorkerFaultPlan(slow_prob=1.0, slow_factor=1.0).to_dict()
+        ))
+        assert main([
+            "submit", "--service-dir", root, "--campaign", "c1",
+            "--schemes", "baseline", "--benchmarks", "aes",
+            "--scales", "0.02", "--seeds", "1",
+        ]) == 0
+        capsys.readouterr()
+        assert main([
+            "serve", "--service-dir", root, "--poll", "0.05",
+            "--worker-faults", str(plan),
+        ]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["done"] == 1 and summary["chaos"] == 1
 
     def test_serve_requires_service_dir(self, capsys):
         with pytest.raises(SystemExit):

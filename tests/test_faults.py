@@ -297,22 +297,27 @@ class TestExecutorRetries:
         from repro.exec.executor import SweepExecutor
         from repro.exec.jobs import make_job
 
-        executor = SweepExecutor(jobs=2, retries=1, retry_backoff=0.01)
+        from repro.exec.jobs import MAX_ATTEMPTS
+
+        executor = SweepExecutor(jobs=2)
         bad = [
             make_job(wafer_7x7_config(), "no-such-workload", SCALE, seed=s)
             for s in (1, 2)
         ]
         results = executor.map(bad)
         assert results == {}
-        assert executor.registry.counter("sweep.jobs.retries").value == 2
-        assert all(f.attempts == 2 for f in executor.failures)
+        retries = executor.registry.counter("sweep.jobs.retries").value
+        assert retries == 2 * (MAX_ATTEMPTS - 1)
+        assert all(f.attempts == MAX_ATTEMPTS for f in executor.failures)
 
     def test_retry_policy_shared_shape(self):
         from repro.exec.executor import SweepExecutor
 
-        executor = SweepExecutor(jobs=1, retries=3, retry_backoff=0.5)
-        assert executor.retry_policy.delay_for(1) == 1.0
-        assert executor.retry_policy.max_retries == 3
+        from repro.exec.jobs import MAX_ATTEMPTS
+
+        executor = SweepExecutor(jobs=1)
+        assert executor.retry_policy.delay_for(1) == 0.5
+        assert executor.retry_policy.max_retries == MAX_ATTEMPTS - 1
 
 
 class TestFaultsCLI:
