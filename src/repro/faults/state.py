@@ -13,9 +13,9 @@ Since PR 5 the state is *mutable over time*: a plan with a
 :class:`~repro.faults.recovery.RecoveryManager`, which calls the mutators
 below (:meth:`kill_gpm`, :meth:`recover_gpm`, :meth:`degrade_link`,
 :meth:`restore_link`) mid-run.  Every mutation bumps ``topology_epoch``;
-the route cache is invalidated on the next lookup after an epoch change,
-so in-flight retries re-resolve against the *current* topology rather
-than a stale detour.
+the network's route table is dropped on the next send after an epoch
+change, so in-flight retries re-resolve against the *current* topology
+rather than a stale detour.
 """
 
 from __future__ import annotations
@@ -84,10 +84,9 @@ class FaultState:
         }
         self.live_gpm_ids: List[int] = []
         self._recompute_live()
-        #: Bumped by every topology mutation; the route cache and any
-        #: epoch-guarded in-flight work key on it.
+        #: Bumped by every topology mutation; the network's route table
+        #: and any epoch-guarded in-flight work key on it.
         self.topology_epoch = 0
-        self._routes_epoch = 0
         #: True when the plan carries a timeline: mid-run death becomes a
         #: legitimate race, so sends to dead tiles dead-letter instead of
         #: raising, and link reports carry bandwidth factors.
@@ -97,7 +96,6 @@ class FaultState:
         #: The plan's one transient-fault stream.  Verdicts are consumed
         #: in event order, so the schedule is a pure function of the seed.
         self._rng = random.Random(plan.seed)
-        self._routes: Dict[LinkKey, Tuple[List[LinkKey], int]] = {}
         self.retry = RetryPolicy(
             max_retries=plan.max_retries,
             base_delay=plan.retry_backoff_cycles,
@@ -208,18 +206,11 @@ class FaultState:
 
         The XY route is used whenever it survives; otherwise the BFS
         detour.  ``extra_hops`` is the detour's cost over the Manhattan
-        distance.  Routes are cached per (src, dst) and the cache is
-        flushed whenever ``topology_epoch`` moves, so a link restored by
-        the timeline is actually used again.  Raises
+        distance.  Resolved against the current dead-link set on every
+        call; :class:`~repro.noc.network.MeshNetwork` tables the result
+        until ``topology_epoch`` moves.  Raises
         :class:`~repro.errors.UnreachableError` when partitioned.
         """
-        if self._routes_epoch != self.topology_epoch:
-            self._routes.clear()
-            self._routes_epoch = self.topology_epoch
-        key = (src, dst)
-        cached = self._routes.get(key)
-        if cached is not None:
-            return cached
         topology = self.topology
         links = route_links(src, dst, topology.width, topology.height)
         extra = 0
@@ -228,7 +219,6 @@ class FaultState:
                 src, dst, topology.width, topology.height, self.dead_links
             )
             extra = len(links) - hop_count(src, dst)
-        self._routes[key] = (links, extra)
         return links, extra
 
     # ------------------------------------------------------------------

@@ -9,12 +9,9 @@ remote memory at cacheline granularity).
 from __future__ import annotations
 
 import enum
-import itertools
 from typing import Any, Optional, Tuple
 
 Coordinate = Tuple[int, int]
-
-_message_ids = itertools.count()
 
 
 class MessageKind(enum.Enum):
@@ -74,7 +71,7 @@ class Message:
     in profiles.  Field order and defaults match the old dataclass.
     """
 
-    __slots__ = ("kind", "src", "dst", "payload", "size_bytes", "message_id")
+    __slots__ = ("kind", "src", "dst", "payload", "size_bytes")
 
     def __init__(
         self,
@@ -89,7 +86,6 @@ class Message:
         self.dst = dst
         self.payload = payload
         self.size_bytes = MESSAGE_BYTES[kind] if size_bytes is None else size_bytes
-        self.message_id = next(_message_ids)
 
     @property
     def is_translation_traffic(self) -> bool:
@@ -98,6 +94,5 @@ class Message:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"Message(kind={self.kind!r}, src={self.src!r}, dst={self.dst!r}, "
-            f"payload={self.payload!r}, size_bytes={self.size_bytes!r}, "
-            f"message_id={self.message_id!r})"
+            f"payload={self.payload!r}, size_bytes={self.size_bytes!r})"
         )

@@ -27,33 +27,30 @@ def _request_id_of(message: Message) -> Optional[int]:
     return getattr(payload, "request_id", None)
 
 
+#: One route-table entry: the route's links, its detour hops over the
+#: Manhattan distance, and its ``(kind, size_bytes) -> sends`` tally.
+Route = Tuple[Tuple[Link, ...], int, Dict[Tuple[MessageKind, int], int]]
+
+
 class MeshNetwork(Component):
     """Delivers messages across the mesh.
 
-    ``send`` computes the XY route once, walks its links accumulating
-    latency and contention (each :class:`Link` keeps a busy-until clock),
-    and schedules a single delivery event — one event per message keeps the
-    simulator fast while preserving geometry-dependent latency, the
-    congestion trend, and exact per-link traffic accounting.
+    ``send`` looks its ``(src, dst)`` route up in one table, walks the
+    route's links advancing each busy-until clock (latency plus
+    contention), bumps the route's ``(kind, size_bytes)`` tally and
+    schedules a single delivery event — one event per message keeps the
+    simulator fast while preserving geometry-dependent latency and the
+    congestion trend.  Every traffic counter is derived from the tallies
+    by :meth:`_fold`: at report time, before every bandwidth-factor change
+    (so busy cycles stay exact under fail-slow links), and when a fault
+    topology epoch retires the table.
     """
 
     __slots__ = (
-        "obs",
-        "_tracer",
-        "_conservation",
-        "_faults",
-        "topology",
-        "_on_mesh",
-        "link_latency",
-        "link_bytes_per_cycle",
-        "_links",
-        "_route_cache",
-        "_handlers",
-        "messages_sent",
-        "messages_routed",
-        "total_hops",
-        "messages_by_kind",
-        "link_bytes_by_kind",
+        "obs", "_tracer", "_conservation", "_faults", "topology", "_on_mesh",
+        "link_latency", "link_bytes_per_cycle", "_links", "_routes",
+        "_routes_epoch", "_handlers", "_messages_routed", "_total_hops",
+        "messages_by_kind", "link_bytes_by_kind",
     )
 
     def __init__(
@@ -80,37 +77,22 @@ class MeshNetwork(Component):
         #: All on-mesh coordinates — membership test replaces the per-send
         #: range arithmetic in :meth:`_validate_endpoints`.
         self._on_mesh = frozenset(
-            (x, y)
-            for x in range(topology.width)
-            for y in range(topology.height)
+            (x, y) for x in range(topology.width) for y in range(topology.height)
         )
         self.link_latency = link_latency
         self.link_bytes_per_cycle = bytes_per_cycle(link_bandwidth_bytes_per_sec)
         self._links: Dict[Tuple[Coordinate, Coordinate], Link] = {}
-        #: No-fault route cache: (src, dst) -> (resolved [(hop_key, Link)],
-        #: links-only list for the unpacking-free transmit loop).  Safe
-        #: because topology and XY routes are static and fail-slow factors
-        #: mutate the cached Link objects in place; fault runs (detours,
-        #: dead links) bypass the cache entirely.
-        self._route_cache: Dict[
-            Tuple[Coordinate, Coordinate],
-            Tuple[
-                List[Tuple[Tuple[Coordinate, Coordinate], Link]],
-                List[Link],
-            ],
-        ] = {}
+        #: The route table, healthy and faulted runs alike.  Fail-slow
+        #: factors mutate the tabled Link objects in place; a fault
+        #: topology epoch folds and drops the whole table.
+        self._routes: Dict[Tuple[Coordinate, Coordinate], Route] = {}
+        self._routes_epoch = 0
         self._handlers: Dict[Coordinate, DeliveryFn] = {}
-        self.messages_sent = 0
-        #: Messages that actually traversed links (src != dst).  Zero-hop
-        #: deliveries count toward ``messages_sent`` (traffic report) but
-        #: must not deflate :meth:`mean_hops`.
-        self.messages_routed = 0
-        self.total_hops = 0
-        # Per-kind accounting: messages and bytes x hops by MessageKind.
-        # defaultdicts keep the per-send increments to one dict op; reads
-        # elsewhere all use ``.get`` so no spurious keys appear.
-        self.messages_by_kind: Dict[object, int] = defaultdict(int)
-        self.link_bytes_by_kind: Dict[object, int] = defaultdict(int)
+        # Folded from the tallies; read through the properties below.
+        self._messages_routed = 0
+        self._total_hops = 0
+        self.messages_by_kind = dict.fromkeys(MessageKind, 0)
+        self.link_bytes_by_kind = dict.fromkeys(MessageKind, 0)
 
     # ------------------------------------------------------------------
     # Wiring
@@ -120,12 +102,21 @@ class MeshNetwork(Component):
         self._handlers[coordinate] = handler
 
     def _link(self, src: Coordinate, dst: Coordinate) -> Link:
-        key = (src, dst)
-        link = self._links.get(key)
+        link = self._links.get((src, dst))
         if link is None:
             link = Link(src, dst, self.link_latency, self.link_bytes_per_cycle)
-            self._links[key] = link
+            self._links[src, dst] = link
         return link
+
+    def _route(self, src: Coordinate, dst: Coordinate) -> Route:
+        """Resolve and table the ``(src, dst)`` route on its first send."""
+        if self._faults is not None:
+            hops, extra_hops = self._faults.route(src, dst)
+        else:
+            hops, extra_hops = route_links(src, dst), 0
+        links = tuple(self._link(a, b) for a, b in hops)
+        route = self._routes[(src, dst)] = (links, extra_hops, defaultdict(int))
+        return route
 
     def set_link_bandwidth_factor(
         self, a: Coordinate, b: Coordinate, factor: float
@@ -134,6 +125,7 @@ class MeshNetwork(Component):
         directions).  In-flight transmissions keep their already-charged
         schedule; only messages transmitted after this call serialise at
         the new rate."""
+        self._fold()
         self._link(a, b).bandwidth_factor = factor
         self._link(b, a).bandwidth_factor = factor
 
@@ -179,16 +171,16 @@ class MeshNetwork(Component):
         src = message.src
         dst = message.dst
         faults = self._faults
-        # Fast path skips _validate_endpoints entirely: with both
-        # endpoints on the mesh and no static fault plan, the method can
-        # only fall through.  (Dynamic plans do their dead-tile handling
-        # below as dead-letters, exactly as before.)
-        on_mesh = self._on_mesh
-        if (
-            src not in on_mesh
-            or dst not in on_mesh
-            or (faults is not None and not faults.dynamic)
-        ):
+        if faults is not None and faults.topology_epoch != self._routes_epoch:
+            # The fault topology moved: fold the tallies, drop the table.
+            self._fold()
+            self._routes.clear()
+            self._routes_epoch = faults.topology_epoch
+        route = self._routes.get((src, dst))
+        if route is None:
+            # A tabled route's endpoints were validated on its first send,
+            # and a static plan's dead tiles never change.  (Dynamic plans
+            # do their dead-tile handling below as dead-letters.)
             self._validate_endpoints(message)
         dead_letter = (
             faults is not None and faults.dynamic and dst in faults.dead_tiles
@@ -196,95 +188,76 @@ class MeshNetwork(Component):
         handler = on_deliver or self._handlers.get(dst)
         if handler is None and not dead_letter:
             raise RoutingError(f"no handler attached at {dst}")
+        links, extra_hops, tally = route or self._route(src, dst)
         kind = message.kind
-        self.messages_sent += 1
-        self.messages_by_kind[kind] += 1
+        size_bytes = message.size_bytes
+        tally[kind, size_bytes] += 1
         sent_at = self.sim.now
-        arrival = sent_at
-        hop_times = None
         verdict = None
-        if src != dst:
-            size_bytes = message.size_bytes
-            is_translation = kind in TRANSLATION_KINDS
-            if faults is not None:
-                hops, extra_hops = faults.route(src, dst)
-                if extra_hops:
-                    faults.bump("rerouted_messages")
-                    faults.bump("rerouted_hops", extra_hops)
-                # Transient faults touch the translation plane only: the
-                # data plane's outstanding-access window has no retry
-                # protocol, while every translation message is covered by
-                # the requester-side timeout/retry machinery.
-                if is_translation and not dead_letter:
-                    verdict = faults.transient_verdict()
-                route = [((a, b), self._link(a, b)) for a, b in hops]
-                links = None
-            else:
-                route_key = (src, dst)
-                cached = self._route_cache.get(route_key)
-                if cached is None:
-                    route = [
-                        ((a, b), self._link(a, b))
-                        for a, b in route_links(src, dst)
-                    ]
-                    links = [link for _key, link in route]
-                    self._route_cache[route_key] = (route, links)
+        if links:
+            if extra_hops:
+                faults.bump("rerouted_messages")
+                faults.bump("rerouted_hops", extra_hops)
+            # Transient faults touch the translation plane only: the
+            # data plane's outstanding-access window has no retry
+            # protocol, while every translation message is covered by
+            # the requester-side timeout/retry machinery.
+            if faults is not None and not dead_letter and kind in TRANSLATION_KINDS:
+                verdict = faults.transient_verdict()
+            # The one hop loop: only the busy-until clocks, the waits
+            # they imply and the serialisation memo move per hop.
+            latency = self.link_latency
+            arrival = sent_at
+            for link in links:
+                start = link.busy_until
+                if arrival >= start:
+                    start = arrival
                 else:
-                    route, links = cached
-            num_hops = len(route)
-            self.messages_routed += 1
-            self.total_hops += num_hops
-            self.link_bytes_by_kind[kind] += size_bytes * num_hops
-            if self._tracer is not None:
-                hop_times = []
-            conservation = self._conservation
-            if links is not None and conservation is None and hop_times is None:
-                for link in links:
-                    arrival = link.transmit(arrival, size_bytes, is_translation)
-            else:
-                for hop_key, link in route:
-                    arrival = link.transmit(arrival, size_bytes, is_translation)
-                    if conservation is not None:
-                        conservation.on_hop(
-                            hop_key, size_bytes, link.last_serialization
-                        )
-                    if hop_times is not None:
-                        hop_times.append(
-                            [list(hop_key[0]), list(hop_key[1]), arrival]
-                        )
+                    link.total_wait_cycles += start - arrival
+                link.busy_until = start + (
+                    link._ser_cache.get(size_bytes)
+                    or link.serialization(size_bytes)
+                )
+                arrival = start + latency
         else:
-            arrival += 1
+            arrival = sent_at + 1
         if verdict == "delay":
             faults.bump("injected.delays")
             arrival += faults.plan.delay_cycles
+        conservation = self._conservation
+        if conservation is not None:
+            # Each send runs to completion and no route repeats a link, so
+            # a hop's serialisation is the memo the loop just used.
+            for link in links:
+                serialization = link.serialization(size_bytes)
+                conservation.on_hop((link.src, link.dst), size_bytes, serialization)
         if self._tracer is not None:
-            self._trace_send(message, sent_at, arrival, hop_times)
+            self._trace_send(message, sent_at, arrival, links)
         if dead_letter:
             # The send raced a mid-run death: its bytes crossed the links
             # but nobody is home at the destination.  Account the loss
             # explicitly so sanitized runs stay green; the requester-side
             # timeout machinery bounds any translation waiting on it.
             faults.bump("timeline.dead_letters")
-            if self._conservation is not None:
-                self._conservation.on_send()
-                self._conservation.on_drop()
+            if conservation is not None:
+                conservation.on_send()
+                conservation.on_drop()
             return arrival
         if verdict == "drop":
             # The message traversed its links (the bytes were spent) but
             # never arrives; the conservation ledger is told explicitly so
             # sanitized runs stay green under injected faults.
             faults.bump("injected.drops")
-            if self._conservation is not None:
-                self._conservation.on_send()
-                self._conservation.on_drop()
+            if conservation is not None:
+                conservation.on_send()
+                conservation.on_drop()
             return arrival
-        if self._conservation is None:
+        if conservation is None:
             self.sim.schedule_at(arrival, lambda: handler(message))
             if verdict == "duplicate":
                 faults.bump("injected.duplicates")
                 self.sim.schedule_at(arrival + 1, lambda: handler(message))
         else:
-            conservation = self._conservation
             conservation.on_send()
             self.sim.schedule_at(
                 arrival, lambda: conservation.deliver(handler, message)
@@ -299,22 +272,31 @@ class MeshNetwork(Component):
         return arrival
 
     def _trace_send(
-        self, message: Message, sent_at: int, arrival: int, hop_times
+        self, message: Message, sent_at: int, arrival: int, links
     ) -> None:
         """Record a message transit plus its per-hop delivery times.
 
-        Messages still carrying a :class:`TranslationRequest` also get an
-        async step event keyed by the request id, stitching the NoC leg
-        into the request's remote-translation span.
+        A hop's delivery time is read back after the hop loop as
+        ``busy_until - serialisation + latency``, exact because each send
+        runs to completion and no route repeats a link.  Messages still
+        carrying a :class:`TranslationRequest` also get an async step
+        event keyed by the request id, stitching the NoC leg into the
+        request's remote-translation span.
         """
+        size_bytes = message.size_bytes
         kind = message.kind.value
         args = {
             "src": list(message.src),
             "dst": list(message.dst),
-            "bytes": message.size_bytes,
+            "bytes": size_bytes,
         }
-        if hop_times:
-            args["hops"] = hop_times
+        if links:
+            latency = self.link_latency
+            args["hops"] = [
+                [list(link.src), list(link.dst),
+                 link.busy_until - link.serialization(size_bytes) + latency]
+                for link in links
+            ]
         self._tracer.complete(
             sent_at, arrival - sent_at, f"noc.{kind}", cat="noc",
             track="noc", args=args,
@@ -324,24 +306,62 @@ class MeshNetwork(Component):
             self._tracer.async_instant(
                 sent_at, f"noc.{kind}", cat="translation", track="noc",
                 span_id=request_id,
-                args={"deliver_at": arrival, "hops": len(hop_times or ())},
+                args={"deliver_at": arrival, "hops": len(links)},
             )
 
     # ------------------------------------------------------------------
     # Traffic accounting (§V-D: HDPAT adds only 0.82 % traffic)
     # ------------------------------------------------------------------
+    def _fold(self) -> None:
+        """Fold every route's tally into the link and network counters."""
+        for links, _extra_hops, tally in self._routes.values():
+            hops = len(links)
+            for (kind, size_bytes), count in tally.items():
+                self.messages_by_kind[kind] += count
+                if not hops:
+                    continue
+                self._messages_routed += count
+                self._total_hops += hops * count
+                self.link_bytes_by_kind[kind] += size_bytes * count * hops
+                translation = kind in TRANSLATION_KINDS
+                for link in links:
+                    link.messages_carried += count
+                    link.bytes_carried += size_bytes * count
+                    link.busy_cycles += link.serialization(size_bytes) * count
+                    if translation:
+                        link.translation_bytes += size_bytes * count
+            tally.clear()
+
+    @property
+    def messages_sent(self) -> int:
+        """Every send, zero-hop deliveries included."""
+        self._fold()
+        return sum(self.messages_by_kind.values())
+
+    @property
+    def messages_routed(self) -> int:
+        """Sends that crossed links; zero-hop ones must not deflate mean_hops."""
+        self._fold()
+        return self._messages_routed
+
+    @property
+    def total_hops(self) -> int:
+        self._fold()
+        return self._total_hops
+
     def total_link_bytes(self) -> int:
         """Total bytes x hops carried by the mesh."""
+        self._fold()
         return sum(link.bytes_carried for link in self._links.values())
 
     def translation_link_bytes(self) -> int:
+        self._fold()
         return sum(link.translation_bytes for link in self._links.values())
 
     def mean_hops(self) -> float:
         """Mean hops per *routed* message (zero-hop sends excluded)."""
-        return (
-            self.total_hops / self.messages_routed if self.messages_routed else 0.0
-        )
+        routed = self.messages_routed
+        return self._total_hops / routed if routed else 0.0
 
     def link_wait_cycles(self) -> int:
         """Total contention-induced waiting across all links."""
@@ -354,6 +374,7 @@ class MeshNetwork(Component):
         for dead links that never carried traffic; no-fault runs keep the
         historical row shape byte-for-byte.
         """
+        self._fold()
         now = self.sim.now
         rows = {
             key: {
@@ -390,12 +411,14 @@ class MeshNetwork(Component):
 
     def traffic_report(self) -> Dict[str, Dict[str, int]]:
         """Per-message-kind messages and bytes x hops, plus totals."""
+        self._fold()
         report = {
             kind.value: {
-                "messages": self.messages_by_kind.get(kind, 0),
-                "link_bytes": self.link_bytes_by_kind.get(kind, 0),
+                "messages": sent,
+                "link_bytes": self.link_bytes_by_kind[kind],
             }
-            for kind in self.messages_by_kind
+            for kind, sent in self.messages_by_kind.items()
+            if sent
         }
         report["total"] = {
             "messages": self.messages_sent,

@@ -184,16 +184,20 @@ class Simulator:
             slots[time & _SLOT_MASK].append(callback)
             self._ring_events += 1
 
-    def _advance(self) -> Optional[int]:
+    def _advance(self, limit: Optional[int] = None) -> Optional[int]:
         """Slide the window to the next non-empty cycle; return it.
 
-        Returns None when no events remain anywhere.  Idempotent: when
-        the current ``_ring_base`` slot is already non-empty it returns
-        immediately, so peek-then-dispatch costs one extra check only.
+        Returns None when no events remain anywhere, or none at or before
+        ``limit``; the window then never slides past ``limit``, so a
+        paused ``run_until`` leaves it behind ``now`` and an event
+        scheduled before the next pending one lands in its own cycle.
+        Idempotent: when the current ``_ring_base`` slot is already
+        non-empty it returns immediately, so peek-then-dispatch costs one
+        extra check only.
         """
         if not self._ring_events:
             overflow = self._queue
-            if not overflow:
+            if not overflow or (limit is not None and overflow[0][0] > limit):
                 return None
             # Jump the window straight to the earliest far-future event.
             self._ring_base = overflow[0][0]
@@ -201,11 +205,13 @@ class Simulator:
         slots = self._slots
         base = self._ring_base
         if slots[base & _SLOT_MASK]:
-            return base
+            return base if limit is None or base <= limit else None
         overflow = self._queue
         next_overflow = overflow[0][0] if overflow else -1
         while True:
             base += 1
+            if limit is not None and base > limit:
+                return None
             if next_overflow >= 0 and next_overflow - base < SLOT_COUNT:
                 self._ring_base = base
                 self._drain_overflow()
@@ -338,7 +344,7 @@ class Simulator:
                 while self._dispatch_batch(hooks):
                     pass
             else:
-                while (next_time := self._advance()) is not None and next_time <= time:
+                while self._advance(time) is not None:
                     self._dispatch_batch(hooks)
                 self.now = max(self.now, time)
             if races is not None:

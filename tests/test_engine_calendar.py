@@ -26,6 +26,9 @@ from hypothesis import strategies as st
 
 from repro.errors import EventOrderError, SimulationError
 from repro.noc.link import Link
+from repro.noc.messages import Message, MessageKind
+from repro.noc.network import MeshNetwork
+from repro.noc.topology import MeshTopology
 from repro.obs import HostProfiler
 from repro.sim.component import Component
 from repro.sim.engine import SLOT_COUNT, Simulator
@@ -214,24 +217,56 @@ class TestFractionalBandwidthSerialization:
         healthy = Link((0, 0), (1, 0), latency=4, bytes_per_cycle=1.0)
         degraded = Link((0, 0), (1, 0), latency=4, bytes_per_cycle=1.0)
         degraded.bandwidth_factor = 1 / 16
-        healthy.transmit(0, 32, False)
-        degraded.transmit(0, 32, False)
-        assert healthy.last_serialization == 32
-        assert degraded.last_serialization == 512
+        assert healthy.serialization(32) == 32
+        assert degraded.serialization(32) == 512
         # The second message queues behind the first: the fail-slow link
         # delivers it measurably later than the healthy one.
-        assert degraded.transmit(0, 32, False) > healthy.transmit(0, 32, False)
+        deliveries = []
+        for factor in (1.0, 1 / 16):
+            network = MeshNetwork(
+                Simulator(), MeshTopology(2, 1), link_latency=4,
+                link_bandwidth_bytes_per_sec=1e9,
+            )
+            network.set_link_bandwidth_factor((0, 0), (1, 0), factor)
+            for _ in range(2):
+                delivery = network.send(
+                    Message(MessageKind.DATA_REQ, (0, 0), (1, 0), size_bytes=32),
+                    lambda message: None,
+                )
+            deliveries.append(delivery)
+        assert deliveries == [32 + 4, 512 + 4]
 
     def test_bandwidth_factor_change_invalidates_serialization_cache(self):
         link = Link((0, 0), (1, 0), latency=1, bytes_per_cycle=2.0)
-        link.transmit(0, 64, False)
-        assert link.last_serialization == 32
+        assert link.serialization(64) == 32
         link.bandwidth_factor = 0.5
-        link.transmit(1000, 64, False)
-        assert link.last_serialization == 64
+        assert link.serialization(64) == 64
         link.bandwidth_factor = 1.0
-        link.transmit(2000, 64, False)
-        assert link.last_serialization == 32
+        assert link.serialization(64) == 32
+
+
+class TestRunUntilPauseKeepsWindowBehindNow:
+    """A paused ``run_until`` must not slide the calendar window to the
+    next pending cycle: an event scheduled before it would alias to a
+    slot a whole window later."""
+
+    def test_event_scheduled_after_pause_fires_in_its_own_cycle(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule_at(3, lambda: fired.append(("later", sim.now)))
+        sim.run_until(1)
+        sim.schedule_at(2, lambda: fired.append(("sooner", sim.now)))
+        sim.run()
+        assert fired == [("sooner", 2), ("later", 3)]
+
+    def test_overflow_event_does_not_pull_window_past_pause(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule_at(5 * SLOT_COUNT, lambda: fired.append(sim.now))
+        sim.run_until(1)
+        sim.schedule_at(2, lambda: fired.append(sim.now))
+        sim.run()
+        assert fired == [2, 5 * SLOT_COUNT]
 
 
 class TestScheduleAtValidatesBeforeSanitizerHook:

@@ -1,11 +1,17 @@
 """Tests for the mesh network: delivery latency, contention, traffic."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import RoutingError
-from repro.noc.messages import Message, MessageKind
+from repro.faults.plan import FaultPlan
+from repro.faults.state import FaultState
+from repro.noc.messages import TRANSLATION_KINDS, Message, MessageKind
 from repro.noc.network import MeshNetwork
 from repro.noc.topology import MeshTopology
+from repro.sim.engine import Simulator
+from repro.units import serialization_cycles
 
 
 @pytest.fixture
@@ -134,11 +140,6 @@ class TestMessageDefaults:
         assert Message(MessageKind.PTE_PUSH, (0, 0), (1, 0)).is_translation_traffic
         assert not Message(MessageKind.DATA_REQ, (0, 0), (1, 0)).is_translation_traffic
 
-    def test_message_ids_unique(self):
-        a = _msg((0, 0), (1, 0))
-        b = _msg((0, 0), (1, 0))
-        assert a.message_id != b.message_id
-
 
 class TestTrafficReport:
     def test_per_kind_accounting(self, sim, network):
@@ -164,3 +165,167 @@ class TestTrafficReport:
         report = network.traffic_report()
         assert report["total"]["link_bytes"] == 0
         assert report["translation_req"]["messages"] == 1
+
+
+class _ReferenceLink:
+    """The per-hop accounting every send used to do, kept as an oracle."""
+
+    def __init__(self, bytes_per_cycle, latency):
+        self.bytes_per_cycle = bytes_per_cycle
+        self.latency = latency
+        self.factor = 1.0
+        self.busy_until = 0
+        self.wait = self.bytes = self.translation_bytes = 0
+        self.messages = self.busy_cycles = 0
+
+    def transmit(self, arrival, size_bytes, is_translation):
+        start = max(arrival, self.busy_until)
+        self.wait += start - arrival
+        serialization = serialization_cycles(
+            size_bytes, self.bytes_per_cycle * self.factor
+        )
+        self.busy_until = start + serialization
+        self.busy_cycles += serialization
+        self.bytes += size_bytes
+        self.messages += 1
+        if is_translation:
+            self.translation_bytes += size_bytes
+        return start + self.latency
+
+
+_COORDS = [(x, y) for x in range(3) for y in range(3)]
+_FLIPPABLE = [((0, 0), (1, 0)), ((1, 1), (1, 2)), ((1, 0), (2, 0))]
+_SENDS = st.lists(
+    st.tuples(
+        st.sampled_from(_COORDS), st.sampled_from(_COORDS),
+        st.sampled_from(list(MessageKind)),
+        st.sampled_from([None, 1, 16, 80, 1000]),
+    ),
+    min_size=1, max_size=6,
+)
+_EVENTS = st.one_of(
+    st.tuples(
+        st.just("factor"), st.sampled_from(_COORDS[:6]),
+        st.sampled_from([1.0, 0.5, 1 / 3, 1 / 16]),
+    ),
+    st.tuples(st.just("flip"), st.sampled_from(_FLIPPABLE)),
+    st.tuples(st.just("advance"), st.integers(1, 60)),
+)
+#: Rounds of sends, then one factor change, link flip or time advance,
+#: then (maybe) a mid-run report check.
+_ROUNDS = st.lists(st.tuples(_SENDS, _EVENTS, st.booleans()), max_size=8)
+
+
+class TestReferenceModel:
+    """Random sends, fail-slow factor changes and dead-link epoch flips
+    against a naive per-hop model.
+
+    Delivery cycles are compared on every send.  The report accessors
+    fold the route tallies, so they are compared after random rounds and
+    at the end: sends followed by a factor change with no check in
+    between is what catches a missing fold."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_ROUNDS)
+    def test_matches_per_hop_model(self, rounds):
+        sim = Simulator()
+        faults = FaultState(FaultPlan(), MeshTopology(3, 3))
+        network = MeshNetwork(
+            sim, MeshTopology(3, 3), link_latency=3,
+            link_bandwidth_bytes_per_sec=8e9, faults=faults,
+        )
+        links = {}
+        sent = routed = hops = 0
+        by_kind = {}
+        expected, delivered = [], []
+
+        def ref_link(key):
+            if key not in links:
+                links[key] = _ReferenceLink(network.link_bytes_per_cycle, 3)
+            return links[key]
+
+        def check():
+            now = sim.now
+            rows = [
+                {
+                    "src": key[0], "dst": key[1], "messages": link.messages,
+                    "bytes": link.bytes,
+                    "translation_bytes": link.translation_bytes,
+                    "wait_cycles": link.wait,
+                    "busy_fraction": (
+                        min(1.0, link.busy_cycles / now) if now > 0 else 0.0
+                    ),
+                    "failed": key in faults.dead_links,
+                }
+                for key, link in sorted(links.items())
+            ]
+            for key in sorted(faults.dead_links - set(links)):
+                rows.append({
+                    "src": key[0], "dst": key[1], "messages": 0, "bytes": 0,
+                    "translation_bytes": 0, "wait_cycles": 0,
+                    "busy_fraction": 0.0, "failed": True,
+                })
+            rows.sort(key=lambda row: (row["src"], row["dst"]))
+            assert network.link_report() == rows
+            # busy_fraction saturates; the folded busy cycles are exact.
+            assert {key: link.busy_cycles for key, link in network._links.items()} == {
+                key: link.busy_cycles for key, link in links.items()
+            }
+            total_bytes = sum(link.bytes for link in links.values())
+            traffic = {
+                kind.value: {"messages": count, "link_bytes": link_bytes}
+                for kind, (count, link_bytes) in by_kind.items()
+            }
+            traffic["total"] = {"messages": sent, "link_bytes": total_bytes}
+            assert network.traffic_report() == traffic
+            assert network.total_link_bytes() == total_bytes
+            assert network.translation_link_bytes() == sum(
+                link.translation_bytes for link in links.values()
+            )
+            assert network.link_wait_cycles() == sum(
+                link.wait for link in links.values()
+            )
+            assert network.mean_hops() == (hops / routed if routed else 0.0)
+            assert (network.messages_sent, network.messages_routed) == (sent, routed)
+            assert network.total_hops == hops
+
+        for sends, event, check_after in rounds:
+            for src, dst, kind, size in sends:
+                message = Message(kind, src, dst, size_bytes=size)
+                route, _extra = faults.route(src, dst)
+                arrival = sim.now if route else sim.now + 1
+                for key in route:
+                    arrival = ref_link(key).transmit(
+                        arrival, message.size_bytes, kind in TRANSLATION_KINDS
+                    )
+                sent += 1
+                routed += bool(route)
+                hops += len(route)
+                count, link_bytes = by_kind.get(kind, (0, 0))
+                by_kind[kind] = (count + 1, link_bytes + message.size_bytes * len(route))
+                expected.append(arrival)
+                assert network.send(
+                    message, lambda m, i=len(expected) - 1: delivered.append((i, sim.now))
+                ) == arrival
+            if event[0] == "factor":
+                _, a, factor = event
+                b = (a[0] + 1, a[1])
+                network.set_link_bandwidth_factor(a, b, factor)
+                ref_link((a, b)).factor = ref_link((b, a)).factor = factor
+            elif event[0] == "flip":
+                # At most one flippable link is dead at a time, so the
+                # mesh stays connected; each restore bumps the epoch.
+                link = event[1]
+                dead = link in faults.dead_links
+                for other in _FLIPPABLE:
+                    faults.restore_link(other)
+                if not dead:
+                    faults.dead_links.update({link, link[::-1]})
+            else:
+                sim.schedule(event[1], lambda: None)
+                sim.run_until(sim.now + event[1])
+            if check_after:
+                check()
+        check()
+        sim.run()
+        assert sorted(delivered) == list(enumerate(expected))

@@ -25,7 +25,6 @@ from repro.faults import (
     degradation_plan,
     recovery_scenario,
 )
-from repro.noc.link import Link
 from repro.noc.messages import Message, MessageKind
 from repro.noc.network import MeshNetwork
 from repro.noc.routing import route_links
@@ -178,19 +177,35 @@ class TestRetryPolicyCycles:
 
 
 class TestLinkBandwidth:
-    def test_degraded_link_serialises_slower(self):
-        link = Link((0, 0), (1, 0), latency=4, bytes_per_cycle=768)
-        link.transmit(0, 768 * 8, is_translation=False)
-        healthy = link.last_serialization
-        link.bandwidth_factor = 0.25
-        link.transmit(link.busy_until, 768 * 8, is_translation=False)
-        assert link.last_serialization == 4 * healthy
+    """Fail-slow serialisation, driven through a one-hop route."""
 
-    def test_busy_until_stays_integer(self):
-        link = Link((0, 0), (1, 0), latency=4, bytes_per_cycle=768)
-        link.bandwidth_factor = 1.0 / 3.0
-        delivery = link.transmit(7, 1000, is_translation=True)
-        assert isinstance(link.busy_until, int)
+    def _network(self, sim):
+        network = MeshNetwork(sim, MeshTopology(2, 1), link_latency=4)
+        network.attach((1, 0), lambda message: None)
+        return network
+
+    def _send(self, network, size):
+        return network.send(
+            Message(MessageKind.DATA_RESP, (0, 0), (1, 0), size_bytes=size)
+        )
+
+    def test_degraded_link_serialises_slower(self, sim):
+        network = self._network(sim)
+        self._send(network, 768 * 8)
+        link = network._links[((0, 0), (1, 0))]
+        healthy = link.busy_until
+        network.set_link_bandwidth_factor((0, 0), (1, 0), 0.25)
+        self._send(network, 768 * 8)
+        assert link.busy_until - healthy == 4 * healthy
+        # The folded busy cycles charge each send at its own factor.
+        network.link_report()
+        assert link.busy_cycles == 5 * healthy
+
+    def test_busy_until_stays_integer(self, sim):
+        network = self._network(sim)
+        network.set_link_bandwidth_factor((0, 0), (1, 0), 1.0 / 3.0)
+        delivery = self._send(network, 1000)
+        assert isinstance(network._links[((0, 0), (1, 0))].busy_until, int)
         assert isinstance(delivery, int)
 
 
