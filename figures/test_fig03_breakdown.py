@@ -5,8 +5,8 @@ from conftest import run_experiment
 from repro.experiments import fig03_latency_breakdown
 
 
-def test_fig03_latency_breakdown(benchmark, cache):
-    result = run_experiment(benchmark, fig03_latency_breakdown.run, cache)
+def test_fig03_latency_breakdown(cache):
+    result = run_experiment(fig03_latency_breakdown.run, cache)
     percents = {row[0]: row[2] for row in result.rows}
     # Paper: pre-queue delay is the largest single component for SPMV.
     assert percents["pre_queue"] == max(percents.values())

@@ -5,8 +5,8 @@ from conftest import run_experiment
 from repro.experiments import fig04_buffer_pressure
 
 
-def test_fig04_buffer_pressure(benchmark, cache):
-    result = run_experiment(benchmark, fig04_buffer_pressure.run, cache)
+def test_fig04_buffer_pressure(cache):
+    result = run_experiment(fig04_buffer_pressure.run, cache)
     mcm_peak = result.rows[0][1]
     wafer_peak = result.rows[1][1]
     # Paper: the wafer builds a standing backlog the MCM never approaches.

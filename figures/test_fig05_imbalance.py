@@ -5,8 +5,8 @@ from conftest import run_experiment
 from repro.experiments import fig05_position_imbalance
 
 
-def test_fig05_position_imbalance(benchmark, cache):
-    result = run_experiment(benchmark, fig05_position_imbalance.run, cache)
+def test_fig05_position_imbalance(cache):
+    result = run_experiment(fig05_position_imbalance.run, cache)
     # Paper: central GPMs finish earlier than peripheral ones.
     for workload in ("SPMV", "FIR"):
         rows = [row for row in result.rows if row[0] == workload]

@@ -5,8 +5,8 @@ from conftest import run_experiment
 from repro.experiments import fig06_translation_counts
 
 
-def test_fig06_translation_counts(benchmark, cache):
-    result = run_experiment(benchmark, fig06_translation_counts.run, cache)
+def test_fig06_translation_counts(cache):
+    result = run_experiment(fig06_translation_counts.run, cache)
     single = {row[0]: row[2] for row in result.rows}
     mean = {row[0]: row[5] for row in result.rows}
     # Paper: AES and RELU translate each page once; BT/FWT repeat.

@@ -5,8 +5,8 @@ from conftest import run_experiment
 from repro.experiments import fig07_reuse_distance
 
 
-def test_fig07_reuse_distance(benchmark, cache):
-    result = run_experiment(benchmark, fig07_reuse_distance.run, cache)
+def test_fig07_reuse_distance(cache):
+    result = run_experiment(fig07_reuse_distance.run, cache)
     # Paper: distances span small values up to hundreds of thousands —
     # the distribution is wide, not concentrated in one bucket.
     for row in result.rows:

@@ -5,8 +5,8 @@ from conftest import run_experiment
 from repro.experiments import fig08_spatial_locality
 
 
-def test_fig08_spatial_locality(benchmark, cache):
-    result = run_experiment(benchmark, fig08_spatial_locality.run, cache)
+def test_fig08_spatial_locality(cache):
+    result = run_experiment(fig08_spatial_locality.run, cache)
     within4 = {row[0]: row[3] for row in result.rows}
     # Paper: 10-30% of next requests land within a few pages for the
     # compute-intensive benchmarks; streaming ones are even higher.

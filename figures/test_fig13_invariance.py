@@ -5,8 +5,8 @@ from conftest import run_experiment
 from repro.experiments import fig13_size_invariance
 
 
-def test_fig13_size_invariance(benchmark, cache):
-    result = run_experiment(benchmark, fig13_size_invariance.run, cache)
+def test_fig13_size_invariance(cache):
+    result = run_experiment(fig13_size_invariance.run, cache)
     assert len(result.rows) == 3
     # Paper: the normalized time-series shapes are similar across sizes.
     assert "similarity" in result.notes

@@ -5,8 +5,8 @@ from conftest import run_experiment
 from repro.experiments import fig14_overall
 
 
-def test_fig14_overall_performance(benchmark, cache):
-    result = run_experiment(benchmark, fig14_overall.run, cache)
+def test_fig14_overall_performance(cache):
+    result = run_experiment(fig14_overall.run, cache)
     geomean = result.row_for("GEOMEAN")
     headers = result.headers
     hdpat = geomean[headers.index("Hdpat")]

@@ -5,8 +5,8 @@ from conftest import run_experiment
 from repro.experiments import fig15_ablation
 
 
-def test_fig15_ablation(benchmark, cache):
-    result = run_experiment(benchmark, fig15_ablation.run, cache)
+def test_fig15_ablation(cache):
+    result = run_experiment(fig15_ablation.run, cache)
     geomean = result.row_for("GEOMEAN")
     headers = result.headers
     full = geomean[headers.index("HDPAT (all)")]

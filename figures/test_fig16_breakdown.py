@@ -5,8 +5,8 @@ from conftest import run_experiment
 from repro.experiments import fig16_breakdown
 
 
-def test_fig16_breakdown(benchmark, cache):
-    result = run_experiment(benchmark, fig16_breakdown.run, cache)
+def test_fig16_breakdown(cache):
+    result = run_experiment(fig16_breakdown.run, cache)
     rows = {row[0]: row for row in result.rows}
     # Paper: 42.1% of translations offloaded on average; MT remains
     # IOMMU-dominant; PR leans on peer caching.

@@ -5,13 +5,11 @@ from conftest import run_experiment
 from repro.experiments import fig19_redirection_vs_tlb
 
 
-def test_fig19_redirection_vs_tlb(benchmark, cache):
+def test_fig19_redirection_vs_tlb(cache):
     # This figure compares two capacity-constrained structures, so it needs
     # a scale where neither hits the scaled-capacity floors (the 64-entry
     # redirection minimum distorts the area equivalence below ~0.08).
-    result = run_experiment(
-        benchmark, fig19_redirection_vs_tlb.run, cache, scale=0.08
-    )
+    result = run_experiment(fig19_redirection_vs_tlb.run, cache, scale=0.08)
     ratio = result.row_for("GEOMEAN")[3]
     # Paper: redirection table 1.27x ahead of the equal-area TLB.
     assert ratio > 1.0

@@ -5,8 +5,8 @@ from conftest import run_experiment
 from repro.experiments import fig20_page_size
 
 
-def test_fig20_page_size(benchmark, cache):
-    result = run_experiment(benchmark, fig20_page_size.run, cache)
+def test_fig20_page_size(cache):
+    result = run_experiment(fig20_page_size.run, cache)
     # Paper: larger pages help the baseline, and HDPAT maintains its
     # advantage at every page size.
     baseline_norm = result.column("Baseline")

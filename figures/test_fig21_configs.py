@@ -5,8 +5,8 @@ from conftest import run_experiment
 from repro.experiments import fig21_gpu_configs
 
 
-def test_fig21_gpu_configs(benchmark, cache):
-    result = run_experiment(benchmark, fig21_gpu_configs.run, cache)
+def test_fig21_gpu_configs(cache):
+    result = run_experiment(fig21_gpu_configs.run, cache)
     speedups = dict(result.rows)
     # Paper: gains on every configuration; the large-memory NVIDIA parts
     # benefit at least as much as the MI-class parts.

@@ -3,8 +3,6 @@
 Verbs map onto the per-package CLIs (each also installed as its own
 console script):
 
-- ``bench``       the canonical perf suite and BENCH comparator
-                  (:mod:`repro.obs.bench`)
 - ``run``         a single benchmark run (``hdpat-run``)
 - ``experiments`` figure/table sweeps (``hdpat-experiments``)
 - ``lint``        the determinism lint (``python -m repro.analysis lint``)
@@ -12,7 +10,7 @@ console script):
 - ``sanitize``    a sanitized run (``python -m repro.analysis sanitize``)
 
 Everything after the verb is forwarded to the sub-CLI untouched, so
-``python -m repro bench --against BENCH_6.json`` works as expected.
+``python -m repro run --workload fir --profile`` works as expected.
 """
 
 from __future__ import annotations
@@ -24,7 +22,6 @@ _USAGE = """\
 usage: python -m repro <verb> [args...]
 
 verbs:
-  bench        run the canonical perf suite / compare BENCH records
   run          run one benchmark on one configuration
   experiments  run figure/table experiment sweeps
   lint         determinism lint over the source tree
@@ -41,13 +38,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(_USAGE, end="")
         return 0
     verb, rest = argv[0], argv[1:]
-    if verb == "bench":
-        from repro.obs.bench import main as bench_main
-        return bench_main(rest)
     if verb == "run":
         from repro.system.cli import main as run_main
         return run_main(rest)
-    if verb in ("experiments", "sweep"):
+    if verb == "experiments":
         from repro.experiments.cli import main as experiments_main
         return experiments_main(rest)
     if verb in ("lint", "races", "sanitize"):

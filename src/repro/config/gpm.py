@@ -68,6 +68,8 @@ class GPMConfig:
     l1_vector_tlb: TLBConfig = field(
         default_factory=lambda: TLBConfig(1, 32, 4, 4)
     )
+    # The L1 scalar and instruction TLBs are reported in Table I (tab01)
+    # but not simulated: the workload traces carry vector-memory accesses.
     l1_scalar_tlb: TLBConfig = field(
         default_factory=lambda: TLBConfig(1, 32, 4, 4)
     )

@@ -145,12 +145,6 @@ class SweepAbortedError(ReproError):
         self.failures = [] if failures is None else failures
 
 
-class BenchError(ReproError):
-    """Raised for invalid BENCH records: an unreadable or missing baseline
-    file, a schema version newer than this code understands, or a record
-    missing required fields."""
-
-
 class ReproWarning(UserWarning):
     """Base class for warnings the simulator emits about suspect results."""
 

@@ -5,7 +5,7 @@ freeing allocated memory (§II-A: "The only necessity of TLB shootdown is
 freeing allocated memory, which has a negligible impact").  This module
 implements that path so frees are *correct* — every stale copy of an
 unmapped translation disappears from the wafer — and so the negligible-
-impact claim is measurable (see ``benchmarks/bench_ext_shootdown.py``).
+impact claim is measurable (see ``figures/test_ext_ablations.py``).
 
 Protocol: the CPU removes the mappings from the global page table and the
 owners' local tables, then broadcasts an invalidation to every GPM; each
@@ -76,8 +76,6 @@ def shootdown(
         scrubbed = 0
         for vpn in vpn_list:
             scrubbed += gpm.hierarchy.l1_vector.invalidate(vpn)
-            scrubbed += gpm.hierarchy.l1_scalar.invalidate(vpn)
-            scrubbed += gpm.hierarchy.l1_inst.invalidate(vpn)
             scrubbed += gpm.hierarchy.l2.invalidate(vpn)
             if gpm.hierarchy.llt.invalidate(vpn):
                 scrubbed += 1

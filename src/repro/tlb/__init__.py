@@ -1,5 +1,5 @@
 """TLB structures: set-associative LRU TLBs, MSHR files, and the per-GPM
-translation hierarchy (L1 TLBs -> L2 TLB -> cuckoo filter -> last-level
+translation hierarchy (L1 vector TLB -> L2 TLB -> cuckoo filter -> last-level
 TLB -> GMMU), per Table I and Figure 1(b)."""
 
 from repro.tlb.hierarchy import LocalProbeResult, TranslationHierarchy

@@ -55,8 +55,6 @@ class TranslationHierarchy:
         "gpm_id",
         "config",
         "l1_vector",
-        "l1_scalar",
-        "l1_inst",
         "l2",
         "llt",
         "cuckoo",
@@ -75,8 +73,6 @@ class TranslationHierarchy:
         self.config = config
         prefix = f"gpm{gpm_id}"
         self.l1_vector = _build_tlb(prefix + ".l1v", config.l1_vector_tlb)
-        self.l1_scalar = _build_tlb(prefix + ".l1s", config.l1_scalar_tlb)
-        self.l1_inst = _build_tlb(prefix + ".l1i", config.l1_inst_tlb)
         self.l2 = _build_tlb(prefix + ".l2tlb", config.l2_tlb)
         self.llt = _build_tlb(prefix + ".llt", config.gmmu_cache)
         self.cuckoo = CuckooFilter(
@@ -190,8 +186,6 @@ class TranslationHierarchy:
         """Named TLB levels, for per-level metrics export."""
         return {
             "l1v": self.l1_vector,
-            "l1s": self.l1_scalar,
-            "l1i": self.l1_inst,
             "l2tlb": self.l2,
             "llt": self.llt,
         }

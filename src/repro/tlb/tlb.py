@@ -1,7 +1,7 @@
 """Set-associative TLB with LRU replacement.
 
-Used for every TLB level in Table I (L1 vector/scalar/instruction, L2,
-GMMU cache / last-level TLB) and for the IOMMU-side TLB variant of the
+Used for every simulated TLB level of Table I (L1 vector, L2, GMMU
+cache / last-level TLB) and for the IOMMU-side TLB variant of the
 Figure 19 study.  Values are arbitrary payloads — the GPM levels store
 :class:`~repro.mem.page.PageTableEntry` objects.
 """

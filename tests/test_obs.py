@@ -278,7 +278,7 @@ class TestTracedRuns:
     def test_per_level_tlb_metrics(self, small_system_config):
         result, _ = _traced_run(small_system_config)
         tlb = result.extras["metrics"]["gpm0"]["tlb"]
-        assert set(tlb) == {"l1v", "l1s", "l1i", "l2tlb", "llt"}
+        assert set(tlb) == {"l1v", "l2tlb", "llt"}
         assert tlb["l1v"]["hits"] + tlb["l1v"]["misses"] > 0
 
     def test_link_report_in_extras(self, small_system_config):
