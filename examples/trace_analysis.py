@@ -15,6 +15,17 @@ import sys
 
 from repro import run_benchmark, wafer_7x7_config
 from repro.config.scaling import capacity_scaled
+from repro.stats.histogram import BucketHistogram
+from repro.stats.locality import fraction_within
+from repro.stats.reuse import (
+    REUSE_DISTANCE_BOUNDARIES,
+    fraction_short,
+    fraction_single_translation,
+    mean_translations_per_page,
+    repeated_requests,
+    reuse_fractions,
+    unique_pages,
+)
 
 
 def main() -> None:
@@ -23,41 +34,42 @@ def main() -> None:
 
     config = capacity_scaled(wafer_7x7_config(), scale)
     result = run_benchmark(config, workload, scale=scale)
-    analyzers = result.extras["iommu_analyzers"]
+    # JSON summaries of the IOMMU's request-stream recorders.
+    summaries = result.extras["iommu_analyzers"]
 
-    counts = analyzers["translation_counts"]
+    counts = summaries["translation_counts"]
+    mean = mean_translations_per_page(counts)
+    single = fraction_single_translation(counts)
     print(f"=== {workload.upper()}: IOMMU translation characterisation ===")
-    print(f"requests: {counts.total_requests:,} over "
-          f"{counts.unique_pages:,} pages "
-          f"({counts.mean_translations_per_page():.2f} translations/page)")
-    print(f"pages translated exactly once: "
-          f"{counts.fraction_single_translation():.1%}")
+    print(f"requests: {counts['total_requests']:,} over "
+          f"{unique_pages(counts):,} pages ({mean:.2f} translations/page)")
+    print(f"pages translated exactly once: {single:.1%}")
 
-    reuse = analyzers["reuse_distance"]
-    print(f"\nReuse distances ({reuse.repeated_requests:,} repeats):")
-    for label, fraction in zip(reuse.histogram.labels(),
-                               reuse.histogram.fractions()):
+    reuse = summaries["reuse_distance"]
+    labels = BucketHistogram(REUSE_DISTANCE_BOUNDARIES).labels()
+    print(f"\nReuse distances ({repeated_requests(reuse):,} repeats):")
+    for label, fraction in zip(labels, reuse_fractions(reuse)):
         bar = "#" * int(fraction * 40)
         print(f"  {label:>14}: {fraction:6.1%} {bar}")
 
-    locality = analyzers["spatial_locality"]
+    locality = summaries["spatial_locality"]
     print("\nNext-request page distance (cumulative):")
     for pages in (1, 2, 4, 16):
-        print(f"  within {pages:>2} pages: {locality.fraction_within(pages):6.1%}")
+        print(f"  within {pages:>2} pages: {fraction_within(locality, pages):6.1%}")
 
     print("\nReading the tea leaves:")
-    if counts.mean_translations_per_page() > 5:
+    if mean > 5:
         print("  - hot shared pages re-translated many times: peer caching "
               "and redirection will serve the repeats.")
-    if counts.fraction_single_translation() > 0.8:
+    if single > 0.8:
         print("  - single-touch pages: caching won't help, prefetch might.")
-    if reuse.fraction_short(10) > 0.2:
+    if fraction_short(reuse, 10) > 0.2:
         print("  - many short-distance repeats: PW-queue revisit "
               "(coalescing) will catch these.")
-    if locality.fraction_within(4) > 0.15:
+    if fraction_within(locality, 4) > 0.15:
         print("  - strong spatial locality: proactive N+1..N+3 delivery "
               "will pay off.")
-    if reuse.max_distance > 10_000:
+    if reuse["max"] > 10_000:
         print("  - very long reuse distances exist: small tables will "
               "evict before reuse (the MT failure mode).")
 

@@ -32,12 +32,14 @@ def main() -> None:
             base_config, WORKLOAD, scale=scale, sample_buffer_every=2000
         )
         hdpat = run_benchmark(hdpat_config, WORKLOAD, scale=scale)
+        series = baseline.extras["buffer_series"]
+        peak = max((value for _cycle, value in series), default=0.0)
         print(
             f"{width}x{height:<4} {base_config.num_gpms:>5} "
             f"{baseline.exec_cycles:>13,} {hdpat.exec_cycles:>11,} "
             f"{hdpat.speedup_over(baseline):>7.2f}x "
             f"{hdpat.offload_fraction():>7.1%} "
-            f"{baseline.buffer_series.max():>17.0f}"
+            f"{peak:>17.0f}"
         )
     print("\nThe IOMMU backlog grows superlinearly with GPM count — and "
           "so does HDPAT's payoff.")

@@ -59,9 +59,6 @@ class SystemConfig:
     def with_page_size(self, page_size: int) -> "SystemConfig":
         return replace(self, page_size=page_size)
 
-    def with_gpm(self, gpm: GPMConfig) -> "SystemConfig":
-        return replace(self, gpm=gpm)
-
     def with_mesh(self, width: int, height: int) -> "SystemConfig":
         return replace(self, mesh_width=width, mesh_height=height)
 

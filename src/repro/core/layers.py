@@ -36,10 +36,6 @@ class ConcentricLayout:
             ring: topology.ring_members(ring) for ring in self.caching_rings
         }
 
-    @property
-    def num_layers(self) -> int:
-        return len(self.caching_rings)
-
     def members(self, ring: int) -> List[Tile]:
         try:
             return self._members[ring]

@@ -62,9 +62,6 @@ class TranslationPolicy:
     def coord_of_gpm(self, gpm_id: int) -> Coordinate:
         return self.wafer.gpms[gpm_id].coordinate
 
-    def gpm_by_id(self, gpm_id: int):
-        return self.wafer.gpms[gpm_id]
-
     def gpm_alive(self, gpm_id: int) -> bool:
         """Whether a GPM survived the fault plan (always true without one)."""
         faults = self.wafer.faults

@@ -1,12 +1,14 @@
 """Content-addressed on-disk result cache (the sweep executor's L2).
 
 One JSON file per job under the cache root, named by the job's SHA-256
-cache key.  Files carry the schema/code version and the job's
-human-readable identity alongside the serialised result, so a cache
-directory is self-describing and can be audited with ``jq``.  Writes are
-atomic (temp file + ``os.replace``) so concurrent sweeps sharing a cache
-directory never observe torn files; corrupt or stale entries read as
-misses and are overwritten on the next store.
+cache key.  An entry is ``{"schema", "version", "job", "result",
+"extras"}``: the schema/code version, the job's human-readable identity,
+``RunResult.to_dict()``, and the run's extras (every value a harness
+reads besides ``to_dict()``), so a revived result equals the live one
+and a cache directory is self-describing and can be audited with
+``jq``.  Writes are atomic (temp file + ``os.replace``) so concurrent
+sweeps sharing a cache directory never observe torn files; corrupt or
+stale entries read as misses and are overwritten on the next store.
 """
 
 from __future__ import annotations
@@ -33,11 +35,6 @@ class DiskResultCache:
     def path_for(self, job: RunJob) -> Path:
         return self.root / f"{job.cache_key()}.json"
 
-    def has(self, job: RunJob) -> bool:
-        """Whether an entry exists for ``job`` (no schema/parse check —
-        a stale or corrupt file still reads as a miss via :meth:`load`)."""
-        return self.path_for(job).exists()
-
     def has_key(self, key: str) -> bool:
         """Existence check by raw cache key (the service's precommit check)."""
         return (self.root / f"{key}.json").exists()
@@ -54,6 +51,7 @@ class DiskResultCache:
             return None
         try:
             result = RunResult.from_dict(payload["result"])
+            result.extras = payload["extras"]
         except (KeyError, TypeError, ValueError):
             return None
         self.loads += 1
@@ -68,6 +66,7 @@ class DiskResultCache:
             "version": __version__,
             "job": job.describe(),
             "result": result.to_dict(),
+            "extras": result.extras,
         }
         path = self.path_for(job)
         fd, tmp_name = tempfile.mkstemp(

@@ -206,9 +206,8 @@ class SweepExecutor:
         self._beat()
 
     def lookup(self, job: RunJob) -> Optional[RunResult]:
-        """Disk (L2) lookup.  Rich jobs never read from disk: the JSON
-        round-trip cannot carry their live analyzer/series objects."""
-        if self.disk is None or job.rich:
+        """Disk (L2) lookup: the stored result, extras included."""
+        if self.disk is None:
             return None
         result = self.disk.load(job)
         if result is not None:
@@ -217,40 +216,35 @@ class SweepExecutor:
         return result
 
     def store(self, job: RunJob, result: RunResult) -> None:
-        """Persist a result (all jobs are storable — a later non-rich
-        request may be served from the JSON).  Every executed job is
-        stored exactly once, as it completes."""
+        """Persist a result.  Every executed job is stored exactly once,
+        as it completes."""
         if self.disk is not None:
             self.disk.store(job, result)
 
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def run_inline(self, job: RunJob, policy_factory=None) -> RunResult:
+    def run_inline(self, job: RunJob) -> RunResult:
         """Queue and execute one job in-process (``RunCache``'s cache-miss
         path) — see :meth:`_execute_inline`."""
         self._queued.inc()
-        return self._execute_inline(job, policy_factory)
+        return self._execute_inline(job)
 
-    def _execute_inline(self, job: RunJob, policy_factory=None) -> RunResult:
+    def _execute_inline(self, job: RunJob) -> RunResult:
         """Execute, account, and store one job in-process.
 
         The one in-process execution routine, shared by
-        :meth:`run_inline` and the ``jobs=1`` path of :meth:`map`.
-        Honours a caller-supplied ``policy_factory`` (which may close
-        over anything).  A failure is counted and recorded, then
-        re-raised to the caller.
+        :meth:`run_inline` and the ``jobs=1`` path of :meth:`map`.  A
+        failure is counted and recorded, then re-raised to the caller.
         """
         started = perf_counter()
         counters: Optional[Dict[str, int]] = None
         self._running.set(1)
         try:
-            if self.worker_metrics and policy_factory is None:
+            if self.worker_metrics:
                 result, _wall, counters = execute_job_observed(job)
             else:
-                result = execute_job(
-                    job, policy_factory() if policy_factory else None
-                )
+                result = execute_job(job)
         except Exception as exc:
             self._record_failure(job, repr(exc), 1, perf_counter() - started)
             raise

@@ -3,20 +3,19 @@
 A :class:`RunJob` is a fully picklable description of one benchmark run —
 the *unscaled* :class:`~repro.config.SystemConfig`, the workload name, the
 scale/seed, a policy key, and any extra ``run_benchmark`` keyword
-arguments.  :func:`execute_job` is the process-pool worker: it revives the
-policy from the key, applies the scaled-capacity methodology, and runs the
-benchmark exactly the way ``RunCache.get`` does in-process, so serial and
-parallel execution produce byte-identical results.
+arguments.  :func:`execute_job` runs one: it revives the policy from the
+key, applies the scaled-capacity methodology, and runs the benchmark.
+It is the only way a job runs — in-process, in a pool worker, or on a
+service host — so every path produces the same result.
 
-Policy revival contract
------------------------
-Lambdas do not cross process boundaries, so a job carries only its
-``policy_key``.  When the key names a SOTA baseline (``transfw`` /
-``valkyrie`` / ``barre``) the worker rebuilds the policy via
-:func:`~repro.core.baselines.registry.sota_policy`; any other key is a
-pure cache-namespacing label and means "config-derived policy".  Harnesses
-that pass a *custom* ``policy_factory`` under a non-SOTA key are still
-correct — those jobs are simply not pool-safe and run in-process.
+Every job is reproducible anywhere
+----------------------------------
+A job carries only JSON-able values: :func:`make_job` rejects a
+``policy_key`` that is neither ``""`` (the config-derived policy) nor a
+SOTA baseline name (``transfw`` / ``valkyrie`` / ``barre``, rebuilt by
+:func:`~repro.core.baselines.registry.sota_policy`), and any run kwarg
+that is not a JSON scalar.  So any process can rebuild any job, and its
+result — extras included — round-trips the disk cache.
 """
 
 from __future__ import annotations
@@ -28,8 +27,9 @@ from typing import Dict, Optional, Tuple
 from repro.config.scaling import capacity_scaled
 from repro.config.system import SystemConfig
 from repro.core.baselines.registry import SOTA_NAMES, sota_policy
+from repro.errors import ConfigurationError
 from repro.system.result import RunResult
-from repro.system.runner import run_benchmark
+from repro.system.runner import OBS_EXTRAS, run_benchmark
 
 #: Bumped whenever simulator semantics change in a way that invalidates
 #: previously cached results without changing any config/workload identity
@@ -42,14 +42,16 @@ from repro.system.runner import run_benchmark
 #: 4: MSHR-stalled accesses wake one per freed slot, in FIFO order, with
 #: the slot reserved across their re-probe (runs that fill the MSHRs,
 #: e.g. spmv/pr/mt, moved slightly).
-CACHE_SCHEMA = 4
+#: 5: entries store the run's extras beside ``result`` (entry shape only;
+#: the model did not change).
+CACHE_SCHEMA = 5
 
 #: Attempts per job (the first run plus retries) before it is recorded as
 #: failed — one budget for the local pool (charged failures) and the
 #: service ledger (failures and expired leases).
 MAX_ATTEMPTS = 3
 
-#: run_benchmark kwargs value types a job may carry across processes.
+#: run_benchmark kwargs value types a job may carry (JSON scalars).
 _SIMPLE = (int, float, str, bool, type(None))
 
 
@@ -64,10 +66,6 @@ class RunJob:
     policy_key: str = ""
     #: Sorted ``(name, value)`` pairs of extra run_benchmark kwargs.
     run_kwargs: Tuple[Tuple[str, object], ...] = ()
-    #: Rich jobs need live analyzer/series objects on the result; they are
-    #: executed and memory-cached normally but never *served* from the
-    #: JSON disk cache (which cannot carry live objects).
-    rich: bool = False
 
     @property
     def memory_key(self) -> str:
@@ -117,18 +115,6 @@ class RunJob:
             f"/{self.policy_key or 'config'}/{config_tag}"
         )
 
-    def pool_safe(self, policy_factory=None) -> bool:
-        """Whether a worker process can reproduce this job exactly.
-
-        Requires a revivable policy (no factory, or a SOTA key honouring
-        the revival contract above) and simple picklable kwargs.
-        """
-        if policy_factory is not None and self.policy_key not in SOTA_NAMES:
-            return False
-        return all(
-            isinstance(value, _SIMPLE) for _name, value in self.run_kwargs
-        )
-
     def describe(self) -> Dict[str, object]:
         """Human-readable identity for failure records and cache metadata."""
         return {
@@ -147,10 +133,23 @@ def make_job(
     scale: float,
     seed: Optional[int] = None,
     policy_key: str = "",
-    rich: bool = False,
     **run_kwargs,
 ) -> RunJob:
-    """Normalise ``RunCache.get``-style arguments into a :class:`RunJob`."""
+    """Normalise run arguments into a :class:`RunJob`.
+
+    Raises :class:`~repro.errors.ConfigurationError` for a job no other
+    process could rebuild: a ``policy_key`` that is neither ``""`` nor a
+    SOTA name, or a run kwarg that is not a JSON scalar.
+    """
+    if policy_key and policy_key not in SOTA_NAMES:
+        raise ConfigurationError(
+            f"policy_key {policy_key!r} is neither '' nor one of {SOTA_NAMES}"
+        )
+    for name, value in run_kwargs.items():
+        if not isinstance(value, _SIMPLE):
+            raise ConfigurationError(
+                f"run kwarg {name}={value!r} is not a JSON scalar"
+            )
     return RunJob(
         config=config,
         workload=workload,
@@ -158,34 +157,32 @@ def make_job(
         seed=seed,
         policy_key=policy_key,
         run_kwargs=tuple(sorted(run_kwargs.items())),
-        rich=rich,
     )
 
 
 def revive_policy(job: RunJob):
     """Rebuild the policy override a worker must run ``job`` under."""
     if job.policy_key in SOTA_NAMES:
-        # Matches the harnesses' factories: SOTA policies are built from
-        # the *unscaled* config's HDPAT block (capacity_scaled never
-        # touches hdpat, so this is exact).
+        # SOTA policies are built from the *unscaled* config's HDPAT
+        # block (capacity_scaled never touches hdpat, so this is exact).
         return sota_policy(job.policy_key, job.config.hdpat)
     return None
 
 
-def execute_job(job: RunJob, policy=None) -> RunResult:
-    """Process-pool worker: run one job to completion.
+def execute_job(job: RunJob, obs=None) -> RunResult:
+    """Run one job to completion.
 
-    Mirrors ``RunCache.get``'s execution path bit-for-bit: scaled-capacity
-    config, explicit seed, policy override (``policy``, or the one revived
-    from the job's key).  Determinism of the simulator makes the returned
-    :class:`RunResult` identical to a serial run.
+    Scaled-capacity config, explicit seed, and the policy revived from the
+    job's key.  Determinism of the simulator makes the returned
+    :class:`RunResult` identical wherever it runs.
     """
     return run_benchmark(
         capacity_scaled(job.config, job.scale),
         job.workload,
         scale=job.scale,
         seed=job.seed,
-        policy=revive_policy(job) if policy is None else policy,
+        policy=revive_policy(job),
+        obs=obs,
         **dict(job.run_kwargs),
     )
 
@@ -202,24 +199,19 @@ def execute_job_observed(
     :meth:`~repro.obs.metrics.MetricsRegistry.merge_counters`).  The
     parent folds these into its own registry, so a parallel sweep ends
     with the same sweep-wide totals a serial one accumulates in place.
+    The result drops its :data:`~repro.system.runner.OBS_EXTRAS`, so it
+    (and its cache file) matches an unobserved run's.
     """
     from time import perf_counter
 
     from repro.obs import Observability
 
     obs = Observability(metrics=True)
-    kwargs = dict(job.run_kwargs)
-    kwargs["obs"] = obs
     started = perf_counter()
-    result = run_benchmark(
-        capacity_scaled(job.config, job.scale),
-        job.workload,
-        scale=job.scale,
-        seed=job.seed,
-        policy=revive_policy(job),
-        **kwargs,
-    )
+    result = execute_job(job, obs)
     wall = perf_counter() - started
+    for key in OBS_EXTRAS:
+        result.extras.pop(key, None)
     counters = {
         name: value
         for name, value in obs.registry.flat().items()

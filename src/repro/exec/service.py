@@ -11,7 +11,8 @@ filesystem directory (the service root)::
 
 A :class:`Coordinator` admits config grids as named campaigns: it
 expands a scheme x benchmark x scale x seed grid into the exact
-:class:`~repro.exec.jobs.RunJob` cells the CLI ``sweep`` verb would run,
+:class:`~repro.exec.jobs.RunJob` cells the CLI ``sweep`` verb runs
+(through that verb's own ``grid_cells`` and ``cell_job``),
 registers their sha256 cache keys in the :class:`~repro.exec.ledger.
 JobLedger` (keys whose result already sits in the shared cache enter as
 pre-committed), and reports merged progress from every host's heartbeat
@@ -52,7 +53,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.errors import CampaignError
 from repro.exec.diskcache import DiskResultCache
 from repro.exec.executor import SweepExecutor
-from repro.exec.jobs import RunJob, make_job
 from repro.exec.ledger import JobLedger
 from repro.exec.progress import SweepHeartbeat, merge_heartbeat_streams
 from repro.exec.resilience import CRASH, HANG, OK, SLOW, WorkerFaultPlan
@@ -65,56 +65,6 @@ HOSTS_DIRNAME = "hosts"
 def default_host_id() -> str:
     """A host id unique per process on a shared filesystem."""
     return f"{socket.gethostname()}-{os.getpid()}"
-
-
-def cell_job(
-    scheme: str, workload: str, scale: float, seed: int
-) -> RunJob:
-    """The :class:`RunJob` for one grid cell, *exactly* as the CLI
-    ``sweep`` verb builds it — same config, same policy key — so the
-    service's content addresses are interchangeable with serial runs
-    (that identity is what makes result tables byte-comparable).
-    """
-    from repro.core.baselines.registry import SOTA_NAMES
-    from repro.experiments.sweep import scheme_config
-
-    return make_job(
-        scheme_config(scheme),
-        workload,
-        float(scale),
-        seed=int(seed),
-        policy_key=scheme if scheme in SOTA_NAMES else "",
-    )
-
-
-def campaign_cells(
-    schemes: Optional[Sequence[str]] = None,
-    benchmarks=None,
-    scales: Optional[Sequence[float]] = None,
-    seeds: Optional[Sequence[int]] = None,
-) -> List[Tuple[str, str, float, int]]:
-    """Expand a grid into cells in the ``sweep`` verb's canonical order
-    (scheme x benchmark x scale x seed), validating every axis."""
-    from repro.errors import ReproError
-    from repro.experiments.common import DEFAULT_SCALE, resolve_benchmarks
-    from repro.experiments.sweep import SCHEME_NAMES
-
-    schemes = list(schemes) if schemes else ["baseline", "hdpat"]
-    for scheme in schemes:
-        if scheme not in SCHEME_NAMES:
-            raise ReproError(
-                f"unknown scheme {scheme!r}; available: {list(SCHEME_NAMES)}"
-            )
-    names = resolve_benchmarks(benchmarks)
-    scales = [float(s) for s in scales] if scales else [DEFAULT_SCALE]
-    seeds = [int(s) for s in seeds] if seeds else [42]
-    return [
-        (scheme, name, cell_scale, cell_seed)
-        for scheme in schemes
-        for name in names
-        for cell_scale in scales
-        for cell_seed in seeds
-    ]
 
 
 class Coordinator:
@@ -152,8 +102,9 @@ class Coordinator:
         """Admit one campaign; back-pressure and duplicate-name errors
         propagate from the ledger with the state untouched."""
         from repro.experiments.common import resolve_benchmarks
+        from repro.experiments.sweep import cell_job, grid_cells
 
-        cells = campaign_cells(schemes, benchmarks, scales, seeds)
+        cells = grid_cells(schemes, benchmarks, scales, seeds)
         cache = DiskResultCache(self.cache_dir)
         entries: List[Tuple[str, List[object], str]] = []
         precommitted = set()
@@ -307,6 +258,8 @@ class WorkerHost:
             self._chaos.inc()
         if verdict == CRASH:
             self.faults.die()
+        from repro.experiments.sweep import cell_job
+
         job = cell_job(*claim["cell"])
         started = time.perf_counter()
         result = self.executor.lookup(job)
@@ -378,7 +331,5 @@ __all__ = [
     "Coordinator",
     "HOSTS_DIRNAME",
     "WorkerHost",
-    "campaign_cells",
-    "cell_job",
     "default_host_id",
 ]

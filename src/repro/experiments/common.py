@@ -3,23 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import (
-    Callable,
-    Dict,
-    Iterable,
-    List,
-    Optional,
-    Sequence,
-    Union,
-)
+from typing import Dict, Iterable, List, Optional, Sequence, Union
 
-from repro.config.scaling import capacity_scaled
 from repro.config.system import SystemConfig
-from repro.core.policy import TranslationPolicy
 from repro.exec.executor import SweepExecutor
 from repro.exec.jobs import RunJob, make_job
 from repro.system.result import RunResult
-from repro.system.runner import run_benchmark
 from repro.workloads.registry import BENCHMARK_NAMES
 
 #: Default trace scale for interactive experiment runs.  The paper's
@@ -82,124 +71,85 @@ def _format_cell(cell: object) -> str:
 
 
 class RunCache:
-    """Memoises benchmark runs: in-memory L1 over an optional disk L2.
+    """Memoises benchmark runs: an in-memory L1 over the executor.
 
     Experiments share baselines heavily (every speedup normalises to the
-    same run); the cache keys on the full config repr plus workload, scale,
-    and seed, so distinct configurations never collide.
+    same run); the L1 keys on the full config repr plus workload, scale,
+    seed, policy key, and run kwargs, so distinct jobs never collide.
 
-    Attaching a :class:`~repro.exec.SweepExecutor` adds two layers: its
-    content-addressed disk cache serves results across processes, and
-    :meth:`warm` pre-executes whole job batches across a process pool so
-    the harnesses' serial loops become pure L1 hits.  Without an executor
-    the behaviour is the historical serial one, unchanged.
+    Every miss goes through the :class:`~repro.exec.SweepExecutor` (by
+    default ``SweepExecutor(jobs=1)``, in-process and without a disk
+    cache): its content-addressed disk cache, if any, serves results
+    across processes, and :meth:`warm` pre-executes whole job batches
+    across its process pool so the harnesses' serial reads become pure
+    L1 hits.
     """
 
     def __init__(self, executor: Optional[SweepExecutor] = None) -> None:
         self._runs: Dict[str, RunResult] = {}
-        #: L1 keys whose value was revived from disk JSON.  Those entries
-        #: lack live objects (analyzers, series) and must not satisfy a
-        #: ``rich=True`` request — a rich miss re-executes and the live
-        #: result replaces the revived one.
-        self._from_disk: set = set()
         self.hits = 0
         self.misses = 0
         self.disk_hits = 0
-        self.executor = executor
+        self.executor = executor if executor is not None else SweepExecutor(jobs=1)
 
-    def _l1_hit(self, key: str, rich: bool) -> bool:
-        return key in self._runs and not (rich and key in self._from_disk)
-
-    def get(
-        self,
-        config: SystemConfig,
-        workload: str,
-        scale: float,
-        seed: Optional[int] = None,
-        policy_factory: Optional[Callable[[], TranslationPolicy]] = None,
-        policy_key: str = "",
-        rich: bool = False,
-        **run_kwargs,
-    ) -> RunResult:
-        """The result for one run, computed at most once.
-
-        ``rich=True`` marks runs whose consumers need live objects on the
-        result (analyzers, ``buffer_series``); they are never *served*
-        from the JSON disk cache, which cannot round-trip those.
-        """
-        job = make_job(
-            config, workload, scale, seed=seed, policy_key=policy_key,
-            rich=rich, **run_kwargs,
-        )
-        key = job.memory_key
-        if self._l1_hit(key, rich):
-            self.hits += 1
-            if self.executor is not None:
-                self.executor.note_memory_hit()
-            return self._runs[key]
-        if self.executor is not None:
-            cached = self.executor.lookup(job)
-            if cached is not None:
-                self.disk_hits += 1
-                self._runs[key] = cached
-                self._from_disk.add(key)
-                return cached
-        self.misses += 1
-        if self.executor is not None:
-            result = self.executor.run_inline(job, policy_factory)
-        else:
-            policy = policy_factory() if policy_factory else None
-            # Scaled-capacity methodology: shrink capacity-sensitive
-            # structures with the workload so capacity-to-footprint ratios
-            # match full size (see repro.config.scaling).
-            result = run_benchmark(
-                capacity_scaled(config, scale), workload,
-                scale=scale, seed=seed, policy=policy, **run_kwargs,
-            )
-        self._runs[key] = result
-        self._from_disk.discard(key)
+    def _load(self, job: RunJob) -> Optional[RunResult]:
+        """The executor's disk result for ``job`` (kept in L1), or None."""
+        result = self.executor.lookup(job)
+        if result is not None:
+            self.disk_hits += 1
+            self._runs[job.memory_key] = result
         return result
 
-    def warm(self, specs: Iterable[Dict[str, object]]) -> None:
-        """Pre-execute a batch of :meth:`get` calls, in parallel.
+    def get(self, job: RunJob) -> RunResult:
+        """The result for one job, computed at most once."""
+        key = job.memory_key
+        if key in self._runs:
+            self.hits += 1
+            self.executor.note_memory_hit()
+            return self._runs[key]
+        result = self._load(job)
+        if result is None:
+            self.misses += 1
+            result = self._runs[key] = self.executor.run_inline(job)
+        return result
 
-        Each spec is a dict of :meth:`get` keyword arguments (``config``,
-        ``workload``, ``scale``, ``seed``, optionally ``policy_key`` /
-        ``policy_factory`` / ``rich`` / extra run kwargs).  With no
-        executor, or an executor running ``jobs=1``, this is a no-op —
-        the harness's own serial loop computes everything, exactly as
-        before.  Otherwise: L1/L2 hits are absorbed, the remaining
-        pool-safe jobs run across the process pool, and every result
-        lands in L1 (and on disk) so the subsequent serial loop never
-        simulates.  Failures are recorded on the executor, not raised:
-        the serial ``get`` retries the job and surfaces the error with
-        its original traceback.
+    def warm(self, jobs: Iterable[RunJob]) -> None:
+        """Pre-execute a batch of jobs across the executor's pool.
+
+        With an executor running ``jobs=1`` this is a no-op — the
+        harness's own reads compute everything serially.  Otherwise L1
+        and disk hits are absorbed, the remaining jobs run across the
+        process pool, and every result lands in L1 (and on disk) so the
+        subsequent reads never simulate.  Failures are recorded on the
+        executor, not raised: :meth:`get` re-runs the job and surfaces
+        the error with its original traceback.
         """
-        executor = self.executor
-        if executor is None or executor.jobs <= 1:
+        if self.executor.jobs <= 1:
             return
         to_run: Dict[str, RunJob] = {}
-        for spec in specs:
-            spec = dict(spec)
-            policy_factory = spec.pop("policy_factory", None)
-            job = make_job(**spec)
+        for job in jobs:
             key = job.memory_key
-            if self._l1_hit(key, job.rich) or key in to_run:
+            if key in self._runs or key in to_run:
                 continue
-            cached = executor.lookup(job)
-            if cached is not None:
-                self.disk_hits += 1
-                self._runs[key] = cached
-                self._from_disk.add(key)
-                continue
-            if job.pool_safe(policy_factory):
+            if self._load(job) is None:
                 to_run[key] = job
-        jobs = list(to_run.values())
-        results = executor.map(jobs)
-        for index, result in results.items():
-            job = jobs[index]
-            self._runs[job.memory_key] = result
-            self._from_disk.discard(job.memory_key)
+        batch = list(to_run.values())
+        for index, result in self.executor.map(batch).items():
+            self._runs[batch[index].memory_key] = result
+
+
+def job_grid(
+    configs: Dict[object, SystemConfig],
+    names: Sequence[str],
+    scale: float,
+    seed: Optional[int],
+) -> Dict[tuple, RunJob]:
+    """The usual harness grid: one job per ``(config label, benchmark)``."""
+    return {
+        (label, name): make_job(config, name, scale, seed)
+        for label, config in configs.items()
+        for name in names
+    }
 
 
 def resolve_benchmarks(

@@ -18,6 +18,7 @@ from repro.experiments.common import (
     DEFAULT_SCALE,
     ExperimentResult,
     RunCache,
+    make_job,
     resolve_benchmarks,
 )
 from repro.faults import degradation_plan
@@ -62,26 +63,23 @@ def run(
                 configs[scheme, fraction] = config.with_faults(plan)
             else:
                 configs[scheme, fraction] = config
-    # Faulted cells are rich: they read extras["faults"], which the JSON
-    # disk cache cannot carry.
-    cache.warm(
-        dict(config=configs[scheme, fraction], workload=name, scale=scale,
-             seed=seed, rich=fraction > 0)
+    jobs = {
+        (name, scheme, fraction): make_job(
+            configs[scheme, fraction], name, scale, seed
+        )
         for name in names
         for scheme, _config in schemes
         for fraction in FRACTIONS
-    )
+    }
+    cache.warm(jobs.values())
     rows = []
     curves = {}
     for name in names:
         for scheme, _config in schemes:
-            pristine = cache.get(configs[scheme, 0.0], name, scale, seed)
+            pristine = cache.get(jobs[name, scheme, 0.0])
             curve = []
             for fraction in FRACTIONS:
-                result = cache.get(
-                    configs[scheme, fraction], name, scale, seed,
-                    rich=fraction > 0,
-                )
+                result = cache.get(jobs[name, scheme, fraction])
                 slowdown = result.exec_cycles / pristine.exec_cycles
                 report = result.extras.get("faults", {})
                 counters = report.get("counters", {})

@@ -17,6 +17,7 @@ from repro.experiments.common import (
     ExperimentResult,
     REPRESENTATIVE_BENCHMARKS,
     RunCache,
+    job_grid,
     resolve_benchmarks,
 )
 from repro.units import geomean
@@ -35,25 +36,21 @@ def run(
         benchmarks if benchmarks is not None else REPRESENTATIVE_BENCHMARKS
     )
     base_config = wafer_7x7_config()
-    cache.warm(
-        [dict(config=base_config, workload=name, scale=scale, seed=seed)
-         for name in names]
-        + [dict(config=base_config.with_hdpat(
-                    replace(HDPATConfig.full(), num_layers=layers)),
-                workload=name, scale=scale, seed=seed)
-           for layers in LAYER_COUNTS for name in names]
+    configs = {"baseline": base_config}
+    configs.update(
+        (layers,
+         base_config.with_hdpat(replace(HDPATConfig.full(), num_layers=layers)))
+        for layers in LAYER_COUNTS
     )
+    jobs = job_grid(configs, names, scale, seed)
+    cache.warm(jobs.values())
     rows = []
     per_layer_speedups = {layers: [] for layers in LAYER_COUNTS}
     for name in names:
-        baseline = cache.get(base_config, name, scale, seed)
+        baseline = cache.get(jobs["baseline", name])
         row = [name.upper()]
         for layers in LAYER_COUNTS:
-            config = base_config.with_hdpat(
-                replace(HDPATConfig.full(), num_layers=layers)
-            )
-            result = cache.get(config, name, scale, seed)
-            speedup = result.speedup_over(baseline)
+            speedup = cache.get(jobs[layers, name]).speedup_over(baseline)
             per_layer_speedups[layers].append(speedup)
             row.append(speedup)
         rows.append(row)

@@ -21,6 +21,7 @@ from repro.experiments.common import (
     DEFAULT_SCALE,
     ExperimentResult,
     RunCache,
+    job_grid,
     resolve_benchmarks,
 )
 from repro.units import geomean
@@ -43,19 +44,19 @@ def run(
     migration_config = hdpat_config.with_migration(
         MigrationConfig(enabled=True, threshold=1, cooldown_cycles=20_000)
     )
-    # rich: reads extras["migration"], which the JSON cache does not carry.
-    cache.warm(
-        [dict(config=config, workload=name, scale=scale, seed=seed)
-         for config in (base_config, hdpat_config) for name in names]
-        + [dict(config=migration_config, workload=name, scale=scale,
-                seed=seed, rich=True) for name in names]
-    )
+    configs = {
+        "baseline": base_config,
+        "hdpat": hdpat_config,
+        "migrated": migration_config,
+    }
+    jobs = job_grid(configs, names, scale, seed)
+    cache.warm(jobs.values())
     rows = []
     ratios = []
     for name in names:
-        baseline = cache.get(base_config, name, scale, seed)
-        hdpat = cache.get(hdpat_config, name, scale, seed)
-        migrated = cache.get(migration_config, name, scale, seed, rich=True)
+        baseline = cache.get(jobs["baseline", name])
+        hdpat = cache.get(jobs["hdpat", name])
+        migrated = cache.get(jobs["migrated", name])
         hdpat_speedup = hdpat.speedup_over(baseline)
         migrated_speedup = migrated.speedup_over(baseline)
         ratios.append(migrated_speedup / hdpat_speedup)

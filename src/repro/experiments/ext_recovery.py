@@ -31,6 +31,7 @@ from repro.experiments.common import (
     DEFAULT_SCALE,
     ExperimentResult,
     RunCache,
+    make_job,
     resolve_benchmarks,
 )
 from repro.faults import FaultPlan, recovery_scenario
@@ -97,49 +98,35 @@ def run(
         ("hdpat", base.with_hdpat(HDPATConfig.full())),
     ]
     # Phase 1: healthy runs establish each cell's makespan; the timeline
-    # cycles derive from it.  Rich: the slowdown denominator reads
-    # extras["completed_accesses"].
-    cache.warm(
-        dict(config=config, workload=name, scale=scale, seed=seed, rich=True)
+    # cycles derive from it.
+    jobs = {
+        (name, scheme, "healthy"): make_job(config, name, scale, seed)
         for name in names
-        for _scheme, config in schemes
-    )
-    configs = {}
+        for scheme, config in schemes
+    }
+    cache.warm(jobs.values())
+    # Phase 2: the faulted variants.
     for name in names:
         for scheme, config in schemes:
-            span = cache.get(
-                config, name, scale, seed, rich=True
-            ).exec_cycles
+            span = cache.get(jobs[name, scheme, "healthy"]).exec_cycles
             for variant, recover in (("recovered", True), ("failstop", False)):
                 timeline = _timeline(config, span, seed, recover)
                 plan = FaultPlan(seed=_plan_seed(seed), timeline=timeline)
-                configs[name, scheme, variant] = config.with_faults(plan)
-            configs[name, scheme, "healthy"] = config
-    # Phase 2: the faulted variants (rich: they read extras["faults"]).
-    cache.warm(
-        dict(config=configs[name, scheme, variant], workload=name,
-             scale=scale, seed=seed, rich=True)
-        for name in names
-        for scheme, _config in schemes
-        for variant in ("recovered", "failstop")
-    )
+                jobs[name, scheme, variant] = make_job(
+                    config.with_faults(plan), name, scale, seed
+                )
+    cache.warm(jobs.values())
     rows = []
     curves = {}
     for name in names:
         for scheme, _config in schemes:
-            healthy = cache.get(
-                configs[name, scheme, "healthy"], name, scale, seed,
-                rich=True,
-            )
+            healthy = cache.get(jobs[name, scheme, "healthy"])
             healthy_cost = (
                 healthy.exec_cycles / healthy.extras["completed_accesses"]
             )
             curve = []
             for variant in VARIANTS:
-                result = cache.get(
-                    configs[name, scheme, variant], name, scale, seed,
-                    rich=True,
-                )
+                result = cache.get(jobs[name, scheme, variant])
                 completed = result.extras["completed_accesses"]
                 slowdown = (result.exec_cycles / completed) / healthy_cost
                 counters = (

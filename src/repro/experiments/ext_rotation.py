@@ -18,6 +18,7 @@ from repro.experiments.common import (
     ExperimentResult,
     REPRESENTATIVE_BENCHMARKS,
     RunCache,
+    job_grid,
     resolve_benchmarks,
 )
 from repro.units import geomean
@@ -38,17 +39,19 @@ def run(
     without_rotation = base_config.with_hdpat(
         replace(HDPATConfig.full(), use_rotation=False)
     )
-    cache.warm(
-        dict(config=config, workload=name, scale=scale, seed=seed)
-        for config in (base_config, with_rotation, without_rotation)
-        for name in names
-    )
+    configs = {
+        "baseline": base_config,
+        "rotated": with_rotation,
+        "unrotated": without_rotation,
+    }
+    jobs = job_grid(configs, names, scale, seed)
+    cache.warm(jobs.values())
     rows = []
     ratios = []
     for name in names:
-        baseline = cache.get(base_config, name, scale, seed)
-        rotated = cache.get(with_rotation, name, scale, seed)
-        unrotated = cache.get(without_rotation, name, scale, seed)
+        baseline = cache.get(jobs["baseline", name])
+        rotated = cache.get(jobs["rotated", name])
+        unrotated = cache.get(jobs["unrotated", name])
         rotated_speedup = rotated.speedup_over(baseline)
         unrotated_speedup = unrotated.speedup_over(baseline)
         ratios.append(rotated_speedup / unrotated_speedup)

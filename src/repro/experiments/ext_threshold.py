@@ -18,6 +18,7 @@ from repro.experiments.common import (
     ExperimentResult,
     REPRESENTATIVE_BENCHMARKS,
     RunCache,
+    job_grid,
     resolve_benchmarks,
 )
 from repro.units import geomean
@@ -36,24 +37,22 @@ def run(
         benchmarks if benchmarks is not None else REPRESENTATIVE_BENCHMARKS
     )
     base_config = wafer_7x7_config()
-    cache.warm(
-        [dict(config=base_config, workload=name, scale=scale, seed=seed)
-         for name in names]
-        + [dict(config=base_config.with_hdpat(
-                    replace(HDPATConfig.full(), push_threshold=threshold)),
-                workload=name, scale=scale, seed=seed)
-           for threshold in THRESHOLDS for name in names]
+    configs = {"baseline": base_config}
+    configs.update(
+        (threshold, base_config.with_hdpat(
+            replace(HDPATConfig.full(), push_threshold=threshold)))
+        for threshold in THRESHOLDS
     )
+    jobs = job_grid(configs, names, scale, seed)
+    cache.warm(jobs.values())
     rows = []
     for threshold in THRESHOLDS:
-        config = base_config.with_hdpat(
-            replace(HDPATConfig.full(), push_threshold=threshold)
-        )
-        speedups = []
-        for name in names:
-            baseline = cache.get(base_config, name, scale, seed)
-            result = cache.get(config, name, scale, seed)
-            speedups.append(result.speedup_over(baseline))
+        speedups = [
+            cache.get(jobs[threshold, name]).speedup_over(
+                cache.get(jobs["baseline", name])
+            )
+            for name in names
+        ]
         rows.append([f"threshold={threshold}", geomean(speedups)])
     return ExperimentResult(
         experiment_id="ext_threshold",

@@ -13,6 +13,7 @@ from repro.experiments.common import (
     DEFAULT_SCALE,
     ExperimentResult,
     RunCache,
+    job_grid,
     resolve_benchmarks,
 )
 from repro.units import geomean
@@ -33,17 +34,17 @@ def run(
     ideal_parallel = base_config.with_iommu(
         base_config.iommu.idealized(num_walkers=4096)
     )
-    cache.warm(
-        dict(config=config, workload=name, scale=scale, seed=seed)
-        for config in (base_config, ideal_latency, ideal_parallel)
-        for name in names
-    )
+    configs = {
+        "baseline": base_config, "fast": ideal_latency, "wide": ideal_parallel,
+    }
+    jobs = job_grid(configs, names, scale, seed)
+    cache.warm(jobs.values())
     rows = []
     latency_speedups, parallel_speedups = [], []
     for name in names:
-        baseline = cache.get(base_config, name, scale, seed)
-        fast = cache.get(ideal_latency, name, scale, seed)
-        wide = cache.get(ideal_parallel, name, scale, seed)
+        baseline = cache.get(jobs["baseline", name])
+        fast = cache.get(jobs["fast", name])
+        wide = cache.get(jobs["wide", name])
         speedup_fast = fast.speedup_over(baseline)
         speedup_wide = wide.speedup_over(baseline)
         latency_speedups.append(speedup_fast)

@@ -8,7 +8,12 @@ largest component, driven by a standing backlog of ~700 requests.
 from __future__ import annotations
 
 from repro.config.presets import wafer_7x7_config
-from repro.experiments.common import DEFAULT_SCALE, ExperimentResult, RunCache
+from repro.experiments.common import (
+    DEFAULT_SCALE,
+    ExperimentResult,
+    RunCache,
+    make_job,
+)
 
 
 def run(
@@ -20,7 +25,7 @@ def run(
     cache = cache or RunCache()
     workload = (benchmarks[0] if isinstance(benchmarks, (list, tuple)) and benchmarks
                 else "spmv")
-    result = cache.get(wafer_7x7_config(), workload, scale, seed)
+    result = cache.get(make_job(wafer_7x7_config(), workload, scale, seed))
     rows = [
         [phase, result.latency_breakdown[phase], result.latency_percent[phase]]
         for phase in ("pre_queue", "ptw_queue", "ptw")

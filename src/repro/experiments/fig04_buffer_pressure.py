@@ -9,7 +9,12 @@ demonstrating that the IOMMU only becomes the bottleneck at wafer scale.
 from __future__ import annotations
 
 from repro.config.presets import mcm_4gpm_config, wafer_7x7_config
-from repro.experiments.common import DEFAULT_SCALE, ExperimentResult, RunCache
+from repro.experiments.common import (
+    DEFAULT_SCALE,
+    ExperimentResult,
+    RunCache,
+    make_job,
+)
 
 SAMPLE_PERIOD = 2_000
 
@@ -23,35 +28,28 @@ def run(
     cache = cache or RunCache()
     workload = (benchmarks[0] if isinstance(benchmarks, (list, tuple)) and benchmarks
                 else "spmv")
-    # rich: the buffer-pressure TimeSeries cannot ride the JSON disk cache.
-    cache.warm(
-        dict(config=config, workload=workload, scale=scale, seed=seed,
-             sample_buffer_every=SAMPLE_PERIOD, policy_key=key, rich=True)
-        for key, config in (("mcm", mcm_4gpm_config()),
-                            ("wafer", wafer_7x7_config()))
-    )
-    mcm = cache.get(
-        mcm_4gpm_config(), workload, scale, seed,
-        sample_buffer_every=SAMPLE_PERIOD, policy_key="mcm", rich=True,
-    )
-    wafer = cache.get(
-        wafer_7x7_config(), workload, scale, seed,
-        sample_buffer_every=SAMPLE_PERIOD, policy_key="wafer", rich=True,
-    )
-    rows = [
-        [
-            "MCM-GPU (4 GPM)",
-            mcm.buffer_series.max(),
-            mcm.buffer_series.mean(),
-            mcm.exec_cycles,
-        ],
-        [
-            "Wafer-scale (48 GPM)",
-            wafer.buffer_series.max(),
-            wafer.buffer_series.mean(),
-            wafer.exec_cycles,
-        ],
-    ]
+    jobs = {
+        system: make_job(config, workload, scale, seed,
+                         sample_buffer_every=SAMPLE_PERIOD)
+        for system, config in (("mcm", mcm_4gpm_config()),
+                               ("wafer", wafer_7x7_config()))
+    }
+    cache.warm(jobs.values())
+    results = {system: cache.get(job) for system, job in jobs.items()}
+    series = {
+        system: result.extras["buffer_series"]
+        for system, result in results.items()
+    }
+    rows = []
+    for label, system in (("MCM-GPU (4 GPM)", "mcm"),
+                          ("Wafer-scale (48 GPM)", "wafer")):
+        values = [value for _cycle, value in series[system]]
+        rows.append([
+            label,
+            max(values) if values else 0.0,
+            sum(values) / len(values) if values else 0.0,
+            results[system].exec_cycles,
+        ])
     return ExperimentResult(
         experiment_id="fig04",
         title=f"IOMMU buffer pressure over time, {workload.upper()} (Figure 4)",
@@ -61,8 +59,5 @@ def run(
             "Paper: persistent ~700-request backlog on the 48-GPM wafer, "
             "negligible on the 4-GPM MCM."
         ),
-        series={
-            "mcm": mcm.buffer_series.points(),
-            "wafer": wafer.buffer_series.points(),
-        },
+        series=series,
     )

@@ -9,7 +9,12 @@ concentric design exploits (observation O2).
 from __future__ import annotations
 
 from repro.config.presets import wafer_7x7_config
-from repro.experiments.common import DEFAULT_SCALE, ExperimentResult, RunCache
+from repro.experiments.common import (
+    DEFAULT_SCALE,
+    ExperimentResult,
+    RunCache,
+    make_job,
+)
 from repro.noc.topology import MeshTopology
 from repro.units import cycles_to_ms
 
@@ -29,14 +34,15 @@ def run(
     rings = sorted(
         {topology.chebyshev_from_cpu(t.coordinate) for t in topology.gpm_tiles}
     )
-    cache.warm(
-        dict(config=config, workload=workload, scale=scale, seed=seed)
+    jobs = {
+        workload: make_job(config, workload, scale, seed)
         for workload in workloads
-    )
+    }
+    cache.warm(jobs.values())
     rows = []
     ratios = {}
     for workload in workloads:
-        result = cache.get(config, workload, scale, seed)
+        result = cache.get(jobs[workload])
         by_ring = {ring: [] for ring in rings}
         for tile, finish in zip(topology.gpm_tiles, result.per_gpm_finish):
             by_ring[topology.chebyshev_from_cpu(tile.coordinate)].append(finish)

@@ -12,7 +12,13 @@ from repro.experiments.common import (
     DEFAULT_SCALE,
     ExperimentResult,
     RunCache,
+    make_job,
     resolve_benchmarks,
+)
+from repro.stats.reuse import (
+    fraction_single_translation,
+    mean_translations_per_page,
+    unique_pages,
 )
 
 
@@ -25,29 +31,24 @@ def run(
     cache = cache or RunCache()
     names = resolve_benchmarks(benchmarks)
     config = wafer_7x7_config()
-    # rich: consumes the live translation-count analyzer.
-    cache.warm(
-        dict(config=config, workload=name, scale=scale, seed=seed, rich=True)
-        for name in names
-    )
+    jobs = {name: make_job(config, name, scale, seed) for name in names}
+    cache.warm(jobs.values())
     rows = []
     for name in names:
-        result = cache.get(config, name, scale, seed, rich=True)
+        result = cache.get(jobs[name])
         counts = result.extras["iommu_analyzers"]["translation_counts"]
-        histogram = counts.histogram()
-        once = counts.fraction_single_translation()
-        few = sum(
-            histogram.fraction(k) for k in histogram.keys() if 2 <= k <= 4
-        )
+        pages = unique_pages(counts)
+        once = fraction_single_translation(counts)
+        few = sum(n / pages for count, n in counts["histogram"] if 2 <= count <= 4)
         many = max(0.0, 1.0 - once - few)
         rows.append(
             [
                 name.upper(),
-                counts.unique_pages,
+                pages,
                 once,
                 few,
                 many,
-                counts.mean_translations_per_page(),
+                mean_translations_per_page(counts),
             ]
         )
     return ExperimentResult(

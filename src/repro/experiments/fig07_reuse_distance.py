@@ -8,7 +8,13 @@ hundreds of thousands (beyond LRU TLBs — motivating DRAM-backed caching).
 from __future__ import annotations
 
 from repro.config.presets import wafer_7x7_config
-from repro.experiments.common import DEFAULT_SCALE, ExperimentResult, RunCache
+from repro.experiments.common import (
+    DEFAULT_SCALE,
+    ExperimentResult,
+    RunCache,
+    make_job,
+)
+from repro.stats.reuse import repeated_requests, reuse_fractions
 
 DEFAULT_WORKLOADS = ("bt", "fwt", "mt", "pr")
 
@@ -22,20 +28,16 @@ def run(
     cache = cache or RunCache()
     names = tuple(benchmarks) if benchmarks else DEFAULT_WORKLOADS
     config = wafer_7x7_config()
-    # rich: consumes the live reuse-distance analyzer.
-    cache.warm(
-        dict(config=config, workload=name, scale=scale, seed=seed, rich=True)
-        for name in names
-    )
+    jobs = {name: make_job(config, name, scale, seed) for name in names}
+    cache.warm(jobs.values())
     rows = []
     for name in names:
-        result = cache.get(config, name, scale, seed, rich=True)
+        result = cache.get(jobs[name])
         reuse = result.extras["iommu_analyzers"]["reuse_distance"]
-        fractions = reuse.histogram.fractions()
         rows.append(
-            [name.upper(), reuse.repeated_requests]
-            + fractions
-            + [reuse.max_distance]
+            [name.upper(), repeated_requests(reuse)]
+            + reuse_fractions(reuse)
+            + [reuse["max"]]
         )
     labels = ["<10", "10-100", "100-1k", "1k-10k", "10k-100k", ">=100k"]
     return ExperimentResult(

@@ -12,8 +12,10 @@ from repro.experiments.common import (
     DEFAULT_SCALE,
     ExperimentResult,
     RunCache,
+    make_job,
     resolve_benchmarks,
 )
+from repro.stats.locality import fraction_within
 
 
 def run(
@@ -25,23 +27,15 @@ def run(
     cache = cache or RunCache()
     names = resolve_benchmarks(benchmarks)
     config = wafer_7x7_config()
-    # rich: consumes the live spatial-locality analyzer.
-    cache.warm(
-        dict(config=config, workload=name, scale=scale, seed=seed, rich=True)
-        for name in names
-    )
+    jobs = {name: make_job(config, name, scale, seed) for name in names}
+    cache.warm(jobs.values())
     rows = []
     for name in names:
-        result = cache.get(config, name, scale, seed, rich=True)
+        result = cache.get(jobs[name])
         locality = result.extras["iommu_analyzers"]["spatial_locality"]
         rows.append(
-            [
-                name.upper(),
-                locality.fraction_within(1),
-                locality.fraction_within(2),
-                locality.fraction_within(4),
-                locality.fraction_within(16),
-            ]
+            [name.upper()]
+            + [fraction_within(locality, pages) for pages in (1, 2, 4, 16)]
         )
     return ExperimentResult(
         experiment_id="fig08",

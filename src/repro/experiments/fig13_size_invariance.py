@@ -9,7 +9,13 @@ as proxies for large ones.
 from __future__ import annotations
 
 from repro.config.presets import wafer_7x7_config
-from repro.experiments.common import DEFAULT_SCALE, ExperimentResult, RunCache
+from repro.experiments.common import (
+    DEFAULT_SCALE,
+    ExperimentResult,
+    RunCache,
+    make_job,
+)
+from repro.stats.timeseries import normalized_shape
 
 SIZE_FACTORS = (0.5, 1.0, 2.0)
 
@@ -24,22 +30,20 @@ def run(
     workload = (benchmarks[0] if isinstance(benchmarks, (list, tuple)) and benchmarks
                 else "fir")
     config = wafer_7x7_config()
-    # rich: consumes the live served-window counter.
-    cache.warm(
-        dict(config=config, workload=workload,
-             scale=min(1.0, scale * factor), seed=seed, rich=True)
+    jobs = {
+        factor: make_job(config, workload, min(1.0, scale * factor), seed)
         for factor in SIZE_FACTORS
-    )
+    }
+    cache.warm(jobs.values())
     shapes = {}
     rows = []
     for factor in SIZE_FACTORS:
-        run_scale = min(1.0, scale * factor)
-        result = cache.get(config, workload, run_scale, seed, rich=True)
-        window = result.extras["iommu_analyzers"]["served_window"]
+        result = cache.get(jobs[factor])
+        windows = result.extras["iommu_analyzers"]["served_window"]
         # Re-bin the fine-grained counter to ~20 windows per run so the
         # shapes are comparable across problem sizes (the paper's fixed
         # 100k-cycle window plays the same role at full scale).
-        shape = _rebin(window.normalized_shape(), target_bins=20)
+        shape = _rebin(normalized_shape(windows), target_bins=20)
         shapes[factor] = shape
         steady = [v for v in shape if v > 0]
         mean_level = sum(steady) / len(steady) if steady else 0.0

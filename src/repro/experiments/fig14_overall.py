@@ -9,11 +9,13 @@ from __future__ import annotations
 
 from repro.config.hdpat import HDPATConfig
 from repro.config.presets import wafer_7x7_config
-from repro.core.baselines.registry import SOTA_NAMES, sota_policy, sota_system_config
+from repro.core.baselines.registry import SOTA_NAMES, sota_system_config
 from repro.experiments.common import (
     DEFAULT_SCALE,
     ExperimentResult,
     RunCache,
+    job_grid,
+    make_job,
     resolve_benchmarks,
 )
 from repro.units import geomean
@@ -31,29 +33,25 @@ def run(
     names = resolve_benchmarks(benchmarks)
     base_config = wafer_7x7_config()
     hdpat_config = base_config.with_hdpat(HDPATConfig.full())
-    cache.warm(
-        [dict(config=config, workload=name, scale=scale, seed=seed)
-         for config in (base_config, hdpat_config) for name in names]
-        + [dict(config=sota_system_config(scheme, base_config), workload=name,
-                scale=scale, seed=seed, policy_key=scheme)
-           for scheme in SOTA_NAMES for name in names]
+    jobs = job_grid(
+        {"baseline": base_config, "hdpat": hdpat_config}, names, scale, seed
     )
+    jobs.update(
+        ((scheme, name), make_job(sota_system_config(scheme, base_config),
+                                  name, scale, seed, policy_key=scheme))
+        for scheme in SOTA_NAMES for name in names
+    )
+    cache.warm(jobs.values())
     rows = []
     speedups = {scheme: [] for scheme in SCHEMES if scheme != "baseline"}
     for name in names:
-        baseline = cache.get(base_config, name, scale, seed)
+        baseline = cache.get(jobs["baseline", name])
         row = [name.upper(), 1.0]
         for scheme in SOTA_NAMES:
-            config = sota_system_config(scheme, base_config)
-            result = cache.get(
-                config, name, scale, seed,
-                policy_factory=lambda s=scheme, c=config: sota_policy(s, c.hdpat),
-                policy_key=scheme,
-            )
-            speedup = result.speedup_over(baseline)
+            speedup = cache.get(jobs[scheme, name]).speedup_over(baseline)
             speedups[scheme].append(speedup)
             row.append(speedup)
-        hdpat = cache.get(hdpat_config, name, scale, seed)
+        hdpat = cache.get(jobs["hdpat", name])
         speedup = hdpat.speedup_over(baseline)
         speedups["hdpat"].append(speedup)
         row.append(speedup)

@@ -16,6 +16,7 @@ from repro.experiments.common import (
     DEFAULT_SCALE,
     ExperimentResult,
     RunCache,
+    job_grid,
     resolve_benchmarks,
 )
 from repro.units import geomean
@@ -40,22 +41,20 @@ def run(
     cache = cache or RunCache()
     names = resolve_benchmarks(benchmarks)
     base_config = wafer_7x7_config()
-    cache.warm(
-        [dict(config=base_config, workload=name, scale=scale, seed=seed)
-         for name in names]
-        + [dict(config=base_config.with_hdpat(HDPATConfig.ablation(ablation)),
-                workload=name, scale=scale, seed=seed)
-           for ablation in ABLATIONS for name in names]
+    configs = {"baseline": base_config}
+    configs.update(
+        (ablation, base_config.with_hdpat(HDPATConfig.ablation(ablation)))
+        for ablation in ABLATIONS
     )
+    jobs = job_grid(configs, names, scale, seed)
+    cache.warm(jobs.values())
     rows = []
     speedups = {ablation: [] for ablation in ABLATIONS}
     for name in names:
-        baseline = cache.get(base_config, name, scale, seed)
+        baseline = cache.get(jobs["baseline", name])
         row = [name.upper()]
         for ablation in ABLATIONS:
-            config = base_config.with_hdpat(HDPATConfig.ablation(ablation))
-            result = cache.get(config, name, scale, seed)
-            speedup = result.speedup_over(baseline)
+            speedup = cache.get(jobs[ablation, name]).speedup_over(baseline)
             speedups[ablation].append(speedup)
             row.append(speedup)
         rows.append(row)

@@ -14,6 +14,7 @@ from repro.experiments.common import (
     DEFAULT_SCALE,
     ExperimentResult,
     RunCache,
+    make_job,
     resolve_benchmarks,
 )
 
@@ -27,14 +28,12 @@ def run(
     cache = cache or RunCache()
     names = resolve_benchmarks(benchmarks)
     config = wafer_7x7_config(hdpat=HDPATConfig.full())
-    cache.warm(
-        dict(config=config, workload=name, scale=scale, seed=seed)
-        for name in names
-    )
+    jobs = {name: make_job(config, name, scale, seed) for name in names}
+    cache.warm(jobs.values())
     rows = []
     offloads = []
     for name in names:
-        result = cache.get(config, name, scale, seed)
+        result = cache.get(jobs[name])
         breakdown = result.remote_breakdown()
         offloads.append(result.offload_fraction())
         rows.append(

@@ -13,6 +13,7 @@ from repro.experiments.common import (
     DEFAULT_SCALE,
     ExperimentResult,
     RunCache,
+    job_grid,
     resolve_benchmarks,
 )
 
@@ -27,16 +28,16 @@ def run(
     names = resolve_benchmarks(benchmarks)
     base_config = wafer_7x7_config()
     hdpat_config = base_config.with_hdpat(HDPATConfig.full())
-    cache.warm(
-        dict(config=config, workload=name, scale=scale, seed=seed)
-        for config in (base_config, hdpat_config) for name in names
+    jobs = job_grid(
+        {"baseline": base_config, "hdpat": hdpat_config}, names, scale, seed
     )
+    cache.warm(jobs.values())
     rows = []
     ratios = []
     traffic_deltas = []
     for name in names:
-        baseline = cache.get(base_config, name, scale, seed)
-        hdpat = cache.get(hdpat_config, name, scale, seed)
+        baseline = cache.get(jobs["baseline", name])
+        hdpat = cache.get(jobs["hdpat", name])
         ratio = (
             hdpat.mean_rtt / baseline.mean_rtt if baseline.mean_rtt else 1.0
         )

@@ -13,6 +13,7 @@ from repro.experiments.common import (
     DEFAULT_SCALE,
     ExperimentResult,
     RunCache,
+    job_grid,
     resolve_benchmarks,
 )
 from repro.units import geomean
@@ -29,25 +30,21 @@ def run(
     cache = cache or RunCache()
     names = resolve_benchmarks(benchmarks)
     base_config = wafer_7x7_config()
-    cache.warm(
-        [dict(config=base_config, workload=name, scale=scale, seed=seed)
-         for name in names]
-        + [dict(config=base_config.with_hdpat(
-                    HDPATConfig.full(prefetch_degree=granularity)),
-                workload=name, scale=scale, seed=seed)
-           for granularity in GRANULARITIES for name in names]
+    configs = {"baseline": base_config}
+    configs.update(
+        (granularity,
+         base_config.with_hdpat(HDPATConfig.full(prefetch_degree=granularity)))
+        for granularity in GRANULARITIES
     )
+    jobs = job_grid(configs, names, scale, seed)
+    cache.warm(jobs.values())
     rows = []
     speedups = {g: [] for g in GRANULARITIES}
     for name in names:
-        baseline = cache.get(base_config, name, scale, seed)
+        baseline = cache.get(jobs["baseline", name])
         row = [name.upper()]
         for granularity in GRANULARITIES:
-            config = base_config.with_hdpat(
-                HDPATConfig.full(prefetch_degree=granularity)
-            )
-            result = cache.get(config, name, scale, seed)
-            speedup = result.speedup_over(baseline)
+            speedup = cache.get(jobs[granularity, name]).speedup_over(baseline)
             speedups[granularity].append(speedup)
             row.append(speedup)
         rows.append(row)

@@ -18,6 +18,7 @@ from repro.experiments.common import (
     DEFAULT_SCALE,
     ExperimentResult,
     RunCache,
+    job_grid,
     resolve_benchmarks,
 )
 from repro.units import geomean
@@ -42,17 +43,19 @@ def run(
             ),
         )
     )
-    cache.warm(
-        dict(config=config, workload=name, scale=scale, seed=seed)
-        for config in (base_config, redirection_config, tlb_config)
-        for name in names
-    )
+    configs = {
+        "baseline": base_config,
+        "redirection": redirection_config,
+        "tlb": tlb_config,
+    }
+    jobs = job_grid(configs, names, scale, seed)
+    cache.warm(jobs.values())
     rows = []
     ratios = []
     for name in names:
-        baseline = cache.get(base_config, name, scale, seed)
-        with_redirection = cache.get(redirection_config, name, scale, seed)
-        with_tlb = cache.get(tlb_config, name, scale, seed)
+        baseline = cache.get(jobs["baseline", name])
+        with_redirection = cache.get(jobs["redirection", name])
+        with_tlb = cache.get(jobs["tlb", name])
         redirection_speedup = with_redirection.speedup_over(baseline)
         tlb_speedup = with_tlb.speedup_over(baseline)
         ratios.append(redirection_speedup / tlb_speedup)

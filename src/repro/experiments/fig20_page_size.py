@@ -15,6 +15,7 @@ from repro.experiments.common import (
     ExperimentResult,
     REPRESENTATIVE_BENCHMARKS,
     RunCache,
+    make_job,
     resolve_benchmarks,
 )
 from repro.mem.address import PAGE_SIZE_4K, PAGE_SIZE_16K, PAGE_SIZE_64K
@@ -33,23 +34,29 @@ def run(
     names = resolve_benchmarks(
         benchmarks if benchmarks is not None else REPRESENTATIVE_BENCHMARKS
     )
-    cache.warm(
-        dict(config=config, workload=name, scale=scale, seed=seed)
+    jobs = {
+        (page_size, hdpat, name): make_job(
+            base.with_hdpat(HDPATConfig.full()) if hdpat else base,
+            name, scale, seed,
+        )
         for page_size in PAGE_SIZES
         for base in (wafer_7x7_config().with_page_size(page_size),)
-        for config in (base, base.with_hdpat(HDPATConfig.full()))
+        for hdpat in (False, True)
         for name in names
-    )
+    }
+    cache.warm(jobs.values())
     rows = []
     reference = None
     advantages = []
     for page_size in PAGE_SIZES:
-        base_config = wafer_7x7_config().with_page_size(page_size)
-        hdpat_config = base_config.with_hdpat(HDPATConfig.full())
-        base_cycles, hdpat_cycles = [], []
-        for name in names:
-            base_cycles.append(cache.get(base_config, name, scale, seed).exec_cycles)
-            hdpat_cycles.append(cache.get(hdpat_config, name, scale, seed).exec_cycles)
+        base_cycles = [
+            cache.get(jobs[page_size, False, name]).exec_cycles
+            for name in names
+        ]
+        hdpat_cycles = [
+            cache.get(jobs[page_size, True, name]).exec_cycles
+            for name in names
+        ]
         if reference is None:
             reference = base_cycles
         base_norm = geomean(

@@ -14,6 +14,7 @@ from repro.experiments.common import (
     ExperimentResult,
     REPRESENTATIVE_BENCHMARKS,
     RunCache,
+    make_job,
     resolve_benchmarks,
 )
 from repro.units import geomean
@@ -31,22 +32,25 @@ def run(
     names = resolve_benchmarks(
         benchmarks if benchmarks is not None else REPRESENTATIVE_BENCHMARKS
     )
-    cache.warm(
-        dict(config=config, workload=name, scale=scale, seed=seed)
+    jobs = {
+        (gpu, hdpat, name): make_job(
+            base.with_hdpat(HDPATConfig.full()) if hdpat else base,
+            name, scale, seed,
+        )
         for gpu in GPU_NAMES
         for base in (wafer_7x7_config(gpm=gpm_preset(gpu)),)
-        for config in (base, base.with_hdpat(HDPATConfig.full()))
+        for hdpat in (False, True)
         for name in names
-    )
+    }
+    cache.warm(jobs.values())
     rows = []
     for gpu in GPU_NAMES:
-        base_config = wafer_7x7_config(gpm=gpm_preset(gpu))
-        hdpat_config = base_config.with_hdpat(HDPATConfig.full())
-        speedups = []
-        for name in names:
-            baseline = cache.get(base_config, name, scale, seed)
-            hdpat = cache.get(hdpat_config, name, scale, seed)
-            speedups.append(hdpat.speedup_over(baseline))
+        speedups = [
+            cache.get(jobs[gpu, True, name]).speedup_over(
+                cache.get(jobs[gpu, False, name])
+            )
+            for name in names
+        ]
         rows.append([gpu.upper(), geomean(speedups)])
     return ExperimentResult(
         experiment_id="fig21",

@@ -14,6 +14,7 @@ from repro.experiments.common import (
     ExperimentResult,
     REPRESENTATIVE_BENCHMARKS,
     RunCache,
+    job_grid,
     resolve_benchmarks,
 )
 from repro.units import geomean
@@ -31,15 +32,15 @@ def run(
     )
     base_config = wafer_7x12_config()
     hdpat_config = base_config.with_hdpat(HDPATConfig.full())
-    cache.warm(
-        dict(config=config, workload=name, scale=scale, seed=seed)
-        for config in (base_config, hdpat_config) for name in names
+    jobs = job_grid(
+        {"baseline": base_config, "hdpat": hdpat_config}, names, scale, seed
     )
+    cache.warm(jobs.values())
     rows = []
     speedups = []
     for name in names:
-        baseline = cache.get(base_config, name, scale, seed)
-        hdpat = cache.get(hdpat_config, name, scale, seed)
+        baseline = cache.get(jobs["baseline", name])
+        hdpat = cache.get(jobs["hdpat", name])
         speedup = hdpat.speedup_over(baseline)
         speedups.append(speedup)
         rows.append([name.upper(), speedup])

@@ -11,21 +11,19 @@ completes.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.config.hdpat import HDPATConfig
 from repro.config.presets import wafer_7x7_config
 from repro.config.system import SystemConfig
-from repro.core.baselines.registry import (
-    SOTA_NAMES,
-    sota_policy,
-    sota_system_config,
-)
+from repro.core.baselines.registry import SOTA_NAMES, sota_system_config
 from repro.errors import ReproError
+from repro.exec.jobs import RunJob
 from repro.experiments.common import (
     DEFAULT_SCALE,
     ExperimentResult,
     RunCache,
+    make_job,
     resolve_benchmarks,
 )
 
@@ -47,6 +45,46 @@ def scheme_config(scheme: str, base: Optional[SystemConfig] = None) -> SystemCon
     )
 
 
+def grid_cells(
+    schemes: Optional[Sequence[str]] = None,
+    benchmarks=None,
+    scales: Optional[Sequence[float]] = None,
+    seeds: Optional[Sequence[int]] = None,
+) -> List[Tuple[str, str, float, int]]:
+    """Expand a grid into cells in canonical order (scheme x benchmark x
+    scale x seed), validating every axis.  The service admits campaigns
+    through this too, so its cells are the sweep's cells."""
+    schemes = list(schemes) if schemes else ["baseline", "hdpat"]
+    for scheme in schemes:
+        if scheme not in SCHEME_NAMES:
+            raise ReproError(
+                f"unknown scheme {scheme!r}; available: {list(SCHEME_NAMES)}"
+            )
+    names = resolve_benchmarks(benchmarks)
+    scales = [float(s) for s in scales] if scales else [DEFAULT_SCALE]
+    seeds = [int(s) for s in seeds] if seeds else [42]
+    return [
+        (scheme, name, cell_scale, cell_seed)
+        for scheme in schemes
+        for name in names
+        for cell_scale in scales
+        for cell_seed in seeds
+    ]
+
+
+def cell_job(scheme: str, workload: str, scale: float, seed: int) -> RunJob:
+    """The :class:`RunJob` for one grid cell — shared with the service, so
+    its content addresses are interchangeable with serial runs (that
+    identity is what makes result tables byte-comparable)."""
+    return make_job(
+        scheme_config(scheme),
+        workload,
+        float(scale),
+        seed=int(seed),
+        policy_key=scheme if scheme in SOTA_NAMES else "",
+    )
+
+
 def run(
     scale: float = DEFAULT_SCALE,
     benchmarks=None,
@@ -58,48 +96,17 @@ def run(
 ) -> ExperimentResult:
     """Run the grid and return one table row per cell."""
     cache = cache or RunCache()
-    names = resolve_benchmarks(benchmarks)
-    schemes = list(schemes) if schemes else ["baseline", "hdpat"]
-    for scheme in schemes:
-        if scheme not in SCHEME_NAMES:
-            raise ReproError(
-                f"unknown scheme {scheme!r}; available: {list(SCHEME_NAMES)}"
-            )
-    scales = [float(s) for s in scales] if scales else [scale]
-    seeds = [int(s) for s in seeds] if seeds else [seed]
-
-    cells = [
-        (scheme, name, cell_scale, cell_seed)
-        for scheme in schemes
-        for name in names
-        for cell_scale in scales
-        for cell_seed in seeds
-    ]
-    cache.warm(
-        dict(
-            config=scheme_config(scheme),
-            workload=name,
-            scale=cell_scale,
-            seed=cell_seed,
-            policy_key=scheme if scheme in SOTA_NAMES else "",
-        )
-        for scheme, name, cell_scale, cell_seed in cells
-    )
+    cells = grid_cells(schemes, benchmarks, scales or [scale], seeds or [seed])
+    jobs = {cell: cell_job(*cell) for cell in cells}
+    cache.warm(jobs.values())
 
     baselines: Dict[tuple, object] = {}
     rows: List[List[object]] = []
     failed = 0
-    for scheme, name, cell_scale, cell_seed in cells:
-        config = scheme_config(scheme)
+    for cell in cells:
+        scheme, name, cell_scale, cell_seed = cell
         try:
-            result = cache.get(
-                config, name, cell_scale, cell_seed,
-                policy_factory=(
-                    (lambda s=scheme, c=config: sota_policy(s, c.hdpat))
-                    if scheme in SOTA_NAMES else None
-                ),
-                policy_key=scheme if scheme in SOTA_NAMES else "",
-            )
+            result = cache.get(jobs[cell])
         except Exception as exc:
             failed += 1
             rows.append(

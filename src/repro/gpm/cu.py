@@ -83,9 +83,6 @@ class TraceDriver:
         self.outstanding -= count
         self.position = max(0, self.position - count)
 
-    def abandon_one(self) -> None:
-        self.abandon(1)
-
     # ------------------------------------------------------------------
     def complete_one(self) -> None:
         """An in-flight access finished; free its slot and keep issuing."""

@@ -117,7 +117,6 @@ class IOMMU(Component):
         # windows (or proportionally narrower ones for scaled runs).
         self.served_window = WindowedCounter(window_cycles=2_000)
         self.prefetch_pushed = 0
-        self.prefetch_useful_hint = 0
 
     # ------------------------------------------------------------------
     # Ingress
@@ -428,10 +427,3 @@ class IOMMU(Component):
     def buffer_pressure(self) -> int:
         """Requests waiting anywhere before a walker (Figure 4's metric)."""
         return len(self.front) + len(self._spill) + self.walkers.queue_length
-
-    def prefetch_accuracy(self) -> float:
-        """Fraction of prefetched PTEs later demanded (hint, system-wide
-        accuracy is computed by the run harness from GPM-side stats)."""
-        if not self.prefetch_pushed:
-            return 0.0
-        return self.prefetch_useful_hint / self.prefetch_pushed

@@ -48,8 +48,5 @@ class AddressSpace:
             raise AddressError(f"negative allocation size {num_bytes}")
         return -(-num_bytes // self.page_size)
 
-    def cacheline_of(self, vaddr: int, line_bytes: int = 64) -> int:
-        return vaddr // line_bytes
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"AddressSpace(page_size={self.page_size})"

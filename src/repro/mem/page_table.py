@@ -67,15 +67,6 @@ class _PageTableBase:
         unmapped pages alike (a miss is discovered at the leaf)."""
         return WALK_LEVELS
 
-    def leaf_line_neighbors(self, vpn: int, count: int) -> List[int]:
-        """VPNs of up to ``count`` successors of ``vpn``, with those sharing
-        its leaf line costing nothing extra to fetch.
-
-        Returns the successor VPNs; the caller charges one extra memory
-        access per distinct extra leaf line (see proactive delivery).
-        """
-        return [vpn + offset for offset in range(1, count + 1)]
-
     def extra_leaf_lines(self, vpn: int, count: int) -> int:
         """Distinct additional leaf lines covering ``vpn+1 .. vpn+count``."""
         base_line = vpn // LEAF_LINE_SPAN

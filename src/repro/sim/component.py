@@ -36,8 +36,5 @@ class Component:
         """Read a counter, defaulting to zero."""
         return self.stats.get(name, 0)
 
-    def reset_stats(self) -> None:
-        self.stats.clear()
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}({self.name!r})"

@@ -175,10 +175,6 @@ class WalkerPool(Component):
             else:
                 counts.pop(vpn, None)
 
-    def queued_payloads(self) -> List[Any]:
-        """Snapshot of payloads still waiting for a walker."""
-        return [payload for payload, _record, _fn in self._queue]
-
     def drain_matching(self, predicate: Callable[[Any], bool]) -> List[Any]:
         """Remove queued (not yet started) payloads matching ``predicate``.
 

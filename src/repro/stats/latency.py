@@ -32,9 +32,6 @@ class LatencyBreakdown:
             self._totals[phase] += cycles
         self.requests += 1
 
-    def total(self, phase: str) -> int:
-        return self._totals[phase]
-
     def mean(self, phase: str) -> float:
         return self._totals[phase] / self.requests if self.requests else 0.0
 

@@ -58,15 +58,6 @@ class SpatialLocalityAnalyzer:
         if len(recent) > self.window:
             del recent[0]
 
-    def fraction_within(self, pages: int) -> float:
-        """Fraction of consecutive pairs within ``pages`` pages (cumulative)."""
-        if not self.total_pairs:
-            return 0.0
-        within = sum(
-            count for bound, count in self.counts.items() if bound <= pages
-        )
-        return within / self.total_pairs
-
     def fractions(self) -> List[float]:
         """Per-bucket (non-cumulative) fractions, far bucket last."""
         if not self.total_pairs:
@@ -83,3 +74,19 @@ class SpatialLocalityAnalyzer:
             low = bound
         labels.append(f">{low}")
         return labels
+
+    def summary(self) -> Dict[str, object]:
+        """``[bound, pairs]`` per bucket, the far pairs, and the total."""
+        return {
+            "counts": [list(item) for item in self.counts.items()],
+            "far": self.far,
+            "total_pairs": self.total_pairs,
+        }
+
+
+def fraction_within(summary: Dict[str, object], pages: int) -> float:
+    """Fraction of consecutive pairs within ``pages`` pages (cumulative)."""
+    if not summary["total_pairs"]:
+        return 0.0
+    within = sum(count for bound, count in summary["counts"] if bound <= pages)
+    return within / summary["total_pairs"]

@@ -6,6 +6,10 @@ Two analyzers over the stream of VPNs that reach the IOMMU:
   translated (Figure 6's distribution of translation counts).
 * :class:`ReuseDistanceAnalyzer` — the number of intervening requests
   between repeated translations of the same page (Figure 7).
+
+Each analyzer records inside the IOMMU and hands the run result a JSON
+``summary()``; the module-level readers derive the figures' numbers from
+that summary, so a result revived from the disk cache reads the same.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ REUSE_DISTANCE_BOUNDARIES = [10, 100, 1_000, 10_000, 100_000]
 
 
 class TranslationCountAnalyzer:
-    """Counts IOMMU translations per VPN and summarises the distribution."""
+    """Counts IOMMU translations per VPN."""
 
     def __init__(self) -> None:
         self._counts: Dict[int, int] = {}
@@ -30,10 +34,6 @@ class TranslationCountAnalyzer:
         self._counts[vpn] = self._counts.get(vpn, 0) + 1
         self.total_requests += 1
 
-    @property
-    def unique_pages(self) -> int:
-        return len(self._counts)
-
     def histogram(self) -> Histogram:
         """Histogram keyed on per-page translation count."""
         histogram = Histogram()
@@ -41,20 +41,31 @@ class TranslationCountAnalyzer:
             histogram.add(count)
         return histogram
 
-    def fraction_single_translation(self) -> float:
-        """Fraction of pages translated exactly once (AES/RELU-like)."""
-        if not self._counts:
-            return 0.0
-        singles = sum(1 for count in self._counts.values() if count == 1)
-        return singles / len(self._counts)
-
-    def mean_translations_per_page(self) -> float:
-        if not self._counts:
-            return 0.0
-        return self.total_requests / len(self._counts)
-
     def count_of(self, vpn: int) -> int:
         return self._counts.get(vpn, 0)
+
+    def summary(self) -> Dict[str, object]:
+        """Total requests plus ``[translations, pages]`` pairs, ascending."""
+        return {
+            "total_requests": self.total_requests,
+            "histogram": [list(item) for item in self.histogram().items()],
+        }
+
+
+def unique_pages(summary: Dict[str, object]) -> int:
+    return sum(pages for _count, pages in summary["histogram"])
+
+
+def fraction_single_translation(summary: Dict[str, object]) -> float:
+    """Fraction of pages translated exactly once (AES/RELU-like)."""
+    pages = unique_pages(summary)
+    singles = sum(n for count, n in summary["histogram"] if count == 1)
+    return singles / pages if pages else 0.0
+
+
+def mean_translations_per_page(summary: Dict[str, object]) -> float:
+    pages = unique_pages(summary)
+    return summary["total_requests"] / pages if pages else 0.0
 
 
 class ReuseDistanceAnalyzer:
@@ -65,10 +76,10 @@ class ReuseDistanceAnalyzer:
     translation requests", Figure 7).
     """
 
-    def __init__(self, boundaries: List[int] = None) -> None:
+    def __init__(self) -> None:
         self._last_seen: Dict[int, int] = {}
         self._clock = 0
-        self.histogram = BucketHistogram(boundaries or REUSE_DISTANCE_BOUNDARIES)
+        self.histogram = BucketHistogram(REUSE_DISTANCE_BOUNDARIES)
         self.max_distance = 0
         self.min_distance: int = -1
 
@@ -84,11 +95,37 @@ class ReuseDistanceAnalyzer:
         self._last_seen[vpn] = self._clock
         self._clock += 1
 
-    @property
-    def repeated_requests(self) -> int:
-        return self.histogram.total
+    def summary(self) -> Dict[str, object]:
+        """Counts per :data:`REUSE_DISTANCE_BOUNDARIES` bucket, plus the
+        extreme distances (``min`` is -1 when nothing repeated)."""
+        return {
+            "counts": list(self.histogram.counts),
+            "max": self.max_distance,
+            "min": self.min_distance,
+        }
 
-    def fraction_short(self, boundary: int = 10) -> float:
-        """Fraction of reuses closer than ``boundary`` requests apart —
-        these are the ones PW-queue coalescing and redirection can catch."""
-        return self.histogram.cumulative_fraction_below(boundary)
+
+def repeated_requests(summary: Dict[str, object]) -> int:
+    return sum(summary["counts"])
+
+
+def reuse_fractions(summary: Dict[str, object]) -> List[float]:
+    """Per-bucket fractions of the repeated requests."""
+    total = repeated_requests(summary)
+    if not total:
+        return [0.0] * len(summary["counts"])
+    return [count / total for count in summary["counts"]]
+
+
+def fraction_short(summary: Dict[str, object], boundary: int = 10) -> float:
+    """Fraction of reuses closer than ``boundary`` requests apart — these
+    are the ones PW-queue coalescing and redirection can catch."""
+    total = repeated_requests(summary)
+    if not total:
+        return 0.0
+    short = sum(
+        count
+        for bound, count in zip(REUSE_DISTANCE_BOUNDARIES, summary["counts"])
+        if bound <= boundary
+    )
+    return short / total

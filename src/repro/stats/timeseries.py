@@ -55,13 +55,14 @@ class WindowedCounter:
             for index, count in enumerate(self.windows)
         ]
 
-    def normalized_shape(self) -> List[float]:
-        """Windows normalised to their peak — used to compare shapes across
-        problem sizes independently of absolute request volume."""
-        peak = max(self.windows) if self.windows else 0
-        if not peak:
-            return [0.0] * len(self.windows)
-        return [count / peak for count in self.windows]
+
+def normalized_shape(windows: List[int]) -> List[float]:
+    """Window counts normalised to their peak — used to compare shapes
+    across problem sizes independently of absolute request volume."""
+    peak = max(windows) if windows else 0
+    if not peak:
+        return [0.0] * len(windows)
+    return [count / peak for count in windows]
 
 
 class PeriodicSampler:

@@ -26,7 +26,7 @@ few extra remote hops and nothing else.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict
 
 from repro.config.migration import MigrationConfig
 from repro.mem.page import PageTableEntry
@@ -172,11 +172,3 @@ class MigrationEngine(Component):
     # ------------------------------------------------------------------
     def tracked_pages(self) -> int:
         return len(self._walks)
-
-    def hot_candidates(self) -> Dict[int, Tuple[int, int]]:
-        """vpn -> (hottest requester, walk count) snapshot, for analysis."""
-        return {
-            vpn: max(counts.items(), key=lambda item: item[1])
-            for vpn, counts in self._walks.items()
-            if counts
-        }

@@ -3,10 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.core.request import ServedBy
-from repro.stats.timeseries import TimeSeries
 from repro.units import cycles_to_ms
 
 
@@ -35,7 +34,7 @@ class RunResult:
     # Requester-side
     mean_rtt: float
     remote_translations: int
-    buffer_series: Optional[TimeSeries] = None
+    #: JSON values only: the disk cache stores them beside ``to_dict()``.
     extras: Dict[str, object] = field(default_factory=dict)
 
     # ------------------------------------------------------------------
@@ -119,10 +118,9 @@ class RunResult:
 
         ``ServedBy`` keys are revived from their string values, and the
         ``truncated`` / ``prefetch_accuracy_raw`` extras are restored so
-        ``to_dict(from_dict(d)) == d`` exactly.  Live analyzer objects,
-        the metrics snapshot, and ``buffer_series`` are *not* part of the
-        JSON contract — experiments that need them must run fresh (see
-        ``RunCache.get(rich=True)``).
+        ``to_dict(from_dict(d)) == d`` exactly.  The other extras are not
+        part of ``to_dict()``; the disk cache stores them beside it and
+        puts them back (see ``repro.exec.diskcache``).
         """
         iommu = data["iommu"]
         network = data["network"]
@@ -155,7 +153,7 @@ class RunResult:
         )
 
     def to_dict(self) -> Dict[str, object]:
-        """A JSON-serialisable summary (analyzers and series omitted)."""
+        """A JSON-serialisable summary (extras omitted)."""
         return {
             "workload": self.workload,
             "config": self.config_description,

@@ -72,12 +72,24 @@ def run_benchmark(
         )
 
     wafer.run(max_cycles=max_cycles)
-    result = collect_result(wafer, trace, buffer_series)
+    result = collect_result(wafer, trace)
+    if buffer_series is not None:
+        result.extras["buffer_series"] = [
+            [cycle, value] for cycle, value in buffer_series.points()
+        ]
     if wafer.sim.sanitizer is not None:
         result.extras["sanitizers"] = wafer.sim.sanitizer.report()
     if wafer.faults is not None:
         result.extras["faults"] = wafer.faults.report()
     return result
+
+
+#: Extras keys that describe the host-side observation of a run rather
+#: than the run itself; the disk cache never stores them.
+OBS_EXTRAS = (
+    "metrics", "noc_links", "host_profile", "phase_profile",
+    "phase_report", "trace_events", "events_processed",
+)
 
 
 def _prefetch_accuracy_raw(proactive_hits: int, prefetch_pushed: int) -> float:
@@ -93,8 +105,13 @@ def _prefetch_accuracy_raw(proactive_hits: int, prefetch_pushed: int) -> float:
     return proactive_hits / prefetch_pushed
 
 
-def collect_result(wafer: WaferScaleGPU, trace, buffer_series=None) -> RunResult:
-    """Assemble a :class:`RunResult` from a completed wafer run."""
+def collect_result(wafer: WaferScaleGPU, trace) -> RunResult:
+    """Assemble a :class:`RunResult` from a completed wafer run.
+
+    Every value is plain JSON (int-keyed maps are written as pair lists),
+    so a result revived from the disk cache equals the live one.  The
+    :data:`OBS_EXTRAS` keys appear only when observability is enabled.
+    """
     served_totals = {}
     remote_total = 0
     rtt_sum = 0
@@ -171,7 +188,6 @@ def collect_result(wafer: WaferScaleGPU, trace, buffer_series=None) -> RunResult
         mean_hops=wafer.network.mean_hops(),
         mean_rtt=(rtt_sum / rtt_count) if rtt_count else 0.0,
         remote_translations=remote_total,
-        buffer_series=buffer_series,
         extras={
             "all_finished": wafer.all_finished,
             # Accesses that actually completed; under a fault timeline a
@@ -197,11 +213,13 @@ def collect_result(wafer: WaferScaleGPU, trace, buffer_series=None) -> RunResult
                 if wafer.migration is not None
                 else {}
             ),
+            # Summaries of the IOMMU's request-stream recorders
+            # (Figs. 6, 7, 8 and 13).
             "iommu_analyzers": {
-                "translation_counts": iommu.translation_counts,
-                "reuse_distance": iommu.reuse_distance,
-                "spatial_locality": iommu.spatial_locality,
-                "served_window": iommu.served_window,
+                "translation_counts": iommu.translation_counts.summary(),
+                "reuse_distance": iommu.reuse_distance.summary(),
+                "spatial_locality": iommu.spatial_locality.summary(),
+                "served_window": list(iommu.served_window.windows),
             },
         },
     )

@@ -43,10 +43,6 @@ class LocalProbeResult:
     latency: int
     entry: Optional[PageTableEntry] = None
 
-    @property
-    def hit(self) -> bool:
-        return self.entry is not None
-
 
 class TranslationHierarchy:
     """All translation-side structures of one GPM."""

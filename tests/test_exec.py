@@ -4,12 +4,11 @@ import json
 
 import pytest
 
-from repro.core.baselines.registry import sota_policy
 from repro.core.request import ServedBy
+from repro.errors import ConfigurationError
 from repro.exec import (
     CACHE_SCHEMA,
     DiskResultCache,
-    RunJob,
     SweepExecutor,
     default_jobs,
     execute_job,
@@ -104,28 +103,26 @@ class TestRunJob:
         monkeypatch.setattr(jobs, "CACHE_SCHEMA", 3)
         assert job.cache_key() != current
 
-    def test_rich_flag_does_not_change_identity(self, small_system_config):
-        plain = make_job(small_system_config, "aes", 0.02, seed=1)
-        rich = make_job(small_system_config, "aes", 0.02, seed=1, rich=True)
-        # Same simulation -> same stored artefact; richness only gates
-        # whether the JSON may *serve* the request.
-        assert plain.cache_key() == rich.cache_key()
+    def test_make_job_rejects_unrevivable_policy_key(
+        self, small_system_config
+    ):
+        # Only "" (config-derived) and SOTA names can be rebuilt in
+        # another process.
+        with pytest.raises(ConfigurationError):
+            make_job(small_system_config, "aes", 0.02, seed=1,
+                     policy_key="mcm")
 
-    def test_pool_safety(self, small_system_config):
-        plain = make_job(small_system_config, "aes", 0.02, seed=1)
-        assert plain.pool_safe()
-        # A custom factory under a non-SOTA key cannot be revived in a
-        # worker process.
-        assert not plain.pool_safe(policy_factory=lambda: None)
-        sota = make_job(small_system_config, "aes", 0.02, seed=1,
-                        policy_key="transfw")
-        factory = lambda: sota_policy("transfw", small_system_config.hdpat)
-        assert sota.pool_safe(policy_factory=factory)
-        complex_kwargs = RunJob(
-            config=small_system_config, workload="aes", scale=0.02,
-            run_kwargs=(("obs", object()),),
-        )
-        assert not complex_kwargs.pool_safe()
+    def test_make_job_rejects_non_scalar_kwargs(self, small_system_config):
+        with pytest.raises(ConfigurationError):
+            make_job(small_system_config, "aes", 0.02, seed=1, obs=object())
+        with pytest.raises(ConfigurationError):
+            make_job(small_system_config, "aes", 0.02, seed=1,
+                     sample_buffer_every=[100])
+        job = make_job(small_system_config, "aes", 0.02, seed=1,
+                       sample_buffer_every=100, sanitize=True)
+        assert dict(job.run_kwargs) == {
+            "sample_buffer_every": 100, "sanitize": True,
+        }
 
 
 class TestRunResultRoundTrip:
@@ -235,29 +232,26 @@ class TestSweepExecutor:
         assert snap["cache_hit_disk"] == 2
         assert snap["executed"] == 0
 
-    def test_rich_jobs_never_served_from_disk(
+    def test_revived_result_equals_live(
         self, tmp_path, small_system_config, aes_result
     ):
         executor = SweepExecutor(jobs=2, cache_dir=tmp_path)
-        rich = make_job(small_system_config, "aes", 0.02, seed=1, rich=True)
-        executor.store(rich, aes_result)
-        assert executor.lookup(rich) is None
-        plain = make_job(small_system_config, "aes", 0.02, seed=1)
-        assert executor.lookup(plain) is not None
+        job = make_job(small_system_config, "aes", 0.02, seed=1)
+        executor.store(job, aes_result)
+        assert executor.lookup(job) == aes_result
 
 
 class TestRunCacheIntegration:
     def test_warm_makes_serial_loop_pure_l1(self, small_system_config):
         executor = SweepExecutor(jobs=2)
         cache = RunCache(executor=executor)
-        specs = [
-            dict(config=small_system_config, workload=name, scale=0.02,
-                 seed=1)
+        jobs = [
+            make_job(small_system_config, name, 0.02, seed=1)
             for name in ("aes", "fir")
         ]
-        cache.warm(specs)
-        for name in ("aes", "fir"):
-            cache.get(small_system_config, name, 0.02, seed=1)
+        cache.warm(jobs)
+        for job in jobs:
+            cache.get(job)
         assert cache.misses == 0
         assert cache.hits == 2
         snap = executor.snapshot()["sweep"]["jobs"]
@@ -268,63 +262,104 @@ class TestRunCacheIntegration:
         self, tmp_path, small_system_config
     ):
         executor = SweepExecutor(jobs=2, cache_dir=tmp_path)
-        specs = [
-            dict(config=small_system_config, workload="aes", scale=0.02,
-                 seed=seed)
+        jobs = [
+            make_job(small_system_config, "aes", 0.02, seed=seed)
             for seed in (1, 2, 3)
         ]
-        RunCache(executor=executor).warm(specs)
-        assert executor.disk.stores == len(specs)
+        RunCache(executor=executor).warm(jobs)
+        assert executor.disk.stores == len(jobs)
 
     def test_warm_is_noop_without_parallelism(self, small_system_config):
         serial = RunCache(executor=SweepExecutor(jobs=1))
-        serial.warm([
-            dict(config=small_system_config, workload="aes", scale=0.02,
-                 seed=1)
-        ])
+        serial.warm([make_job(small_system_config, "aes", 0.02, seed=1)])
         assert serial.misses == 0 and not serial._runs
 
     def test_serial_and_parallel_cache_agree(self, small_system_config):
         serial = RunCache()
         parallel = RunCache(executor=SweepExecutor(jobs=2))
-        parallel.warm([
-            dict(config=small_system_config, workload="aes", scale=0.02,
-                 seed=1)
-        ])
-        a = serial.get(small_system_config, "aes", 0.02, seed=1)
-        b = parallel.get(small_system_config, "aes", 0.02, seed=1)
-        assert a.to_dict() == b.to_dict()
-
-    def test_rich_get_refuses_disk_revived_l1_entry(
-        self, tmp_path, small_system_config
-    ):
-        # A JSON-revived result lacks live analyzer objects; a rich
-        # request for the same cell must re-execute, not be handed the
-        # revived entry out of L1.
-        seed_cache = RunCache(
-            executor=SweepExecutor(jobs=1, cache_dir=tmp_path)
-        )
-        seed_cache.get(small_system_config, "aes", 0.02, seed=1)
-        cache = RunCache(executor=SweepExecutor(jobs=1, cache_dir=tmp_path))
-        revived = cache.get(small_system_config, "aes", 0.02, seed=1)
-        assert cache.disk_hits == 1
-        assert "iommu_analyzers" not in revived.extras
-        rich = cache.get(small_system_config, "aes", 0.02, seed=1, rich=True)
-        assert cache.misses == 1
-        assert "iommu_analyzers" in rich.extras
-        # The live result replaces the revived one and satisfies both.
-        assert cache.get(small_system_config, "aes", 0.02, seed=1) is rich
+        job = make_job(small_system_config, "aes", 0.02, seed=1)
+        parallel.warm([job])
+        assert serial.get(job) == parallel.get(job)
 
     def test_disk_cache_spans_runcache_instances(
         self, tmp_path, small_system_config
     ):
+        job = make_job(small_system_config, "aes", 0.02, seed=1)
         first = RunCache(executor=SweepExecutor(jobs=1, cache_dir=tmp_path))
-        first.get(small_system_config, "aes", 0.02, seed=1)
+        live = first.get(job)
         second = RunCache(executor=SweepExecutor(jobs=1, cache_dir=tmp_path))
-        result = second.get(small_system_config, "aes", 0.02, seed=1)
+        result = second.get(job)
         assert second.disk_hits == 1
         assert second.misses == 0
-        assert result.workload == "aes"
+        assert result == live
+
+
+class TestEveryResultRoundTripsTheDiskCache:
+    def test_faulted_sampled_migrating_run_revives_equal(self, tmp_path):
+        from repro.config.hdpat import HDPATConfig
+        from repro.config.migration import MigrationConfig
+        from repro.config.presets import wafer_7x7_config
+        from repro.faults import degradation_plan
+
+        config = (
+            wafer_7x7_config()
+            .with_hdpat(HDPATConfig.full())
+            .with_migration(MigrationConfig(enabled=True, threshold=1))
+            .with_faults(degradation_plan(7, 7, 11, 0.1))
+        )
+        job = make_job(config, "spmv", 0.02, seed=3, sample_buffer_every=500)
+        live = execute_job(job)
+        assert live.extras["faults"]["counters"]
+        assert live.extras["migration"]["migrations"] > 0
+        assert live.extras["buffer_series"]
+        cache = DiskResultCache(tmp_path)
+        cache.store(job, live)
+        revived = cache.load(job)
+        assert revived.extras == live.extras
+        assert revived.extras["buffer_series"] == live.extras["buffer_series"]
+        assert revived == live
+
+    def test_observed_run_stores_the_same_file(self, tmp_path, small_system_config):
+        # Worker metrics ship home as counters; the obs-only extras never
+        # reach the cache, so the file matches an unobserved run's.
+        job = make_job(small_system_config, "aes", 0.02, seed=1)
+        plain = SweepExecutor(jobs=1, cache_dir=tmp_path / "plain")
+        observed = SweepExecutor(
+            jobs=1, cache_dir=tmp_path / "observed", worker_metrics=True
+        )
+        assert plain.run_inline(job) == observed.run_inline(job)
+        assert (
+            plain.disk.path_for(job).read_bytes()
+            == observed.disk.path_for(job).read_bytes()
+        )
+
+    @pytest.mark.parametrize("experiment_id, workload", [
+        ("fig04", "spmv"),
+        ("fig06", "bt"),
+        ("fig07", "bt"),
+        ("fig08", "fir"),
+        ("fig13", "fir"),
+        ("ext_faults", "spmv"),
+        ("ext_recovery", "spmv"),
+        ("ext_migration", "fir"),
+    ])
+    def test_harness_reruns_warm_from_disk(
+        self, tmp_path, experiment_id, workload
+    ):
+        from repro.experiments.registry import get_experiment
+
+        experiment = get_experiment(experiment_id)
+        args = dict(scale=0.02, benchmarks=[workload], seed=42)
+        cold = SweepExecutor(jobs=1, cache_dir=tmp_path)
+        cold_table = experiment(cache=RunCache(cold), **args)
+        warm = SweepExecutor(jobs=1, cache_dir=tmp_path)
+        warm_table = experiment(cache=RunCache(warm), **args)
+        unique_jobs = cold.snapshot()["sweep"]["jobs"]["executed"]
+        jobs = warm.snapshot()["sweep"]["jobs"]
+        assert jobs["executed"] == 0
+        assert jobs["cache_hit_disk"] == unique_jobs > 0
+        serial_table = experiment(cache=RunCache(), **args)
+        assert cold_table == warm_table == serial_table
 
 
 class TestCLI:

@@ -32,13 +32,9 @@ from repro.exec.jobs import MAX_ATTEMPTS, execute_job
 from repro.exec.ledger import JobLedger
 from repro.exec.progress import SweepHeartbeat, merge_heartbeat_streams
 from repro.exec.resilience import CRASH, HANG, OK, SLOW
-from repro.exec.service import (
-    Coordinator,
-    WorkerHost,
-    campaign_cells,
-    cell_job,
-)
+from repro.exec.service import Coordinator, WorkerHost
 from repro.experiments.cli import main
+from repro.experiments.sweep import cell_job, grid_cells
 
 
 def _entries(count, tenant_tag=""):
@@ -454,7 +450,7 @@ class TestServiceEndToEnd:
         coordinator.submit("c1", "alice", **GRID)
         keys = [
             cell_job(*cell).job_key()
-            for cell in campaign_cells(
+            for cell in grid_cells(
                 GRID["schemes"], GRID["benchmarks"], GRID["scales"],
                 GRID["seeds"],
             )

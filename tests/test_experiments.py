@@ -7,6 +7,7 @@ from repro.experiments.cli import main
 from repro.experiments.common import (
     ExperimentResult,
     RunCache,
+    make_job,
     resolve_benchmarks,
 )
 from repro.experiments.registry import EXPERIMENT_IDS, get_experiment
@@ -74,15 +75,15 @@ class TestResolveBenchmarks:
 class TestRunCache:
     def test_identical_calls_hit_cache(self, small_system_config):
         cache = RunCache()
-        first = cache.get(small_system_config, "aes", 0.02, seed=1)
-        second = cache.get(small_system_config, "aes", 0.02, seed=1)
+        first = cache.get(make_job(small_system_config, "aes", 0.02, seed=1))
+        second = cache.get(make_job(small_system_config, "aes", 0.02, seed=1))
         assert first is second
         assert cache.hits == 1 and cache.misses == 1
 
     def test_different_config_misses(self, small_system_config, small_hdpat_config):
         cache = RunCache()
-        cache.get(small_system_config, "aes", 0.02, seed=1)
-        cache.get(small_hdpat_config, "aes", 0.02, seed=1)
+        cache.get(make_job(small_system_config, "aes", 0.02, seed=1))
+        cache.get(make_job(small_hdpat_config, "aes", 0.02, seed=1))
         assert cache.misses == 2
 
 

@@ -4,7 +4,12 @@ import pytest
 
 from repro.stats.histogram import BucketHistogram, Histogram, merge_histograms
 from repro.stats.latency import LatencyBreakdown
-from repro.stats.timeseries import PeriodicSampler, TimeSeries, WindowedCounter
+from repro.stats.timeseries import (
+    PeriodicSampler,
+    TimeSeries,
+    WindowedCounter,
+    normalized_shape,
+)
 
 
 class TestHistogram:
@@ -152,7 +157,7 @@ class TestWindowedCounter:
         counter = WindowedCounter(10)
         counter.record(5, 2)
         counter.record(15, 4)
-        assert counter.normalized_shape() == pytest.approx([0.5, 1.0])
+        assert normalized_shape(counter.windows) == pytest.approx([0.5, 1.0])
 
     def test_invalid_window(self):
         with pytest.raises(ValueError):

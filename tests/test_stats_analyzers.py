@@ -2,8 +2,16 @@
 
 import pytest
 
-from repro.stats.locality import SpatialLocalityAnalyzer
-from repro.stats.reuse import ReuseDistanceAnalyzer, TranslationCountAnalyzer
+from repro.stats.locality import SpatialLocalityAnalyzer, fraction_within
+from repro.stats.reuse import (
+    ReuseDistanceAnalyzer,
+    TranslationCountAnalyzer,
+    fraction_short,
+    fraction_single_translation,
+    mean_translations_per_page,
+    repeated_requests,
+    unique_pages,
+)
 
 
 class TestTranslationCountAnalyzer:
@@ -12,14 +20,14 @@ class TestTranslationCountAnalyzer:
         for vpn in (1, 2, 1, 1):
             analyzer.record(vpn)
         assert analyzer.count_of(1) == 3
-        assert analyzer.unique_pages == 2
+        assert unique_pages(analyzer.summary()) == 2
         assert analyzer.total_requests == 4
 
     def test_single_translation_fraction(self):
         analyzer = TranslationCountAnalyzer()
         for vpn in (1, 2, 3, 3):
             analyzer.record(vpn)
-        assert analyzer.fraction_single_translation() == pytest.approx(2 / 3)
+        assert fraction_single_translation(analyzer.summary()) == pytest.approx(2 / 3)
 
     def test_histogram_keys_are_counts(self):
         analyzer = TranslationCountAnalyzer()
@@ -33,12 +41,12 @@ class TestTranslationCountAnalyzer:
         analyzer = TranslationCountAnalyzer()
         for vpn in (1, 1, 2, 2):
             analyzer.record(vpn)
-        assert analyzer.mean_translations_per_page() == pytest.approx(2.0)
+        assert mean_translations_per_page(analyzer.summary()) == pytest.approx(2.0)
 
     def test_empty(self):
         analyzer = TranslationCountAnalyzer()
-        assert analyzer.fraction_single_translation() == 0.0
-        assert analyzer.mean_translations_per_page() == 0.0
+        assert fraction_single_translation(analyzer.summary()) == 0.0
+        assert mean_translations_per_page(analyzer.summary()) == 0.0
 
 
 class TestReuseDistanceAnalyzer:
@@ -46,7 +54,7 @@ class TestReuseDistanceAnalyzer:
         analyzer = ReuseDistanceAnalyzer()
         for vpn in (1, 2, 3, 1):  # two requests between the 1s
             analyzer.record(vpn)
-        assert analyzer.repeated_requests == 1
+        assert repeated_requests(analyzer.summary()) == 1
         assert analyzer.max_distance == 2
         assert analyzer.min_distance == 2
 
@@ -60,7 +68,7 @@ class TestReuseDistanceAnalyzer:
         analyzer = ReuseDistanceAnalyzer()
         for vpn in (1, 2, 3):
             analyzer.record(vpn)
-        assert analyzer.repeated_requests == 0
+        assert repeated_requests(analyzer.summary()) == 0
 
     def test_fraction_short(self):
         analyzer = ReuseDistanceAnalyzer()
@@ -69,13 +77,13 @@ class TestReuseDistanceAnalyzer:
         for vpn in range(100, 150):
             analyzer.record(vpn)
         analyzer.record(1)  # distance 50
-        assert analyzer.fraction_short(10) == pytest.approx(0.5)
+        assert fraction_short(analyzer.summary(), 10) == pytest.approx(0.5)
 
     def test_distance_resets_after_each_touch(self):
         analyzer = ReuseDistanceAnalyzer()
         for vpn in (1, 1, 2, 1):
             analyzer.record(vpn)
-        assert analyzer.repeated_requests == 2
+        assert repeated_requests(analyzer.summary()) == 2
         assert analyzer.max_distance == 1
 
 
@@ -84,22 +92,22 @@ class TestSpatialLocalityAnalyzer:
         analyzer = SpatialLocalityAnalyzer()
         for vpn in (10, 11, 12):
             analyzer.record(vpn)
-        assert analyzer.fraction_within(1) == pytest.approx(1.0)
+        assert fraction_within(analyzer.summary(), 1) == pytest.approx(1.0)
 
     def test_far_pages(self):
         analyzer = SpatialLocalityAnalyzer()
         analyzer.record(0)
         analyzer.record(1000)
-        assert analyzer.fraction_within(16) == 0.0
+        assert fraction_within(analyzer.summary(), 16) == 0.0
         assert analyzer.far == 1
 
     def test_fraction_within_is_cumulative(self):
         analyzer = SpatialLocalityAnalyzer()
         for vpn in (0, 1, 3, 7):  # distances 1, 2, 4
             analyzer.record(vpn)
-        assert analyzer.fraction_within(1) == pytest.approx(1 / 3)
-        assert analyzer.fraction_within(2) == pytest.approx(2 / 3)
-        assert analyzer.fraction_within(4) == pytest.approx(1.0)
+        assert fraction_within(analyzer.summary(), 1) == pytest.approx(1 / 3)
+        assert fraction_within(analyzer.summary(), 2) == pytest.approx(2 / 3)
+        assert fraction_within(analyzer.summary(), 4) == pytest.approx(1.0)
 
     def test_fractions_sum_to_one(self):
         analyzer = SpatialLocalityAnalyzer()
@@ -115,4 +123,4 @@ class TestSpatialLocalityAnalyzer:
         analyzer = SpatialLocalityAnalyzer()
         analyzer.record(5)
         assert analyzer.total_pairs == 0
-        assert analyzer.fraction_within(1) == 0.0
+        assert fraction_within(analyzer.summary(), 1) == 0.0

@@ -5,7 +5,7 @@ import pytest
 
 from repro.mem.address import AddressSpace
 from repro.mem.allocator import PageAllocator
-from repro.stats.locality import SpatialLocalityAnalyzer
+from repro.stats.locality import SpatialLocalityAnalyzer, fraction_within
 from repro.stats.reuse import TranslationCountAnalyzer
 from repro.units import MB
 from repro.workloads.registry import (
@@ -126,7 +126,7 @@ class TestPatternProperties:
         stream = trace.per_gpm[0]
         for vaddr in stream:
             analyzer.record(space.vpn_of(vaddr))
-        assert analyzer.fraction_within(2) > 0.5
+        assert fraction_within(analyzer.summary(), 2) > 0.5
 
     def test_mt_writes_have_no_page_locality(self):
         """MT's column writes stride to a new page nearly every access."""
