@@ -11,16 +11,16 @@ width; deletion is exact for inserted items.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from repro.errors import CapacityError
-from repro.filters.fingerprint import fingerprint_of, mix64
+from repro.filters.fingerprint import mix64
 
 _DEFAULT_MAX_KICKS = 500
 
-# splitmix64 constants, duplicated from repro.filters.fingerprint so the
-# hot ``contains`` probe can inline both mixes (bit-identical results —
-# tests/test_filters.py cross-checks against the helper functions).
+# splitmix64 constants, duplicated from repro.filters.fingerprint so
+# ``_hash_parts`` can inline the mixes (bit-identical results —
+# tests/test_filters_cuckoo.py cross-checks against the helper functions).
 _MASK64 = (1 << 64) - 1
 _FP_SEED = 0xC2B2AE3D27D4EB4F
 _IDX_SEED = 0x9E3779B97F4A7C15
@@ -94,26 +94,38 @@ class CuckooFilter:
     # ------------------------------------------------------------------
     # Hashing
     # ------------------------------------------------------------------
-    def _index1(self, item: int) -> int:
-        return mix64(item) & (self.num_buckets - 1)
-
     def _alt_index(self, index: int, fingerprint: int) -> int:
         return (index ^ mix64(fingerprint)) & (self.num_buckets - 1)
 
-    def _hash_parts(self, item: int) -> Tuple[int, int, int]:
-        """(fingerprint, index1, index2) for ``item``, via the cache.
+    def _hash_parts(self, items: Iterable[int]) -> List[Tuple[int, int, int]]:
+        """(fingerprint, index1, index2) of each item, recorded in the cache.
 
-        Shared by insert/contains/delete so an item hashed once (usually
-        by the ``contains`` guard preceding an insert) never pays the
-        three splitmix64 mixes again.
+        The one splitmix64 routine of the filter: every probe, insert and
+        delete that misses the cache hashes here.  The three mixes are
+        inlined and bit-identical to :func:`fingerprint_of` (fingerprint),
+        :func:`mix64` (index1) and :meth:`_alt_index` (index2); taking a
+        batch lets :meth:`insert_many` hash a whole install in one call.
         """
-        cached = self._hash_cache.get(item)
-        if cached is None:
-            fingerprint = fingerprint_of(item, self.fingerprint_bits)
-            index1 = self._index1(item)
-            index2 = self._alt_index(index1, fingerprint)
-            cached = self._hash_cache[item] = (fingerprint, index1, index2)
-        return cached
+        fp_mask = self._fp_mask
+        index_mask = self._index_mask
+        cache = self._hash_cache
+        parts = []
+        for item in items:
+            z = (item + _FP_SEED) & _MASK64
+            z = ((z ^ (z >> 30)) * _MIX_A) & _MASK64
+            z = ((z ^ (z >> 27)) * _MIX_B) & _MASK64
+            fingerprint = ((z ^ (z >> 31)) & fp_mask) or 1
+            z = (item + _IDX_SEED) & _MASK64
+            z = ((z ^ (z >> 30)) * _MIX_A) & _MASK64
+            z = ((z ^ (z >> 27)) * _MIX_B) & _MASK64
+            index1 = (z ^ (z >> 31)) & index_mask
+            z = (fingerprint + _IDX_SEED) & _MASK64
+            z = ((z ^ (z >> 30)) * _MIX_A) & _MASK64
+            z = ((z ^ (z >> 27)) * _MIX_B) & _MASK64
+            index2 = (index1 ^ z ^ (z >> 31)) & index_mask
+            part = cache[item] = (fingerprint, index1, index2)
+            parts.append(part)
+        return parts
 
     def _bucket(self, index: int) -> List[int]:
         bucket = self._buckets.get(index)
@@ -131,7 +143,9 @@ class CuckooFilter:
         supports multiplicity up to ``2 * slots_per_bucket``); callers in
         this package guard with ``contains`` to keep one copy per item.
         """
-        fingerprint, index1, index2 = self._hash_parts(item)
+        fingerprint, index1, index2 = (
+            self._hash_cache.get(item) or self._hash_parts((item,))[0]
+        )
         for index in (index1, index2):
             bucket = self._bucket(index)
             if len(bucket) < self.slots_per_bucket:
@@ -153,33 +167,49 @@ class CuckooFilter:
         self.insert_failures += 1
         return False
 
+    def insert_many(self, items: Sequence[int]) -> int:
+        """Insert ``items`` in order; returns how many the filter refused.
+
+        Leaves the filter exactly as one :meth:`insert` per item would
+        (buckets, size, hash cache and kick-out RNG alike), but places a
+        fingerprint that finds room in either candidate bucket without a
+        call per item.  Only an item whose two buckets are both full takes
+        :meth:`insert`'s kick-out loop.
+        """
+        buckets = self._buckets
+        slots = self.slots_per_bucket
+        placed = refused = 0
+        for item, (fingerprint, index1, index2) in zip(items, self._hash_parts(items)):
+            bucket = buckets.get(index1)
+            if bucket is None:
+                buckets[index1] = [fingerprint]
+            elif len(bucket) < slots:
+                bucket.append(fingerprint)
+            else:
+                bucket = buckets.get(index2)
+                if bucket is None:
+                    buckets[index2] = [fingerprint]
+                elif len(bucket) < slots:
+                    bucket.append(fingerprint)
+                else:
+                    # insert() counts its own success or failure.
+                    if not self.insert(item):
+                        refused += 1
+                    continue
+            placed += 1
+        self.size += placed
+        return refused
+
     def contains(self, item: int) -> bool:
         """Approximate membership: no false negatives, rare false positives.
 
-        The splitmix64 mixes are inlined — this is the hottest probe in
-        the translation path (one call per L2 TLB miss) and the inline
-        arithmetic is bit-identical to :func:`fingerprint_of` /
-        :meth:`_index1` / :meth:`_alt_index`.
+        The hottest probe in the translation path (one call per L2 TLB
+        miss): a cached item costs one dict lookup before the bucket scans.
         """
         self.lookups += 1
-        cached = self._hash_cache.get(item)
-        if cached is None:
-            z = (item + _FP_SEED) & _MASK64
-            z = ((z ^ (z >> 30)) * _MIX_A) & _MASK64
-            z = ((z ^ (z >> 27)) * _MIX_B) & _MASK64
-            fingerprint = ((z ^ (z >> 31)) & self._fp_mask) or 1
-            z = (item + _IDX_SEED) & _MASK64
-            z = ((z ^ (z >> 30)) * _MIX_A) & _MASK64
-            z = ((z ^ (z >> 27)) * _MIX_B) & _MASK64
-            index_mask = self._index_mask
-            index1 = (z ^ (z >> 31)) & index_mask
-            z = (fingerprint + _IDX_SEED) & _MASK64
-            z = ((z ^ (z >> 30)) * _MIX_A) & _MASK64
-            z = ((z ^ (z >> 27)) * _MIX_B) & _MASK64
-            index2 = (index1 ^ z ^ (z >> 31)) & index_mask
-            self._hash_cache[item] = (fingerprint, index1, index2)
-        else:
-            fingerprint, index1, index2 = cached
+        fingerprint, index1, index2 = (
+            self._hash_cache.get(item) or self._hash_parts((item,))[0]
+        )
         buckets = self._buckets
         bucket = buckets.get(index1)
         if bucket is not None and fingerprint in bucket:
@@ -189,7 +219,9 @@ class CuckooFilter:
 
     def delete(self, item: int) -> bool:
         """Remove one copy of ``item``; returns False if absent."""
-        fingerprint, index1, index2 = self._hash_parts(item)
+        fingerprint, index1, index2 = (
+            self._hash_cache.get(item) or self._hash_parts((item,))[0]
+        )
         for index in (index1, index2):
             bucket = self._buckets.get(index)
             if bucket is not None and fingerprint in bucket:

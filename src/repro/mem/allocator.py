@@ -22,6 +22,7 @@ class Allocation:
 
     base_vpn: int
     num_pages: int
+    #: VPN -> owning GPM, in VPN order.
     owner_of: Dict[int, int]
 
     @property
@@ -72,12 +73,12 @@ class PageAllocator:
     # ------------------------------------------------------------------
     def materialize(self, allocation: Allocation) -> List[PageTableEntry]:
         """Create PTEs for an allocation, assigning frames per owning GPM."""
+        next_pfn = self._next_pfn
         entries = []
-        for vpn in allocation.vpns():
-            owner = allocation.owner_of[vpn]
-            pfn = self._next_pfn[owner]
-            self._next_pfn[owner] += 1
-            entries.append(PageTableEntry(vpn=vpn, pfn=pfn, owner_gpm=owner))
+        for vpn, owner in allocation.owner_of.items():
+            pfn = next_pfn[owner]
+            next_pfn[owner] = pfn + 1
+            entries.append(PageTableEntry(vpn, pfn, owner))
         return entries
 
     def owner_of(self, vpn: int) -> int:

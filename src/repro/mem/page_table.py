@@ -15,7 +15,7 @@ contiguous-leaf prefetch cost are honest.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional, Sequence
 
 from repro.errors import AddressError
 from repro.mem.page import PageTableEntry
@@ -40,9 +40,15 @@ class _PageTableBase:
 
     # ------------------------------------------------------------------
     def insert(self, entry: PageTableEntry) -> None:
-        if entry.vpn in self._entries:
-            raise AddressError(f"{self.name}: VPN {entry.vpn:#x} already mapped")
-        self._entries[entry.vpn] = entry
+        self.insert_many((entry,))
+
+    def insert_many(self, entries: Sequence[PageTableEntry]) -> None:
+        """Map every entry in order; an already-mapped VPN raises."""
+        table = self._entries
+        for entry in entries:
+            if entry.vpn in table:
+                raise AddressError(f"{self.name}: VPN {entry.vpn:#x} already mapped")
+            table[entry.vpn] = entry
 
     def remove(self, vpn: int) -> PageTableEntry:
         try:
@@ -87,13 +93,15 @@ class LocalPageTable(_PageTableBase):
         super().__init__(f"gpm{gpm_id}.page_table")
         self.gpm_id = gpm_id
 
-    def insert(self, entry: PageTableEntry) -> None:
-        if entry.owner_gpm != self.gpm_id:
-            raise AddressError(
-                f"{self.name}: entry owned by GPM {entry.owner_gpm}, "
-                f"local table belongs to GPM {self.gpm_id}"
-            )
-        super().insert(entry)
+    def insert_many(self, entries: Sequence[PageTableEntry]) -> None:
+        gpm_id = self.gpm_id
+        for entry in entries:
+            if entry.owner_gpm != gpm_id:
+                raise AddressError(
+                    f"{self.name}: entry owned by GPM {entry.owner_gpm}, "
+                    f"local table belongs to GPM {gpm_id}"
+                )
+        super().insert_many(entries)
 
 
 class GlobalPageTable(_PageTableBase):

@@ -193,9 +193,6 @@ class MetricsRegistry:
     def __len__(self) -> int:
         return len(self._metrics)
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._metrics
-
     # ------------------------------------------------------------------
     # Bulk ingestion
     # ------------------------------------------------------------------

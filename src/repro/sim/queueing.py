@@ -107,9 +107,6 @@ class FiniteBuffer(Component):
     def __len__(self) -> int:
         return len(self._items)
 
-    def __bool__(self) -> bool:
-        return True
-
     @property
     def is_full(self) -> bool:
         return len(self._items) >= self.capacity

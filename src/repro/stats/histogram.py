@@ -33,9 +33,6 @@ class Histogram:
             return 0.0
         return sum(k * c for k, c in self._counts.items()) / self.total
 
-    def __len__(self) -> int:
-        return len(self._counts)
-
 
 class BucketHistogram:
     """Histogram over half-open ranges ``[b_i, b_{i+1})`` plus overflow.

@@ -139,7 +139,7 @@ class MigrationEngine(Component):
                 writable=entry.writable,
             )
             self.wafer.iommu.page_table.insert(new_entry)
-            dest.hierarchy.install_local_page(new_entry)
+            dest.hierarchy.install_local_pages([new_entry])
             self._walks.pop(entry.vpn, None)
             self._cooldown_until[entry.vpn] = (
                 self.sim.now + self.config.cooldown_cycles

@@ -184,14 +184,28 @@ class WaferScaleGPU:
 
         Pages owned by a fault-disabled GPM are remapped to a surviving
         one (deterministically, by id) before installation — the modelled
-        runtime reassigns a dead module's memory at boot.
+        runtime reassigns a dead module's memory at boot.  Each GPM then
+        installs its pages in one call, in their original order.
         """
+        faults = self.faults
+        dead = faults.dead_gpm_ids if faults is not None else ()
+        remapped = 0
+        by_owner: Dict[int, List[PageTableEntry]] = {}
         for entry in entries:
-            if self.faults is not None and not self.faults.gpm_alive(entry.owner_gpm):
-                entry.owner_gpm = self.faults.remap_owner(entry.owner_gpm)
-                self.faults.bump("remapped_pages")
-            self.iommu.page_table.insert(entry)
-            self.gpms[entry.owner_gpm].hierarchy.install_local_page(entry)
+            owner = entry.owner_gpm
+            if owner in dead:
+                owner = entry.owner_gpm = faults.remap_owner(owner)
+                remapped += 1
+            group = by_owner.get(owner)
+            if group is None:
+                by_owner[owner] = [entry]
+            else:
+                group.append(entry)
+        if remapped:
+            faults.bump("remapped_pages", remapped)
+        self.iommu.page_table.insert_many(entries)
+        for owner, group in by_owner.items():
+            self.gpms[owner].hierarchy.install_local_pages(group)
 
     # ------------------------------------------------------------------
     # Execution

@@ -16,9 +16,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from repro.config.gpm import GPMConfig
+from repro.errors import CapacityError
 from repro.filters.cuckoo import CuckooFilter
 from repro.mem.page import PageTableEntry
 from repro.mem.page_table import LocalPageTable
@@ -90,10 +91,22 @@ class TranslationHierarchy:
     # ------------------------------------------------------------------
     # Setup
     # ------------------------------------------------------------------
-    def install_local_page(self, entry: PageTableEntry) -> None:
-        """Register a locally resident page: page table + filter."""
-        self.page_table.insert(entry)
-        self.cuckoo.insert(entry.vpn)
+    def install_local_pages(self, entries: Sequence[PageTableEntry]) -> None:
+        """Register locally resident pages, in order: page table + filter.
+
+        Raises :class:`CapacityError` if the filter refuses a page: a local
+        page without its fingerprint would read filter-negative, so every
+        access to it would take the remote path.
+        """
+        self.page_table.insert_many(entries)
+        refused = self.cuckoo.insert_many([entry.vpn for entry in entries])
+        if refused:
+            cuckoo = self.cuckoo
+            raise CapacityError(
+                f"gpm{self.gpm_id}: cuckoo filter refused {refused} of "
+                f"{len(entries)} local pages (size={cuckoo.size}, "
+                f"buckets={cuckoo.num_buckets}x{cuckoo.slots_per_bucket})"
+            )
 
     # ------------------------------------------------------------------
     # CU-side probe (synchronous part of a translation)

@@ -137,6 +137,66 @@ class TestCuckooFilterProperties:
         """Partial-key cuckooing: alt(alt(i)) == i, so relocation works."""
         filt = CuckooFilter(capacity=256)
         fingerprint = fingerprint_of(item, filt.fingerprint_bits)
-        index1 = filt._index1(item)
+        index1 = mix64(item) & (filt.num_buckets - 1)
         index2 = filt._alt_index(index1, fingerprint)
         assert filt._alt_index(index2, fingerprint) == index1
+
+    @given(
+        st.lists(st.integers(min_value=0, max_value=2**64), max_size=50),
+        st.integers(min_value=1, max_value=20),
+        st.integers(min_value=1, max_value=32),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_hash_parts_match_the_helpers(self, items, capacity, bits):
+        """The inlined splitmix64 routine is bit-identical to
+        fingerprint_of / mix64 / _alt_index, and fills the cache."""
+        filt = CuckooFilter(capacity=capacity, fingerprint_bits=bits)
+        expected = []
+        for item in items:
+            fingerprint = fingerprint_of(item, bits)
+            index1 = mix64(item) & (filt.num_buckets - 1)
+            expected.append((fingerprint, index1, filt._alt_index(index1, fingerprint)))
+        assert filt._hash_parts(items) == expected
+        assert filt._hash_cache == dict(zip(items, expected))
+
+
+def _filter_state(filt):
+    return (
+        list(filt._buckets.items()),
+        filt.size,
+        filt.insert_failures,
+        list(filt._hash_cache.items()),
+        filt._rng.getstate(),
+    )
+
+
+class TestInsertMany:
+    @given(
+        st.lists(st.integers(min_value=0, max_value=2**40), max_size=24),
+        st.lists(st.integers(min_value=0, max_value=300), max_size=80),
+        st.integers(min_value=1, max_value=40),
+        st.integers(min_value=1, max_value=4),
+        st.integers(min_value=0, max_value=8),
+        st.integers(min_value=4, max_value=12),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_equals_sequential_inserts(self, prior, items, capacity, slots, kicks, bits):
+        """Same buckets (and their order), size, refusals, hash cache and
+        kick-out RNG state as one insert() per item.  Small capacities and
+        kick budgets drive the kick-out and refusal paths; a history of
+        inserts, probes and deletes makes the starting state non-empty."""
+        filters = [
+            CuckooFilter(capacity, fingerprint_bits=bits, slots_per_bucket=slots,
+                         max_kicks=kicks, seed=3)
+            for _ in range(2)
+        ]
+        for filt in filters:
+            for item in prior:
+                filt.insert(item)
+                filt.contains(item + 1)
+            for item in prior[::3]:
+                filt.delete(item)
+        bulk, sequential = filters
+        refused = bulk.insert_many(items)
+        assert refused == sum(1 for item in items if not sequential.insert(item))
+        assert _filter_state(bulk) == _filter_state(sequential)

@@ -89,10 +89,9 @@ def micro_tlb_lookup() -> str:
     config = wafer_7x7_config().gpm
     hierarchy = TranslationHierarchy(0, config)
     resident = 1024
-    for vpn in range(resident):
-        hierarchy.install_local_page(
-            PageTableEntry(vpn=vpn, pfn=vpn + 1, owner_gpm=0)
-        )
+    hierarchy.install_local_pages([
+        PageTableEntry(vpn=vpn, pfn=vpn + 1, owner_gpm=0) for vpn in range(resident)
+    ])
     span = resident * 4  # 3/4 of probes miss the local page table
     outcomes: Dict[str, int] = {}
     vpn = 0

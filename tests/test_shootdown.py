@@ -100,5 +100,5 @@ class TestPostShootdownBehaviour:
         new_owner = (owner + 1) % wafer.num_gpms
         entry = PageTableEntry(vpn=vpn, pfn=123, owner_gpm=new_owner)
         wafer.iommu.page_table.insert(entry)
-        wafer.gpms[new_owner].hierarchy.install_local_page(entry)
+        wafer.gpms[new_owner].hierarchy.install_local_pages([entry])
         assert wafer.iommu.page_table.lookup(vpn).owner_gpm == new_owner

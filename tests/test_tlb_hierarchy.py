@@ -27,18 +27,18 @@ class TestLocalProbe:
         assert result.latency == expected_latency
 
     def test_local_page_needs_walk_first_time(self, hierarchy):
-        hierarchy.install_local_page(_local_entry(7))
+        hierarchy.install_local_pages([_local_entry(7)])
         result = hierarchy.probe_local(7)
         assert result.outcome is ProbeOutcome.NEEDS_WALK
         assert result.entry is None
 
     def test_walk_completion_fills_caches(self, hierarchy):
-        hierarchy.install_local_page(_local_entry(7))
+        hierarchy.install_local_pages([_local_entry(7)])
         assert hierarchy.complete_local_walk(7) is not None
         assert hierarchy.probe_local(7).outcome is ProbeOutcome.L1_HIT
 
     def test_l2_hit_after_l1_eviction(self, hierarchy, tiny_gpm_config):
-        hierarchy.install_local_page(_local_entry(7))
+        hierarchy.install_local_pages([_local_entry(7)])
         hierarchy.complete_local_walk(7)
         # Evict vpn 7 from the (1-set) L1 by filling it with other entries.
         for vpn in range(100, 100 + tiny_gpm_config.l1_vector_tlb.num_ways):
@@ -55,7 +55,7 @@ class TestLocalProbe:
         assert hierarchy.false_positives == 1
 
     def test_latency_accumulates_through_levels(self, hierarchy, tiny_gpm_config):
-        hierarchy.install_local_page(_local_entry(7))
+        hierarchy.install_local_pages([_local_entry(7)])
         result = hierarchy.probe_local(7)  # reaches the LLT stage
         expected = (
             tiny_gpm_config.l1_vector_tlb.latency
@@ -80,7 +80,7 @@ class TestRemoteProbe:
         assert result.entry.owner_gpm == 3
 
     def test_local_page_positive_but_needs_walk(self, hierarchy):
-        hierarchy.install_local_page(_local_entry(7))
+        hierarchy.install_local_pages([_local_entry(7)])
         result = hierarchy.probe_remote(7)
         assert result.outcome is ProbeOutcome.NEEDS_WALK
 
@@ -106,7 +106,7 @@ class TestCachedRemoteConsistency:
     def test_local_pages_stay_in_filter_after_llt_eviction(
         self, hierarchy, tiny_gpm_config
     ):
-        hierarchy.install_local_page(_local_entry(7))
+        hierarchy.install_local_pages([_local_entry(7)])
         hierarchy.complete_local_walk(7)  # now resident in LLT
         for vpn in range(tiny_gpm_config.gmmu_cache.capacity * 2):
             hierarchy.install_cached_remote(
