@@ -27,6 +27,16 @@ _IDX_SEED = 0x9E3779B97F4A7C15
 _MIX_A = 0xBF58476D1CE4E5B9
 _MIX_B = 0x94D049BB133111EB
 
+#: One hash memo per filter geometry, shared by every filter in the
+#: process: ``(fingerprint_bits, num_buckets) -> {item: (fingerprint,
+#: index1, index2)}``.  The three values depend only on the item and the
+#: geometry, never on filter contents, so sharing them is
+#: behaviour-neutral.  A wafer's GPM filters all have one geometry, and
+#: every workload allocates from VPN 1, so a page hashed by its owner's
+#: install is never hashed again by a peer's probe or by a later run in
+#: the same process (each job of a sweep worker after the first).
+_HASH_MEMOS: Dict[Tuple[int, int], Dict[int, Tuple[int, int, int]]] = {}
+
 
 class CuckooFilter:
     """A cuckoo filter over non-negative integer items (VPNs).
@@ -52,7 +62,7 @@ class CuckooFilter:
         "_rng",
         "_index_mask",
         "_fp_mask",
-        "_hash_cache",
+        "_memo",
         "size",
         "lookups",
         "insert_failures",
@@ -82,11 +92,10 @@ class CuckooFilter:
         self._rng = random.Random(seed)
         self._index_mask = self.num_buckets - 1
         self._fp_mask = (1 << fingerprint_bits) - 1
-        #: item -> (fingerprint, index1, index2).  These depend only on
-        #: the item and the filter geometry — never on filter contents —
-        #: so caching them is behaviour-neutral; repeated probes of hot
-        #: VPNs skip all three splitmix64 mixes.
-        self._hash_cache: Dict[int, Tuple[int, int, int]] = {}
+        #: This geometry's entry in :data:`_HASH_MEMOS`.
+        self._memo = _HASH_MEMOS.setdefault(
+            (fingerprint_bits, self.num_buckets), {}
+        )
         self.size = 0
         self.lookups = 0
         self.insert_failures = 0
@@ -98,17 +107,17 @@ class CuckooFilter:
         return (index ^ mix64(fingerprint)) & (self.num_buckets - 1)
 
     def _hash_parts(self, items: Iterable[int]) -> List[Tuple[int, int, int]]:
-        """(fingerprint, index1, index2) of each item, recorded in the cache.
+        """(fingerprint, index1, index2) of each item, recorded in the memo.
 
         The one splitmix64 routine of the filter: every probe, insert and
-        delete that misses the cache hashes here.  The three mixes are
+        delete that misses the memo hashes here.  The three mixes are
         inlined and bit-identical to :func:`fingerprint_of` (fingerprint),
         :func:`mix64` (index1) and :meth:`_alt_index` (index2); taking a
         batch lets :meth:`insert_many` hash a whole install in one call.
         """
         fp_mask = self._fp_mask
         index_mask = self._index_mask
-        cache = self._hash_cache
+        memo = self._memo
         parts = []
         for item in items:
             z = (item + _FP_SEED) & _MASK64
@@ -123,7 +132,7 @@ class CuckooFilter:
             z = ((z ^ (z >> 30)) * _MIX_A) & _MASK64
             z = ((z ^ (z >> 27)) * _MIX_B) & _MASK64
             index2 = (index1 ^ z ^ (z >> 31)) & index_mask
-            part = cache[item] = (fingerprint, index1, index2)
+            part = memo[item] = (fingerprint, index1, index2)
             parts.append(part)
         return parts
 
@@ -144,7 +153,7 @@ class CuckooFilter:
         this package guard with ``contains`` to keep one copy per item.
         """
         fingerprint, index1, index2 = (
-            self._hash_cache.get(item) or self._hash_parts((item,))[0]
+            self._memo.get(item) or self._hash_parts((item,))[0]
         )
         for index in (index1, index2):
             bucket = self._bucket(index)
@@ -171,15 +180,21 @@ class CuckooFilter:
         """Insert ``items`` in order; returns how many the filter refused.
 
         Leaves the filter exactly as one :meth:`insert` per item would
-        (buckets, size, hash cache and kick-out RNG alike), but places a
-        fingerprint that finds room in either candidate bucket without a
-        call per item.  Only an item whose two buckets are both full takes
+        (buckets, size, hash memo and kick-out RNG alike), but hashes only
+        the items the memo lacks, in one call, and places a fingerprint
+        that finds room in either candidate bucket without a call per
+        item.  Only an item whose two buckets are both full takes
         :meth:`insert`'s kick-out loop.
         """
+        memo = self._memo
+        missing = [item for item in items if item not in memo]
+        if missing:
+            self._hash_parts(missing)
         buckets = self._buckets
         slots = self.slots_per_bucket
         placed = refused = 0
-        for item, (fingerprint, index1, index2) in zip(items, self._hash_parts(items)):
+        for item in items:
+            fingerprint, index1, index2 = memo[item]
             bucket = buckets.get(index1)
             if bucket is None:
                 buckets[index1] = [fingerprint]
@@ -204,11 +219,12 @@ class CuckooFilter:
         """Approximate membership: no false negatives, rare false positives.
 
         The hottest probe in the translation path (one call per L2 TLB
-        miss): a cached item costs one dict lookup before the bucket scans.
+        miss): a memoised item costs one dict lookup before the bucket
+        scans.
         """
         self.lookups += 1
         fingerprint, index1, index2 = (
-            self._hash_cache.get(item) or self._hash_parts((item,))[0]
+            self._memo.get(item) or self._hash_parts((item,))[0]
         )
         buckets = self._buckets
         bucket = buckets.get(index1)
@@ -220,7 +236,7 @@ class CuckooFilter:
     def delete(self, item: int) -> bool:
         """Remove one copy of ``item``; returns False if absent."""
         fingerprint, index1, index2 = (
-            self._hash_cache.get(item) or self._hash_parts((item,))[0]
+            self._memo.get(item) or self._hash_parts((item,))[0]
         )
         for index in (index1, index2):
             bucket = self._buckets.get(index)

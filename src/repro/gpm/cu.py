@@ -85,13 +85,16 @@ class TraceDriver:
 
     # ------------------------------------------------------------------
     def complete_one(self) -> None:
-        """An in-flight access finished; free its slot and keep issuing."""
+        """An in-flight access finished; free its slot and keep issuing.
+
+        Runs once per access, so :attr:`trace_exhausted` and
+        :attr:`drained` are spelled out inline.
+        """
         self.outstanding -= 1
-        if self.drained:
-            if self.on_drain is not None:
-                self.on_drain()
-        elif not self.trace_exhausted:
+        if self.position < len(self.trace):
             self._schedule_tick(0)
+        elif not self.outstanding and self.on_drain is not None:
+            self.on_drain()
 
     # ------------------------------------------------------------------
     def _schedule_tick(self, delay: int) -> None:
@@ -102,18 +105,24 @@ class TraceDriver:
 
     def _tick(self) -> None:
         self._tick_scheduled = False
+        trace = self.trace
+        end = len(trace)
+        issue_fn = self.issue_fn
+        max_outstanding = self.max_outstanding
         issued_now = 0
+        # The counters are re-read every iteration: issue_fn may complete
+        # an access (complete_one) before returning.
         while (
-            not self.trace_exhausted
-            and self.outstanding < self.max_outstanding
+            self.position < end
+            and self.outstanding < max_outstanding
             and issued_now < self.burst
         ):
-            vaddr = self.trace[self.position]
+            vaddr = trace[self.position]
             self.position += 1
             self.outstanding += 1
             self.issued += 1
             issued_now += 1
-            self.issue_fn(vaddr)
-        if not self.trace_exhausted and self.outstanding < self.max_outstanding:
+            issue_fn(vaddr)
+        if self.position < end and self.outstanding < max_outstanding:
             self._schedule_tick(self.interval)
         # Otherwise issuing resumes from complete_one().

@@ -463,7 +463,8 @@ class GPM(Component):
             # same deterministic remap the kill applied.
             owner_gpm = self.faults.remap_owner(owner_gpm)
             self.bump("dead_owner_data_redirects")
-        key = DataCache.line_key(owner_gpm, entry.pfn, offset)
+        # DataCache.line_key, inlined: 64-byte lines.
+        key = (owner_gpm << 60) | (entry.pfn << 16) | (offset >> 6)
         if self.l2_data.access(key):
             self.sim.schedule(
                 self.config.l2_cache_hit_latency,
@@ -507,8 +508,14 @@ class GPM(Component):
         )
 
     def handle_data_response(self, message: Message) -> None:
-        _key, epoch = message.payload
-        self._complete_if_current(epoch)
+        """A remote cacheline arrived: complete its access (the same test
+        as :meth:`_complete_if_current`, inlined on the busiest reply)."""
+        if message.payload[1] != self._fail_epoch:
+            self.bump("stale_completions")
+            return
+        stats = self.stats
+        stats["accesses_completed"] = stats.get("accesses_completed", 0) + 1
+        self.driver.complete_one()
 
     def _complete_if_current(self, epoch: int) -> None:
         if epoch != self._fail_epoch:
@@ -517,9 +524,6 @@ class GPM(Component):
             # now would double-count against the rewound trace ledger.
             self.bump("stale_completions")
             return
-        self._complete_access()
-
-    def _complete_access(self) -> None:
         # Inlined bump(): this runs once per access and the method-call
         # overhead was visible in profiles.
         stats = self.stats
@@ -530,26 +534,26 @@ class GPM(Component):
     # Message dispatch
     # ------------------------------------------------------------------
     def handle_message(self, message: Message) -> None:
-        kind = message.kind
-        if kind is MessageKind.TRANSLATION_RESP:
-            vpn, entry, served_by, extras = message.payload
-            if extras:
-                for extra_entry in extras:
-                    self.accept_pte_push(extra_entry)
-            self.remote_translation_complete(vpn, entry, served_by)
-        elif kind is MessageKind.PTE_PUSH:
-            for entry in message.payload:
-                self.accept_pte_push(entry)
-        elif kind is MessageKind.PEER_PROBE:
-            self.policy.on_peer_probe(self, message)
-        elif kind is MessageKind.REDIRECT:
-            self.policy.on_redirect(self, message)
-        elif kind is MessageKind.DATA_REQ:
-            self.handle_data_request(message)
-        elif kind is MessageKind.DATA_RESP:
-            self.handle_data_response(message)
-        else:  # pragma: no cover - defensive
-            raise ValueError(f"{self.name}: unexpected message kind {kind}")
+        """Deliver one NoC message to its handler (:data:`_DISPATCH`)."""
+        handler = _DISPATCH.get(message.kind)
+        if handler is None:
+            raise ValueError(
+                f"{self.name}: unexpected message kind {message.kind}"
+            )
+        handler(self, message)
+
+    def handle_translation_response(self, message: Message) -> None:
+        vpn, entry, served_by, extras = message.payload
+        if extras:
+            for extra_entry in extras:
+                self.accept_pte_push(extra_entry)
+        # Looked up on the instance, so a test's per-instance override
+        # of remote_translation_complete sees every response.
+        self.remote_translation_complete(vpn, entry, served_by)
+
+    def handle_pte_push(self, message: Message) -> None:
+        for entry in message.payload:
+            self.accept_pte_push(entry)
 
     # ------------------------------------------------------------------
     # Stats helpers
@@ -568,6 +572,16 @@ class GPM(Component):
 #: (§V-A's shared ports with local priority), so each occupies the port
 #: for a few cycles and hot holders become throughput-bound.
 PROBE_PORT_OCCUPANCY = 4
+
+#: Message kind -> GPM handler: one dict lookup per delivery.
+_DISPATCH: Dict[MessageKind, Callable[[GPM, Message], None]] = {
+    MessageKind.DATA_RESP: GPM.handle_data_response,
+    MessageKind.DATA_REQ: GPM.handle_data_request,
+    MessageKind.TRANSLATION_RESP: GPM.handle_translation_response,
+    MessageKind.PTE_PUSH: GPM.handle_pte_push,
+    MessageKind.PEER_PROBE: lambda gpm, message: gpm.policy.on_peer_probe(gpm, message),
+    MessageKind.REDIRECT: lambda gpm, message: gpm.policy.on_redirect(gpm, message),
+}
 
 _LOCAL_OUTCOME = {
     ProbeOutcome.L1_HIT: ServedBy.LOCAL_L1,

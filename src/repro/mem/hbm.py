@@ -24,6 +24,8 @@ class HBMModel:
         self.capacity_bytes = capacity_bytes
         self.bandwidth_per_cycle = bytes_per_cycle(bandwidth_bytes_per_sec)
         self.access_latency = access_latency
+        #: Serialisation of a 64-byte line, the size every access uses.
+        self._line_serialization = serialization_cycles(64, self.bandwidth_per_cycle)
         self.busy_until = 0
         self.bytes_served = 0
         self.accesses = 0
@@ -31,7 +33,10 @@ class HBMModel:
     def access(self, now: int, size_bytes: int = 64) -> int:
         """Account one access starting at ``now``; returns completion time."""
         start = max(now, self.busy_until)
-        serialization = serialization_cycles(size_bytes, self.bandwidth_per_cycle)
+        if size_bytes == 64:
+            serialization = self._line_serialization
+        else:
+            serialization = serialization_cycles(size_bytes, self.bandwidth_per_cycle)
         self.busy_until = start + serialization
         self.bytes_served += size_bytes
         self.accesses += 1

@@ -47,8 +47,8 @@ class MeshNetwork(Component):
     """
 
     __slots__ = (
-        "obs", "_tracer", "_conservation", "_faults", "topology", "_on_mesh",
-        "link_latency", "link_bytes_per_cycle", "_links", "_routes",
+        "obs", "_tracer", "_conservation", "_faults", "_plain", "topology",
+        "_on_mesh", "link_latency", "link_bytes_per_cycle", "_links", "_routes",
         "_routes_epoch", "_handlers", "_messages_routed", "_total_hops",
         "messages_by_kind", "link_bytes_by_kind",
     )
@@ -73,6 +73,11 @@ class MeshNetwork(Component):
         #: Optional :class:`~repro.faults.state.FaultState`; None keeps the
         #: no-fault fast path byte-identical to the pre-fault simulator.
         self._faults = faults
+        #: Healthy, untraced and unsanitized: ``send`` returns as soon as
+        #: the delivery is scheduled.
+        self._plain = (
+            faults is None and self._conservation is None and self._tracer is None
+        )
         self.topology = topology
         #: All on-mesh coordinates — membership test replaces the per-send
         #: range arithmetic in :meth:`_validate_endpoints`.
@@ -221,6 +226,9 @@ class MeshNetwork(Component):
                 arrival = start + latency
         else:
             arrival = sent_at + 1
+        if self._plain:
+            self.sim.schedule_at(arrival, lambda: handler(message))
+            return arrival
         if verdict == "delay":
             faults.bump("injected.delays")
             arrival += faults.plan.delay_cycles

@@ -24,8 +24,9 @@ from __future__ import annotations
 
 import gc
 import heapq
+from contextlib import contextmanager
 from time import perf_counter  # lint: allow-wallclock (host profiler only)
-from typing import TYPE_CHECKING, Callable, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Iterator, List, Optional, Tuple, Union
 
 from repro.errors import EventOrderError, SimulationError
 
@@ -43,6 +44,27 @@ _SLOT_MASK = SLOT_COUNT - 1
 
 #: ``sanitize=`` values -> race-detector mode (None: detector off).
 _RACE_MODES = {True: None, "races": "raise", "races:report": "report"}
+
+
+@contextmanager
+def gc_paused() -> Iterator[None]:
+    """Pause automatic cyclic GC for the block, then restore the caller's
+    GC state (a caller that had GC disabled keeps it disabled).
+
+    A simulation allocates heavily enough to trigger hundreds of
+    generation-0 collections per run and, across a sweep worker's jobs,
+    repeated full ones, each scanning the live heap; most simulation
+    objects are freed by refcount anyway, and the rest (the wafer's
+    reference cycles) are collected once GC resumes.  Pausing is
+    behaviour-neutral: it changes no event order and no digest.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 class Simulator:
@@ -321,40 +343,33 @@ class Simulator:
         """Run until cycle ``time`` (inclusive) or until the queue drains
         (``time=None``); returns the final cycle.
 
-        Automatic cyclic GC is paused for the duration of the loop (and
-        restored afterwards): the event loop allocates heavily enough to
-        trigger hundreds of generation-0 collections per run, each
-        scanning the whole live heap, and simulation objects are freed by
-        refcount anyway.  Pausing is behaviour-neutral — it changes no
-        event order and no digest — but saves ~20% wall time.
+        Automatic cyclic GC is paused for the duration of the loop
+        (:func:`gc_paused`); ``run_benchmark`` pauses it for the whole
+        run, build and collection included.
         """
         if self._running:
             raise SimulationError("simulator is already running")
         self._running = True
         hooks = self._hooks()
         races = hooks.races if hooks is not None else None
-        gc_was_enabled = gc.isenabled()
-        if gc_was_enabled:
-            gc.disable()
         started = perf_counter()
         try:
-            if races is not None:
-                races.arm()
-            if time is None:
-                while self._dispatch_batch(hooks):
-                    pass
-            else:
-                while self._advance(time) is not None:
-                    self._dispatch_batch(hooks)
-                self.now = max(self.now, time)
-            if races is not None:
-                hooks.flush()  # type: ignore[union-attr]
+            with gc_paused():
+                if races is not None:
+                    races.arm()
+                if time is None:
+                    while self._dispatch_batch(hooks):
+                        pass
+                else:
+                    while self._advance(time) is not None:
+                        self._dispatch_batch(hooks)
+                    self.now = max(self.now, time)
+                if races is not None:
+                    hooks.flush()  # type: ignore[union-attr]
         finally:
             self._running = False
             if races is not None:
                 races.disarm()
-            if gc_was_enabled:
-                gc.enable()
             if self.profiler is not None:
                 self.profiler.add_run(perf_counter() - started)
         # Quiesce checks only make sense for a drained (not truncated) run:

@@ -16,6 +16,7 @@ from repro.core.request import ServedBy
 from repro.errors import AccountingWarning, TruncationWarning
 from repro.mem.allocator import PageAllocator
 from repro.obs import Observability
+from repro.sim.engine import gc_paused
 from repro.stats.timeseries import PeriodicSampler, TimeSeries
 from repro.system.result import RunResult
 from repro.system.wafer import WaferScaleGPU
@@ -46,41 +47,51 @@ def run_benchmark(
     docs/ANALYSIS.md), whose clean-run report lands in
     ``RunResult.extras["sanitizers"]``.  ``sanitize="races"`` (or
     ``"races:report"``) additionally arms the same-cycle race detector.
+
+    Automatic cyclic GC is paused for the whole call — build, install,
+    run and collection — and the caller's GC state restored on return or
+    raise (:func:`~repro.sim.engine.gc_paused`): back-to-back jobs in a
+    sweep worker otherwise pay for repeated full-heap scans.
     """
-    if isinstance(workload, str):
-        workload = get_workload(workload)
-    wafer = WaferScaleGPU(config, policy=policy, obs=obs, sanitize=sanitize)
-    allocator = PageAllocator(wafer.address_space, wafer.num_gpms)
-    trace = workload.generate(
-        num_gpms=wafer.num_gpms,
-        allocator=allocator,
-        scale=scale,
-        seed=seed if seed is not None else config.seed,
-    )
-    for allocation in allocator.allocations:
-        wafer.install_entries(allocator.materialize(allocation))
-    wafer.load_traces(trace.per_gpm, burst=trace.burst, interval=trace.interval)
-
-    buffer_series = None
-    if sample_buffer_every:
-        buffer_series = TimeSeries(f"{workload.name}.buffer_pressure")
-        PeriodicSampler(
-            wafer.sim,
-            probe=wafer.iommu.buffer_pressure,
-            period=sample_buffer_every,
-            series=buffer_series,
+    with gc_paused():
+        if isinstance(workload, str):
+            workload = get_workload(workload)
+        wafer = WaferScaleGPU(config, policy=policy, obs=obs, sanitize=sanitize)
+        allocator = PageAllocator(wafer.address_space, wafer.num_gpms)
+        trace = workload.generate(
+            num_gpms=wafer.num_gpms,
+            allocator=allocator,
+            scale=scale,
+            seed=seed if seed is not None else config.seed,
         )
+        for allocation in allocator.allocations:
+            wafer.install_entries(allocator.materialize(allocation))
+        wafer.load_traces(trace.per_gpm, burst=trace.burst, interval=trace.interval)
 
-    wafer.run(max_cycles=max_cycles)
-    result = collect_result(wafer, trace)
-    if buffer_series is not None:
-        result.extras["buffer_series"] = [
-            [cycle, value] for cycle, value in buffer_series.points()
-        ]
-    if wafer.sim.sanitizer is not None:
-        result.extras["sanitizers"] = wafer.sim.sanitizer.report()
-    if wafer.faults is not None:
-        result.extras["faults"] = wafer.faults.report()
+        buffer_series = None
+        if sample_buffer_every:
+            buffer_series = TimeSeries(f"{workload.name}.buffer_pressure")
+            PeriodicSampler(
+                wafer.sim,
+                probe=wafer.iommu.buffer_pressure,
+                period=sample_buffer_every,
+                series=buffer_series,
+            )
+
+        wafer.run(max_cycles=max_cycles)
+        result = collect_result(wafer, trace)
+        if buffer_series is not None:
+            result.extras["buffer_series"] = [
+                [cycle, value] for cycle, value in buffer_series.points()
+            ]
+        if wafer.sim.sanitizer is not None:
+            result.extras["sanitizers"] = wafer.sim.sanitizer.report()
+        if wafer.faults is not None:
+            result.extras["faults"] = wafer.faults.report()
+        # Freed by refcount before GC resumes, so no collection has to
+        # walk the run's objects.
+        wafer.release()
+        del wafer
     return result
 
 

@@ -237,6 +237,22 @@ class WaferScaleGPU:
             gpm.start()
         return self.sim.run()
 
+    def release(self) -> None:
+        """Unwire a finished wafer so that refcounting alone frees it.
+
+        The wiring makes the wafer one large reference cycle: the mesh
+        handlers and trace-driver callbacks are bound methods of the
+        modules, and the policy points back at the wafer.  Only a cyclic
+        GC pass frees such a graph, and that pass walks every object of
+        the run.  Call once nothing will use the wafer again.
+        """
+        self.network._handlers.clear()
+        self.policy.wafer = None
+        self.iommu.policy = None
+        for gpm in self.gpms:
+            gpm.policy = gpm.on_finished = None
+            gpm.driver.issue_fn = gpm.driver.on_drain = None
+
     def _gpm_finished(self, gpm: GPM) -> None:
         self._finished.add(gpm.gpm_id)
 

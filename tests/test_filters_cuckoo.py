@@ -143,29 +143,67 @@ class TestCuckooFilterProperties:
 
     @given(
         st.lists(st.integers(min_value=0, max_value=2**64), max_size=50),
-        st.integers(min_value=1, max_value=20),
-        st.integers(min_value=1, max_value=32),
+        st.lists(
+            st.tuples(
+                st.integers(min_value=1, max_value=20),
+                st.integers(min_value=1, max_value=32),
+            ),
+            min_size=2, max_size=2,
+        ),
     )
     @settings(max_examples=100, deadline=None)
-    def test_hash_parts_match_the_helpers(self, items, capacity, bits):
+    def test_hash_parts_match_the_helpers(self, items, geometries):
         """The inlined splitmix64 routine is bit-identical to
-        fingerprint_of / mix64 / _alt_index, and fills the cache."""
-        filt = CuckooFilter(capacity=capacity, fingerprint_bits=bits)
-        expected = []
-        for item in items:
-            fingerprint = fingerprint_of(item, bits)
-            index1 = mix64(item) & (filt.num_buckets - 1)
-            expected.append((fingerprint, index1, filt._alt_index(index1, fingerprint)))
-        assert filt._hash_parts(items) == expected
-        assert filt._hash_cache == dict(zip(items, expected))
+        fingerprint_of / mix64 / _alt_index under each of two geometries,
+        and fills each geometry's memo with that geometry's hashes."""
+        for capacity, bits in geometries:
+            filt = CuckooFilter(capacity=capacity, fingerprint_bits=bits)
+            expected = []
+            for item in items:
+                fingerprint = fingerprint_of(item, bits)
+                index1 = mix64(item) & (filt.num_buckets - 1)
+                expected.append((fingerprint, index1, filt._alt_index(index1, fingerprint)))
+            assert filt._hash_parts(items) == expected
+            assert [filt._memo[item] for item in items] == expected
 
 
-def _filter_state(filt):
+class TestHashMemo:
+    def test_filters_of_one_geometry_share_a_memo(self):
+        first = CuckooFilter(capacity=64, fingerprint_bits=12, seed=1)
+        second = CuckooFilter(capacity=64, fingerprint_bits=12, seed=2,
+                              slots_per_bucket=4, max_kicks=8)
+        assert first._memo is second._memo
+        first.insert(12345)
+        # The second filter finds the hash without computing it, but not
+        # the item itself: the memo holds hashes, not membership.
+        assert 12345 in second._memo
+        assert not second.contains(12345)
+
+    @pytest.mark.parametrize("other", [
+        {"capacity": 128, "fingerprint_bits": 12},  # more buckets
+        {"capacity": 64, "fingerprint_bits": 16},   # wider fingerprints
+    ])
+    def test_filters_of_different_geometry_do_not(self, other):
+        filt = CuckooFilter(capacity=64, fingerprint_bits=12)
+        assert filt._memo is not CuckooFilter(**other)._memo
+
+    def test_bucket_depth_is_not_part_of_the_key(self):
+        """No hash reads slots_per_bucket, so filters with deeper buckets
+        but the same bucket count and fingerprint width share a memo."""
+        four = CuckooFilter(capacity=64, slots_per_bucket=4)
+        eight = CuckooFilter(capacity=128, slots_per_bucket=8)
+        assert four.num_buckets == eight.num_buckets
+        assert four._memo is eight._memo
+
+
+def _filter_state(filt, items):
+    """Everything a filter holds, with the shared memo's entries for the
+    filter's own ``items``."""
     return (
         list(filt._buckets.items()),
         filt.size,
         filt.insert_failures,
-        list(filt._hash_cache.items()),
+        [filt._memo[item] for item in items],
         filt._rng.getstate(),
     )
 
@@ -181,8 +219,8 @@ class TestInsertMany:
     )
     @settings(max_examples=200, deadline=None)
     def test_equals_sequential_inserts(self, prior, items, capacity, slots, kicks, bits):
-        """Same buckets (and their order), size, refusals, hash cache and
-        kick-out RNG state as one insert() per item.  Small capacities and
+        """Same buckets (and their order), size, refusals, memoised hashes
+        and kick-out RNG state as one insert() per item.  Small capacities and
         kick budgets drive the kick-out and refusal paths; a history of
         inserts, probes and deletes makes the starting state non-empty."""
         filters = [
@@ -199,4 +237,5 @@ class TestInsertMany:
         bulk, sequential = filters
         refused = bulk.insert_many(items)
         assert refused == sum(1 for item in items if not sequential.insert(item))
-        assert _filter_state(bulk) == _filter_state(sequential)
+        own = prior + [item + 1 for item in prior] + items
+        assert _filter_state(bulk, own) == _filter_state(sequential, own)

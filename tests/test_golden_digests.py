@@ -1,9 +1,10 @@
 """Golden determinism digests: the gate on simulated behaviour.
 
-Seven shards run at scale 0.02 and seed 42 — five simulation runs
-(fig14 baseline/HDPAT spmv, HDPAT fft, fig6 bt counts, ext_faults spmv at
-a 10 % degradation plan) and two host micro-kernels (the TLB-hierarchy
-lookup path and the event engine's scheduling loop).  Each shard's
+Nine shards run at scale 0.02 and seed 42 — seven simulation runs
+(fig14 baseline/HDPAT/Valkyrie spmv, HDPAT fft, fig6 bt counts, ext_faults
+spmv at a 10 % degradation plan, and an HDPAT spmv run whose fault
+timeline kills six GPMs and recovers them) and two host micro-kernels
+(the TLB-hierarchy lookup path and the event engine's scheduling loop).  Each shard's
 digest must equal the committed value in ``fixtures/golden_digests.json``.
 A digest that moves means simulated behaviour changed, not just speed.
 
@@ -32,7 +33,8 @@ from repro.analysis.sanitizers import result_digest
 from repro.config.hdpat import HDPATConfig
 from repro.config.presets import wafer_7x7_config
 from repro.config.scaling import capacity_scaled
-from repro.faults import degradation_plan
+from repro.core.baselines.registry import sota_policy, sota_system_config
+from repro.faults import FaultPlan, degradation_plan, recovery_scenario
 from repro.mem.page import PageTableEntry
 from repro.obs import Observability
 from repro.sim.engine import Simulator
@@ -48,14 +50,31 @@ SEED = 42
 TLB_MICRO_ITERATIONS = 150_000
 HEAP_MICRO_EVENTS = 120_000
 
-#: Shard name -> (workload, scheme, fault fraction).
+#: Shard name -> (workload, scheme, faults).  ``faults`` is None, a
+#: degradation-plan fraction, or ``"recovery"`` for the kill/recover
+#: timeline below.
 SIM_SHARDS = {
-    "fig14_baseline_spmv": ("spmv", "baseline", 0.0),
-    "fig14_hdpat_spmv": ("spmv", "hdpat", 0.0),
-    "fig14_hdpat_fft": ("fft", "hdpat", 0.0),
-    "fig6_counts_bt": ("bt", "baseline", 0.0),
+    "fig14_baseline_spmv": ("spmv", "baseline", None),
+    "fig14_hdpat_spmv": ("spmv", "hdpat", None),
+    "fig14_valkyrie_spmv": ("spmv", "valkyrie", None),
+    "fig14_hdpat_fft": ("fft", "hdpat", None),
+    "fig6_counts_bt": ("bt", "baseline", None),
     "ext_faults_spmv": ("spmv", "hdpat", 0.1),
+    "ext_recovery_spmv": ("spmv", "hdpat", "recovery"),
 }
+
+
+def recovery_timeline():
+    """ext_recovery's drain -> degrade -> kill -> restore -> recover
+    phasing against the healthy HDPAT spmv makespan (23,658 cycles).
+    The kill lands while accesses are out in the data phase, so their
+    late replies take the stale-completion path."""
+    kill = 2_365
+    return recovery_scenario(
+        7, 7, seed=SEED, kill_cycle=kill, recover_cycle=kill + 369,
+        drain_cycle=1_182, degrade_cycle=kill - 369,
+        restore_cycle=kill + 184, num_victims=6,
+    )
 
 
 def _dict_digest(payload: Dict[str, object]) -> str:
@@ -66,16 +85,26 @@ def _dict_digest(payload: Dict[str, object]) -> str:
 
 def sim_digest(name: str, obs: Observability | None = None) -> str:
     """Digest of one simulation shard's :class:`RunResult`."""
-    workload, scheme, fault_fraction = SIM_SHARDS[name]
+    workload, scheme, faults = SIM_SHARDS[name]
     config = wafer_7x7_config()
+    policy = None
     if scheme == "hdpat":
         config = config.with_hdpat(HDPATConfig.full())
-    if fault_fraction:
+    elif scheme != "baseline":
+        config = sota_system_config(scheme, config)
+        policy = sota_policy(scheme, config.hdpat)
+    if faults == "recovery":
+        config = config.with_faults(
+            FaultPlan(seed=SEED, timeline=recovery_timeline())
+        )
+    elif faults:
         config = config.with_faults(degradation_plan(
-            config.mesh_width, config.mesh_height, SEED, fault_fraction,
+            config.mesh_width, config.mesh_height, SEED, faults,
         ))
     config = capacity_scaled(config, SCALE)
-    result = run_benchmark(config, workload, scale=SCALE, seed=SEED, obs=obs)
+    result = run_benchmark(
+        config, workload, scale=SCALE, seed=SEED, policy=policy, obs=obs,
+    )
     return result_digest(result)
 
 

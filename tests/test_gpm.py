@@ -17,6 +17,7 @@ from repro.core.request import ServedBy
 from repro.faults import FaultPlan, FaultTimeline, KillGpm, RecoverGpm
 from repro.mem.allocator import PageAllocator
 from repro.mem.page import PageTableEntry
+from repro.noc.messages import Message, MessageKind
 from repro.obs import Observability
 from repro.system.runner import run_benchmark
 from repro.system.wafer import WaferScaleGPU
@@ -186,6 +187,74 @@ class TestPeerProbe:
             gpm.serve_peer_probe(4242, lambda e: None)
         wafer.sim.run()
         assert gpm.stat("probe_port_wait_cycles") > 0
+
+
+class TestMessageDispatch:
+    """handle_message routes every kind a GPM receives to its handler."""
+
+    def _deliver(self, wafer, kind, payload):
+        gpm = wafer.gpms[0]
+        message = Message(kind, src=gpm.coordinate, dst=gpm.coordinate,
+                          payload=payload)
+        gpm.handle_message(message)
+        return gpm, message
+
+    def test_data_request_is_served_and_answered(self, wafer):
+        gpm = wafer.gpms[0]
+        self._deliver(wafer, MessageKind.DATA_REQ,
+                      (1 << 16, gpm.coordinate, gpm._fail_epoch))
+        wafer.sim.run()
+        # Served from HBM; the DATA_RESP it sends back completes an access.
+        assert gpm.hbm.accesses == 1
+        assert gpm.stat("accesses_completed") == 1
+
+    def test_data_response_completes_an_access(self, wafer):
+        gpm = wafer.gpms[0]
+        gpm.driver.outstanding = 1
+        self._deliver(wafer, MessageKind.DATA_RESP, (0, gpm._fail_epoch))
+        assert gpm.stat("accesses_completed") == 1
+        assert gpm.driver.outstanding == 0
+
+    def test_pte_push_is_installed(self, wafer):
+        allocation = _install_pages(wafer)
+        entry = wafer.iommu.page_table.lookup(allocation.base_vpn + 1)
+        gpm, _ = self._deliver(wafer, MessageKind.PTE_PUSH, [entry])
+        assert gpm.stat("pte_pushes_received") == 1
+
+    @pytest.mark.parametrize("kind, method", [
+        (MessageKind.PEER_PROBE, "on_peer_probe"),
+        (MessageKind.REDIRECT, "on_redirect"),
+    ])
+    def test_policy_kinds_reach_the_policy(self, wafer, monkeypatch, kind, method):
+        calls = []
+        monkeypatch.setattr(type(wafer.policy), method,
+                            lambda policy, gpm, message: calls.append((gpm, message)))
+        gpm, message = self._deliver(wafer, kind, None)
+        assert calls == [(gpm, message)]
+
+    def test_unexpected_kind_raises(self, wafer):
+        with pytest.raises(ValueError, match="unexpected message kind"):
+            self._deliver(wafer, MessageKind.TRANSLATION_REQ, None)
+
+    def test_instance_override_sees_translation_responses(self, wafer):
+        allocation = _install_pages(wafer)
+        vpn = allocation.base_vpn
+        entry = wafer.iommu.page_table.lookup(vpn)
+        gpm = wafer.gpms[0]
+        seen = []
+        gpm.remote_translation_complete = (
+            lambda v, e, served: seen.append((v, e, served))
+        )
+        self._deliver(wafer, MessageKind.TRANSLATION_RESP,
+                      (vpn, entry, ServedBy.IOMMU, ()))
+        assert seen == [(vpn, entry, ServedBy.IOMMU)]
+
+    def test_stale_data_response_is_dropped(self, wafer):
+        gpm = wafer.gpms[0]
+        gpm.halt()  # bumps the fail epoch past the reply's
+        self._deliver(wafer, MessageKind.DATA_RESP, (0, gpm._fail_epoch - 1))
+        assert gpm.stat("stale_completions") == 1
+        assert gpm.stat("accesses_completed") == 0
 
 
 class TestDataPath:

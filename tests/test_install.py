@@ -38,7 +38,9 @@ def _installed_state(wafer):
             list(cuckoo._buckets.items()),
             cuckoo.size,
             cuckoo.insert_failures,
-            list(cuckoo._hash_cache.items()),
+            # The memo is shared by every filter of this geometry; each
+            # of this GPM's pages must have its entry there.
+            [cuckoo._memo[vpn] for vpn in gpm.hierarchy.page_table._entries],
             cuckoo._rng.getstate(),
         ))
     return (

@@ -1,5 +1,8 @@
 """Wafer assembly and benchmark-runner tests."""
 
+import dataclasses
+import gc
+
 import pytest
 
 from repro.config.hdpat import HDPATConfig
@@ -9,7 +12,8 @@ from repro.core.overhead import (
     sram_overhead,
 )
 from repro.core.request import ServedBy, TranslationRequest
-from repro.errors import ConfigurationError
+from repro.errors import CapacityError, ConfigurationError
+from repro.system import runner
 from repro.system.runner import run_benchmark
 from repro.system.wafer import WaferScaleGPU
 
@@ -140,6 +144,71 @@ class TestRunner:
         result = run_benchmark(small_system_config, "fwt", scale=0.02, seed=1)
         analyzers = result.extras["iommu_analyzers"]
         assert analyzers["translation_counts"]["total_requests"] == result.iommu_requests
+
+
+class TestGcPause:
+    """run_benchmark pauses cyclic GC for the whole call, then restores
+    the caller's GC state whether the run returns or raises."""
+
+    @pytest.fixture
+    def gc_enabled(self):
+        gc.enable()
+        yield
+        gc.enable()
+
+    def test_paused_from_build_to_collection_then_restored(
+        self, small_system_config, gc_enabled, monkeypatch
+    ):
+        seen = []
+        original_init = WaferScaleGPU.__init__
+        original_collect = runner.collect_result
+
+        def init(self, *args, **kwargs):
+            seen.append(("build", gc.isenabled()))
+            original_init(self, *args, **kwargs)
+
+        def collect(*args):
+            seen.append(("collect", gc.isenabled()))
+            return original_collect(*args)
+
+        monkeypatch.setattr(WaferScaleGPU, "__init__", init)
+        monkeypatch.setattr(runner, "collect_result", collect)
+        result = run_benchmark(small_system_config, "spmv", scale=0.02, seed=1)
+        assert result.extras["all_finished"]
+        assert seen == [("build", False), ("collect", False)]
+        assert gc.isenabled()
+
+    def test_restored_when_the_install_raises(self, small_system_config, gc_enabled):
+        gpm = dataclasses.replace(small_system_config.gpm, cuckoo_capacity=4)
+        config = dataclasses.replace(small_system_config, gpm=gpm)
+        with pytest.raises(CapacityError):
+            run_benchmark(config, "spmv", scale=0.05, seed=1)
+        assert gc.isenabled()
+
+    def test_a_disabled_gc_stays_disabled(self, small_system_config, gc_enabled):
+        gc.disable()
+        run_benchmark(small_system_config, "spmv", scale=0.02, seed=1)
+        assert not gc.isenabled()
+
+    @pytest.mark.parametrize("config_name", ["small_system_config", "small_hdpat_config"])
+    def test_a_run_leaves_no_cyclic_garbage(self, config_name, request, gc_enabled):
+        """WaferScaleGPU.release() unwires the finished wafer, so refcounting
+        frees it and no collection has to walk the run's objects."""
+        config = request.getfixturevalue(config_name)
+        gc.collect()
+        gc.disable()
+        run_benchmark(config, "spmv", scale=0.02, seed=1)
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            gc.collect()
+            leaked = [
+                type(obj).__qualname__ for obj in gc.garbage
+                if type(obj).__module__.startswith("repro.")
+            ]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+        assert leaked == []
 
 
 class TestConservation:
