@@ -93,42 +93,6 @@ class DeterminismError(SanitizerError):
     digests — the invariant the disk result cache depends on."""
 
 
-class ExecConfigError(ConfigurationError):
-    """An execution-layer component was configured inconsistently — e.g.
-    a non-positive lease TTL, tenant weight, or queue cap for the sweep
-    service's job ledger."""
-
-
-class ServiceError(ReproError):
-    """Base class for multi-host sweep-service failures
-    (:mod:`repro.exec.service`): ledger protocol violations, unknown or
-    malformed campaigns, tenant admission rejections."""
-
-
-class BackPressureError(ServiceError):
-    """A tenant's submission was rejected at admission: accepting the
-    campaign would push the tenant's queued (pending + leased) job count
-    past its ``queue_cap``.  Typed so submitters can distinguish "slow
-    down and retry" from a genuinely invalid campaign; carries the
-    tenant, its current queue depth, the cap, and the rejected size."""
-
-    def __init__(self, tenant, depth, cap, submitted):
-        super().__init__(
-            f"tenant {tenant!r} queue depth {depth} + {submitted} "
-            f"submitted jobs would exceed its cap of {cap}"
-        )
-        self.tenant = tenant
-        self.depth = depth
-        self.cap = cap
-        self.submitted = submitted
-
-
-class CampaignError(ServiceError):
-    """A campaign operation could not be honoured: duplicate name at
-    submit, unknown name at status, or a result table requested before
-    every job of the campaign has committed."""
-
-
 class SweepAbortedError(ReproError):
     """The sweep executor stopped before completing its batch — the
     circuit breaker tripped (``max_consecutive_failures``), a SIGINT/

@@ -8,16 +8,11 @@ timeout/retry robustness and ``sweep.jobs.*`` progress metrics.  The
 disk cache is also the checkpoint: each result is stored as it
 completes, so an interrupted sweep resumes by rerunning it against the
 same cache directory.  :mod:`repro.exec.resilience` adds chaos testing:
-one seeded :class:`WorkerFaultPlan` faults pool workers and service
-hosts alike.  :mod:`repro.exec.service` scales the stack to many
-machines: a :class:`Coordinator` admits campaigns into the fcntl-locked
-:class:`JobLedger` lease table, and :class:`WorkerHost` processes drain
-it with TTL-lease failover (work-stealing) and content-addressed
-exactly-once commits.  Both schedulers share one attempt budget,
-:data:`~repro.exec.jobs.MAX_ATTEMPTS`.
+one seeded :class:`WorkerFaultPlan` faults pool workers, and every job
+gets the same attempt budget, :data:`~repro.exec.jobs.MAX_ATTEMPTS`.
 
 See docs/EXECUTION.md for the cache-key composition, the resilience
-model, the sweep-service state machine, and CLI examples.
+model, and CLI examples.
 """
 
 from repro.exec.diskcache import DiskResultCache
@@ -30,43 +25,27 @@ from repro.exec.jobs import (
     execute_job_observed,
     make_job,
 )
-from repro.exec.ledger import JobLedger
-from repro.exec.locking import HAVE_FCNTL, atomic_write_json, file_lock
-from repro.exec.progress import (
-    SweepHeartbeat,
-    merge_heartbeat_streams,
-    read_heartbeats,
-    read_jsonl_prefix,
-)
+from repro.exec.progress import SweepHeartbeat, read_heartbeats, read_jsonl_prefix
 from repro.exec.resilience import (
     WorkerFaultPlan,
     execute_job_resilient,
     install_worker_fault_plan,
 )
-from repro.exec.service import Coordinator, WorkerHost, default_host_id
 
 __all__ = [
     "CACHE_SCHEMA",
-    "Coordinator",
     "DiskResultCache",
-    "HAVE_FCNTL",
     "JobFailure",
-    "JobLedger",
     "RunJob",
     "SweepExecutor",
     "SweepHeartbeat",
     "WorkerFaultPlan",
-    "WorkerHost",
-    "atomic_write_json",
-    "default_host_id",
     "default_jobs",
     "execute_job",
     "execute_job_observed",
     "execute_job_resilient",
-    "file_lock",
     "install_worker_fault_plan",
     "make_job",
-    "merge_heartbeat_streams",
     "read_heartbeats",
     "read_jsonl_prefix",
 ]

@@ -35,10 +35,6 @@ class DiskResultCache:
     def path_for(self, job: RunJob) -> Path:
         return self.root / f"{job.cache_key()}.json"
 
-    def has_key(self, key: str) -> bool:
-        """Existence check by raw cache key (the service's precommit check)."""
-        return (self.root / f"{key}.json").exists()
-
     def load(self, job: RunJob) -> Optional[RunResult]:
         """The cached result for ``job``, or None (miss/corrupt/stale)."""
         path = self.path_for(job)
@@ -77,9 +73,8 @@ class DiskResultCache:
                 json.dump(payload, handle, indent=1, sort_keys=True)
                 handle.write("\n")
                 # fsync before the rename: the cache is the sweep's
-                # checkpoint and the service commits a ledger entry right
-                # after store() returns, so a stored key whose bytes never
-                # reached disk would be unservable after a crash.
+                # checkpoint, so a key that is visible after a crash must
+                # name bytes that reached disk.
                 handle.flush()
                 os.fsync(handle.fileno())
             os.replace(tmp_name, path)

@@ -8,8 +8,7 @@ and *what happens when it breaks*:
 
 - per-job wall-clock timeout (a stuck worker becomes a failure record,
   and its pool is torn down so the slot is recovered);
-- per-job bounded attempts (:data:`~repro.exec.jobs.MAX_ATTEMPTS`, the
-  budget the service ledger charges too) with
+- per-job bounded attempts (:data:`~repro.exec.jobs.MAX_ATTEMPTS`) with
   :class:`~repro.faults.retry.RetryPolicy` backoff — scheduled as an
   *eligibility time*, never a blocking sleep, so a permanently failing
   job costs zero idle wall-clock after its final attempt;

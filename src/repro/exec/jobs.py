@@ -5,8 +5,8 @@ the *unscaled* :class:`~repro.config.SystemConfig`, the workload name, the
 scale/seed, a policy key, and any extra ``run_benchmark`` keyword
 arguments.  :func:`execute_job` runs one: it revives the policy from the
 key, applies the scaled-capacity methodology, and runs the benchmark.
-It is the only way a job runs — in-process, in a pool worker, or on a
-service host — so every path produces the same result.
+It is the only way a job runs — in-process or in a pool worker — so
+every path produces the same result.
 
 Every job is reproducible anywhere
 ----------------------------------
@@ -46,9 +46,8 @@ from repro.system.runner import OBS_EXTRAS, run_benchmark
 #: the model did not change).
 CACHE_SCHEMA = 5
 
-#: Attempts per job (the first run plus retries) before it is recorded as
-#: failed — one budget for the local pool (charged failures) and the
-#: service ledger (failures and expired leases).
+#: Attempts per job (the first run plus retries) before the pool records
+#: it as failed; worker exceptions and worker crashes are both charged.
 MAX_ATTEMPTS = 3
 
 #: run_benchmark kwargs value types a job may carry (JSON scalars).

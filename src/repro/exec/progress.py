@@ -13,7 +13,6 @@ final state (``"phase": "finished"``).  Fields:
 ``elapsed``          seconds since the heartbeat started
 ``t``                absolute wall-clock timestamp of the beat
 ``seq``              monotonic per-writer sequence number (0, 1, 2, …)
-``host``             writer's host id, when one was configured
 ``total``            jobs queued so far (grows as experiments enqueue)
 ``done`` / ``failed`` / ``retried``  cumulative job outcomes
 ``cache_hits``       jobs served from the memory or disk cache
@@ -25,13 +24,6 @@ final state (``"phase": "finished"``).  Fields:
 
 Writes are throttled (default one per second) and re-open the file in
 append mode each time, so a crashed sweep leaves a complete prefix.
-
-The multi-host sweep service gives every worker host its own heartbeat
-file (`hosts/<host_id>.jsonl`); :func:`merge_heartbeat_streams` folds
-them into one deterministic timeline.  ``(t, host, seq)`` is the sort
-key: wall clocks order beats across hosts, and the per-host ``seq``
-breaks ties deterministically even when two hosts beat within the same
-clock tick.
 """
 
 from __future__ import annotations
@@ -39,21 +31,15 @@ from __future__ import annotations
 import json
 import os
 import time
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Optional
 
 
 class SweepHeartbeat:
     """Throttled JSONL progress writer (one line per beat)."""
 
-    def __init__(
-        self,
-        path: str,
-        every: float = 1.0,
-        host_id: Optional[str] = None,
-    ) -> None:
+    def __init__(self, path: str, every: float = 1.0) -> None:
         self.path = path
         self.every = max(0.0, float(every))
-        self.host_id = host_id
         self._started = time.time()
         self._last_write: Optional[float] = None
         self._finished = False
@@ -87,8 +73,6 @@ class SweepHeartbeat:
         record["elapsed"] = round(elapsed, 3)
         record["t"] = round(now, 3)
         record["seq"] = self.beats
-        if self.host_id is not None:
-            record["host"] = self.host_id
         done = int(record.get("done", 0))
         failed = int(record.get("failed", 0))
         total = int(record.get("total", 0))
@@ -168,40 +152,3 @@ def read_heartbeats(path: str):
     always read how far the sweep got.
     """
     return read_jsonl_prefix(path)
-
-
-def _merge_key(record: Dict[str, object]) -> Tuple[float, str, int]:
-    """Deterministic cross-host ordering for merged heartbeat records.
-
-    ``t`` (absolute wall clock) orders beats across hosts; ``host`` and
-    the per-host monotonic ``seq`` break same-tick ties so two merges of
-    the same files always produce the same timeline.  Records from
-    pre-service heartbeat files (no ``t``/``seq``) sort by what they
-    have, defaulting to zero.
-    """
-    t = record.get("t", 0.0)
-    host = record.get("host", "")
-    seq = record.get("seq", 0)
-    return (
-        float(t) if isinstance(t, (int, float)) else 0.0,
-        str(host),
-        int(seq) if isinstance(seq, int) else 0,
-    )
-
-
-def merge_heartbeat_streams(paths: Iterable[str]) -> List[Dict[str, object]]:
-    """Fold per-host heartbeat files into one deterministic timeline.
-
-    Missing files are skipped (a host that died before its first beat
-    simply contributes nothing); torn final lines are tolerated per
-    stream.  The result is sorted by ``(t, host, seq)`` — see
-    :func:`_merge_key`.
-    """
-    merged: List[Dict[str, object]] = []
-    for path in paths:
-        try:
-            merged.extend(read_jsonl_prefix(path))
-        except FileNotFoundError:
-            continue
-    merged.sort(key=_merge_key)
-    return merged

@@ -1,4 +1,4 @@
-"""Chaos faults for the sweep executor and the sweep service.
+"""Chaos faults for the sweep executor's worker pool.
 
 :class:`WorkerFaultPlan` makes executor degradation testable the same
 way simulator degradation is (:mod:`repro.faults`): a seeded, frozen,
@@ -7,19 +7,11 @@ slow-down probabilities plus an explicit poison list of job keys that
 always crash.  Every verdict is a pure function of ``(plan, job key,
 attempt)`` drawn from ``random.Random``, never the global generator, so
 a chaos sweep is exactly reproducible: the same plan faults the same
-attempts of the same jobs no matter how they are scheduled.
-
-One plan type serves both schedulers.  In the local process pool the
+attempts of the same jobs no matter how they are scheduled.  The
 attempt is the job's charged-failure count, and the plan is shipped
 into each worker via the pool initializer
 (:func:`install_worker_fault_plan`), mirroring how
-:class:`~repro.faults.plan.FaultPlan` rides on the config.  In the
-multi-host sweep service (:mod:`repro.exec.service`) the attempt is the
-ledger's hold index (how many hosts held the job before), and the
-verdict breaks the whole worker host: a crash kills the host right
-after its claim, a hang silences its lease renewals after the result is
-stored (so the lease expires and is stolen), a slow verdict stretches
-its wall-clock.
+:class:`~repro.faults.plan.FaultPlan` rides on the config.
 
 The pool entry point :func:`execute_job_resilient` applies the
 worker-local plan's verdict (crash = hard process death, hang = a long
@@ -53,15 +45,15 @@ _CRASH_MODES = ("exit", "kill")
 
 @dataclass(frozen=True)
 class WorkerFaultPlan:
-    """One deterministic chaos scenario for pool workers or worker hosts."""
+    """One deterministic chaos scenario for pool workers."""
 
     seed: int = 0
-    #: Per-attempt probability that the worker process (or host) dies.
+    #: Per-attempt probability that the worker process dies.
     crash_prob: float = 0.0
     #: Per-attempt probability that the worker stalls for
     #: :attr:`hang_seconds` (finite, so a sweep without timeouts still
     #: terminates — a hung worker eventually recovers, exactly like a
-    #: fail-slow link).  A hung host renews no leases meanwhile.
+    #: fail-slow link).
     hang_prob: float = 0.0
     #: Per-attempt probability that the job runs at ``1/slow_factor``
     #: effective speed (the worker sleeps off the difference).
@@ -74,8 +66,8 @@ class WorkerFaultPlan:
     poison_keys: Tuple[str, ...] = ()
     #: How a crash verdict kills the process: ``"exit"`` is an immediate
     #: ``os._exit`` (interpreter death), ``"kill"`` is a self-delivered
-    #: SIGKILL (host/OOM-killer death).  Both surface to a pool parent as
-    #: a broken pool, and to the service as a lease that expires.
+    #: SIGKILL (host/OOM-killer death).  Both surface to the pool parent
+    #: as a broken pool.
     crash_mode: str = "exit"
 
     def __post_init__(self) -> None:
@@ -122,8 +114,8 @@ class WorkerFaultPlan:
 
         ``job_key`` is the job's stable human identity
         (:meth:`RunJob.job_key`); ``attempt`` is the pool's
-        charged-failure count or the ledger's hold index, so verdicts
-        are independent of scheduling.  Pure: same plan, key, and
+        charged-failure count, so verdicts are independent of
+        scheduling.  Pure: same plan, key, and
         attempt always give the same verdict.
         """
         if job_key in self.poison_keys:
@@ -141,7 +133,7 @@ class WorkerFaultPlan:
 
     def die(self) -> None:  # pragma: no cover - exercised in subprocesses
         """Hard process death, no teardown, no flush — exactly what
-        SIGKILL does to a real worker or host."""
+        SIGKILL does to a real worker."""
         if self.crash_mode == "kill":
             os.kill(os.getpid(), signal.SIGKILL)
         os._exit(137)

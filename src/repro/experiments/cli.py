@@ -18,17 +18,9 @@ progress counters and per-job wall-clock histogram.  The cache is also
 the checkpoint: an interrupted run resumes by being rerun with the same
 ``--cache-dir``.
 
-Multi-host sweep service verbs (see docs/EXECUTION.md, "Sweep service")::
-
-    hdpat-experiments submit --service-dir /shared/svc --campaign c1 \\
-        --tenant alice --schemes baseline,hdpat --benchmarks aes,fir
-    hdpat-experiments serve --service-dir /shared/svc        # per host
-    hdpat-experiments status --service-dir /shared/svc --campaign c1 \\
-        --output results.txt
-
-Exit codes: 0 success; 2 configuration error; 3 sweep aborted; 4 a
-submission was rejected with back-pressure (tenant queue cap); 5 a
-result table was requested for a campaign that is not fully committed.
+Exit codes: 0 success; 2 configuration error (an unknown experiment or
+benchmark, a scale outside (0, 1], an unreadable worker fault plan);
+3 sweep aborted.
 """
 
 from __future__ import annotations
@@ -37,23 +29,13 @@ import argparse
 import json
 import sys
 import time
-from typing import List, Optional
+from typing import Callable, List, Optional, Tuple
 
-from repro.errors import (
-    BackPressureError,
-    CampaignError,
-    ReproError,
-    ServiceError,
-    SweepAbortedError,
-)
+from repro.errors import ReproError, SweepAbortedError
 from repro.exec import SweepExecutor, WorkerFaultPlan, default_jobs
-from repro.exec.service import Coordinator, WorkerHost
 from repro.experiments import sweep as sweep_module
-from repro.experiments.common import DEFAULT_SCALE, RunCache
+from repro.experiments.common import DEFAULT_SCALE, RunCache, resolve_benchmarks
 from repro.experiments.registry import EXPERIMENT_IDS, get_experiment
-
-#: CLI verbs handled by the sweep service, not the experiment runner.
-SERVICE_VERBS = ("serve", "submit", "status")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -63,8 +45,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "experiment",
-        help=f"experiment id, one of {EXPERIMENT_IDS}, 'all', 'sweep', or "
-             f"a service verb: {'/'.join(SERVICE_VERBS)}",
+        help=f"experiment id, one of {EXPERIMENT_IDS}, 'all', or 'sweep'",
     )
     parser.add_argument(
         "--scale",
@@ -149,9 +130,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--worker-faults",
         default=None,
         metavar="PLAN.json",
-        help="chaos-test pool workers (or, with serve, this worker host) "
-             "under a WorkerFaultPlan JSON file (seeded crash/hang/slow "
-             "faults; results stay byte-identical to a fault-free run)",
+        help="chaos-test pool workers under a WorkerFaultPlan JSON file "
+             "(seeded crash/hang/slow faults; results stay byte-identical "
+             "to a fault-free run)",
     )
     grid = parser.add_argument_group("sweep grid (sweep verb only)")
     grid.add_argument(
@@ -170,76 +151,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="comma-separated seeds (default: --seed)",
     )
-    service = parser.add_argument_group(
-        "sweep service (serve/submit/status verbs only)"
-    )
-    service.add_argument(
-        "--service-dir",
-        default=None,
-        metavar="PATH",
-        help="shared service root (ledger, result cache, and per-host "
-             "heartbeats all live here); required by every service verb",
-    )
-    service.add_argument(
-        "--campaign",
-        default=None,
-        metavar="NAME",
-        help="campaign name: required by submit, optional scope for "
-             "status (and required when status writes --output)",
-    )
-    service.add_argument(
-        "--tenant",
-        default="default",
-        metavar="NAME",
-        help="submitting tenant (default %(default)s)",
-    )
-    service.add_argument(
-        "--weight",
-        type=float,
-        default=1.0,
-        metavar="W",
-        help="tenant fair-share weight: hosts dispatch tenants by "
-             "smallest dispatched/weight (default %(default)s)",
-    )
-    service.add_argument(
-        "--queue-cap",
-        type=int,
-        default=None,
-        metavar="N",
-        help="tenant queue-depth cap: a submission that would push the "
-             "tenant's pending+leased depth past N is rejected whole "
-             "with BackPressureError (exit code 4)",
-    )
-    service.add_argument(
-        "--lease-ttl",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="job lease TTL; a host silent for longer than this has its "
-             "leases stolen by surviving hosts (submit only)",
-    )
-    service.add_argument(
-        "--host-id",
-        default=None,
-        metavar="ID",
-        help="this worker host's id (default: hostname-pid)",
-    )
-    service.add_argument(
-        "--poll",
-        type=float,
-        default=0.2,
-        metavar="SECONDS",
-        help="serve: idle wait between claims while other hosts hold "
-             "live leases (default %(default)s)",
-    )
-    service.add_argument(
-        "--max-runtime",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="serve: exit (releasing held leases) after this long even "
-             "if the ledger has not drained",
-    )
     return parser
 
 
@@ -256,80 +167,36 @@ def _load_worker_faults(path: Optional[str]) -> Optional[WorkerFaultPlan]:
         return WorkerFaultPlan.from_dict(json.load(handle))
 
 
-def _floats(parts: Optional[List[str]]) -> Optional[List[float]]:
-    return [float(p) for p in parts] if parts else None
-
-
-def _ints(parts: Optional[List[str]]) -> Optional[List[int]]:
-    return [int(p) for p in parts] if parts else None
-
-
-def _service_main(parser: argparse.ArgumentParser, args) -> int:
-    """The serve/submit/status verbs (multi-host sweep service)."""
-    verb = args.experiment.lower()
-    if not args.service_dir:
-        parser.error(f"the {verb!r} verb requires --service-dir")
-    try:
-        if verb == "submit":
-            if not args.campaign:
-                parser.error("submit requires --campaign")
-            coordinator = Coordinator(args.service_dir, lease_ttl=args.lease_ttl)
-            summary = coordinator.submit(
-                args.campaign,
-                args.tenant,
-                schemes=_split(args.schemes),
-                benchmarks=_split(args.benchmarks),
-                scales=_floats(_split(args.scales)),
-                seeds=_ints(_split(args.seeds)),
-                weight=args.weight,
-                queue_cap=args.queue_cap,
-            )
-            print(json.dumps(summary, sort_keys=True))
-            return 0
-        if verb == "serve":
-            host = WorkerHost(
-                args.service_dir,
-                host_id=args.host_id,
-                faults=_load_worker_faults(args.worker_faults),
-                poll=args.poll,
-                max_runtime=args.max_runtime,
-            )
-            summary = host.run()
-            print(json.dumps(summary, sort_keys=True))
-            return 0
-        # status
-        coordinator = Coordinator(args.service_dir, create=False)
-        status = coordinator.status(args.campaign)
-        print(json.dumps(status, sort_keys=True, indent=2))
-        if args.output:
-            if not args.campaign:
-                parser.error("status --output requires --campaign")
-            try:
-                table = coordinator.result_table(args.campaign)
-            except CampaignError as exc:
-                # The campaign exists (status above succeeded) but is
-                # not fully committed — distinct exit code so waiters
-                # can poll on it.
-                print(f"incomplete: {exc}", file=sys.stderr)
-                return 5
-            with open(args.output, "a", encoding="utf-8") as sink:
-                sink.write(table.format_table() + "\n\n")
-        return 0
-    except BackPressureError as exc:
-        print(f"back-pressure: {exc}", file=sys.stderr)
-        return 4
-    except (OSError, ValueError, KeyError, ServiceError, ReproError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+def _runs(args, benchmarks: Optional[List[str]]) -> List[Tuple[str, Callable]]:
+    """The ``(experiment id, runner)`` pairs the command asks for, after
+    checking the experiment id, the benchmarks and the scale, so bad
+    input fails before any executor starts."""
+    if not 0.0 < args.scale <= 1.0:
+        raise ValueError(f"--scale must be in (0, 1], got {args.scale}")
+    if benchmarks is not None:
+        resolve_benchmarks(benchmarks)
+    experiment = args.experiment.lower()
+    if experiment == "sweep":
+        return [("sweep", lambda **kw: sweep_module.run(
+            schemes=_split(args.schemes),
+            scales=_split(args.scales),
+            seeds=_split(args.seeds),
+            **kw,
+        ))]
+    if experiment == "all":
+        return [(eid, get_experiment(eid)) for eid in EXPERIMENT_IDS]
+    return [(args.experiment, get_experiment(args.experiment))]
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
 
-    if args.experiment.lower() in SERVICE_VERBS:
-        return _service_main(parser, args)
-
+    benchmarks = _split(args.benchmarks)
+    try:
+        runs = _runs(args, benchmarks)
+    except (ValueError, ReproError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     try:
         worker_faults = _load_worker_faults(args.worker_faults)
     except (OSError, ValueError, KeyError, ReproError) as exc:
@@ -340,7 +207,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         )
         return 2
 
-    benchmarks = _split(args.benchmarks)
     executor = SweepExecutor(
         jobs=args.jobs if args.jobs is not None else default_jobs(),
         cache_dir=args.cache_dir,
@@ -355,17 +221,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     sink = open(args.output, "a") if args.output else None
     aborted: Optional[SweepAbortedError] = None
     try:
-        if args.experiment.lower() == "sweep":
-            runs = [("sweep", lambda **kw: sweep_module.run(
-                schemes=_split(args.schemes),
-                scales=_split(args.scales),
-                seeds=_split(args.seeds),
-                **kw,
-            ))]
-        elif args.experiment.lower() == "all":
-            runs = [(eid, get_experiment(eid)) for eid in EXPERIMENT_IDS]
-        else:
-            runs = [(args.experiment, get_experiment(args.experiment))]
         for experiment_id, runner in runs:
             started = time.time()
             result = runner(

@@ -52,8 +52,7 @@ def grid_cells(
     seeds: Optional[Sequence[int]] = None,
 ) -> List[Tuple[str, str, float, int]]:
     """Expand a grid into cells in canonical order (scheme x benchmark x
-    scale x seed), validating every axis.  The service admits campaigns
-    through this too, so its cells are the sweep's cells."""
+    scale x seed), validating every axis."""
     schemes = list(schemes) if schemes else ["baseline", "hdpat"]
     for scheme in schemes:
         if scheme not in SCHEME_NAMES:
@@ -73,9 +72,9 @@ def grid_cells(
 
 
 def cell_job(scheme: str, workload: str, scale: float, seed: int) -> RunJob:
-    """The :class:`RunJob` for one grid cell — shared with the service, so
-    its content addresses are interchangeable with serial runs (that
-    identity is what makes result tables byte-comparable)."""
+    """The :class:`RunJob` for one grid cell.  Its content address is the
+    same however the cell runs (serial, pooled, or revived from the disk
+    cache), which is what makes result tables byte-comparable."""
     return make_job(
         scheme_config(scheme),
         workload,

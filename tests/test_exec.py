@@ -1,6 +1,8 @@
 """Tests for repro.exec: job identity, disk cache, executor, CLI wiring."""
 
 import json
+import multiprocessing
+import time
 
 import pytest
 
@@ -180,6 +182,53 @@ class TestDiskResultCache:
         cache.store(job, aes_result)
         cache.path_for(job).write_text("{not json")
         assert cache.load(job) is None
+
+
+def _cache_writer(cache_dir, config, stores):
+    # SystemConfig (like RunJob) is picklable, so it crosses the process
+    # boundary directly.
+    job = make_job(config, "aes", 0.02, seed=1)
+    result = execute_job(job)
+    cache = DiskResultCache(cache_dir)
+    for _ in range(stores):
+        cache.store(job, result)
+
+
+class TestDiskCacheConcurrentWriters:
+    """Concurrent sweeps may share one ``--cache-dir``."""
+
+    def test_readers_never_see_torn_files(self, tmp_path, small_system_config):
+        cache_dir = str(tmp_path / "cache")
+        job = make_job(small_system_config, "aes", 0.02, seed=1)
+        expected = execute_job(job)
+        cache = DiskResultCache(cache_dir)
+        cache.store(job, expected)
+        writers = [
+            multiprocessing.Process(
+                target=_cache_writer,
+                args=(cache_dir, small_system_config, 25),
+            )
+            for _ in range(3)
+        ]
+        for proc in writers:
+            proc.start()
+        torn = 0
+        while any(proc.is_alive() for proc in writers):
+            # Atomic-rename contract: the key exists from the first
+            # store on, and a load mid-race is never torn/corrupt.
+            loaded = cache.load(job)
+            if loaded is None:
+                torn += 1
+            time.sleep(0.002)
+        for proc in writers:
+            proc.join(timeout=120)
+            assert proc.exitcode == 0
+        assert torn == 0
+        # Last writer wins; content-addressed writers all wrote the
+        # same deterministic bytes, so the survivor matches serial.
+        final = cache.load(job)
+        assert final is not None
+        assert final.exec_cycles == expected.exec_cycles
 
 
 class TestSweepExecutor:
@@ -406,6 +455,26 @@ class TestCLI:
         snapshot = json.loads(metrics.read_text())
         assert snapshot["sweep"]["jobs"]["executed"] == 4
 
+    @pytest.mark.parametrize("argv", [
+        ["nosuch"],
+        ["fig02", "--benchmarks", "nosuch"],
+        ["fig02", "--scale", "2"],
+        ["serve"],
+        ["submit"],
+        ["status"],
+    ], ids=["experiment", "benchmarks", "scale", "serve", "submit", "status"])
+    def test_bad_input_exits_2_with_one_error_line(
+        self, argv, tmp_path, capsys
+    ):
+        progress = tmp_path / "hb.jsonl"
+        assert main(argv + ["--progress", str(progress)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        # Rejected before the executor starts: no heartbeat file exists.
+        assert not progress.exists()
+
 
 # ----------------------------------------------------------------------
 # Worker metrics merge and the progress heartbeat
@@ -500,6 +569,37 @@ class TestHeartbeat:
         assert hb.beat({"total": 1, "done": 0}) is True
         assert hb.beat({"total": 1, "done": 1}) is False
         assert hb.beat({"total": 1, "done": 1}, force=True) is True
+
+    def test_seq_and_t_fields(self, tmp_path):
+        from repro.exec import read_heartbeats
+        from repro.exec.progress import SweepHeartbeat
+
+        path = str(tmp_path / "hb.jsonl")
+        hb = SweepHeartbeat(path, every=0.0)
+        hb.beat({"total": 2, "done": 1}, force=True)
+        hb.beat({"total": 2, "done": 2}, force=True)
+        records = read_heartbeats(path)
+        assert [r["seq"] for r in records] == [0, 1]
+        assert all("t" in r for r in records)
+
+    def test_zero_elapsed_and_zero_rate_guards(self, tmp_path, monkeypatch):
+        import repro.exec.progress as progress_module
+        from repro.exec import read_heartbeats
+
+        frozen = 5000.0
+        monkeypatch.setattr(progress_module.time, "time", lambda: frozen)
+        hb = progress_module.SweepHeartbeat(
+            str(tmp_path / "hb.jsonl"), every=0.0
+        )
+        # Zero elapsed with completions: no ZeroDivisionError, no rate.
+        hb.beat({"total": 4, "done": 2, "events": 100}, force=True)
+        # Zero rate with remaining work: ETA must stay null.
+        hb.beat({"total": 4, "done": 0}, force=True)
+        first, second = read_heartbeats(hb.path)
+        assert first["jobs_per_sec"] is None
+        assert first["events_per_sec"] is None
+        assert first["eta_seconds"] is None
+        assert second["eta_seconds"] is None
 
     def test_heartbeat_counts_events_with_worker_metrics(
         self, small_system_config, tmp_path

@@ -350,9 +350,12 @@ class TestCliResilience:
     def test_finish_heartbeat_written_when_experiment_raises(
         self, tmp_path, capsys
     ):
+        # An unknown scheme passes the CLI's up-front checks and raises
+        # inside the sweep, after the executor has started.
         heartbeat = tmp_path / "hb.jsonl"
         with pytest.raises(ReproError):
-            main(["no-such-experiment", "--progress", str(heartbeat)])
+            main(["sweep", "--schemes", "no-such-scheme",
+                  "--progress", str(heartbeat)])
         records = read_heartbeats(str(heartbeat))
         assert records and records[-1]["phase"] == "finished"
 

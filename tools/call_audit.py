@@ -9,8 +9,8 @@ never ran.  Run it over every suite that exercises the package::
         tests figures perfbench
 
 Only the test process is observed: code that runs only in subprocesses
-(pool workers, service hosts, CLI verbs invoked via ``subprocess``) is
-reported as never called, as are ``__repr__``s and abstract methods.
+(pool workers, CLI verbs invoked via ``subprocess``) is reported as never
+called, as are ``__repr__``s and abstract methods.
 Read the list as candidates for deletion, not as a verdict.  The hook
 slows the suite several-fold.
 """
