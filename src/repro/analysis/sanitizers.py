@@ -305,7 +305,7 @@ BENIGN_RACE_FIELDS: Dict[Tuple[str, str], str] = {
 #: (metric samplers) whose outputs land in ``RunResult.extras`` only,
 #: never in determinism digests.  Matched against the callback qualname.
 OBSERVER_CALLBACKS = frozenset({
-    "PeriodicSampler._tick",
+    "WaferScaleGPU._attach_sampler.<locals>._tick",
 })
 
 #: The single armed RaceSanitizer; the patched ``__getattribute__`` /
@@ -365,14 +365,12 @@ def _shadowed_classes() -> Tuple[type, ...]:
     from repro.noc.link import Link
     from repro.sim.component import Component
     from repro.tlb.hierarchy import TranslationHierarchy
-    from repro.tlb.mshr import MSHRFile
     from repro.tlb.tlb import SetAssociativeTLB
 
     return (
         Component,
         Link,
         SetAssociativeTLB,
-        MSHRFile,
         TranslationHierarchy,
         FaultState,
     )

@@ -22,6 +22,10 @@ class TLBConfig:
             raise ConfigurationError(
                 f"TLB geometry must be positive, got {self.num_sets}x{self.num_ways}"
             )
+        if self.num_mshrs <= 0:
+            raise ConfigurationError(
+                f"TLB MSHR count must be positive, got {self.num_mshrs}"
+            )
 
     @property
     def capacity(self) -> int:

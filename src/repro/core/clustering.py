@@ -33,7 +33,6 @@ class ClusterMap:
                 f"{NUM_CLUSTERS} clusters"
             )
         self.members = members
-        self.layer_index = layer_index
         self.num_members = len(members)
         self.gpms_per_cluster = self.num_members // NUM_CLUSTERS
         # 180-degree rotation on alternate layers (§IV-E).

@@ -92,7 +92,6 @@ class TranslationPolicy:
             vpn=pending.vpn,
             requester_gpm=gpm.gpm_id,
             requester_coord=gpm.coordinate,
-            issued_at=gpm.sim.now,
         )
         if self._tracer is not None:
             # The request id keys the whole remote-translation span: every

@@ -46,14 +46,13 @@ class TranslationRequest:
     """One remote translation in flight.
 
     Created when a GPM's local hierarchy cannot resolve a VPN; threaded
-    through peer probes, redirection, and the IOMMU.  Timestamps capture the
-    phases that the latency-breakdown and round-trip-time figures report.
+    through peer probes, redirection, and the IOMMU.  The IOMMU-side
+    timestamps capture the phases the latency-breakdown figure reports.
     """
 
     vpn: int
     requester_gpm: int
     requester_coord: Coordinate
-    issued_at: int
     request_id: int = field(default_factory=lambda: next(_request_ids))
     #: Set when the IOMMU must not consult the redirection table again
     #: (a redirect already bounced: the auxiliary GPM had evicted the PTE).
@@ -61,10 +60,6 @@ class TranslationRequest:
     #: GPMs probed on the way (route/concentric schemes install the
     #: response at these, reproducing their duplication behaviour).
     probed_gpms: List[int] = field(default_factory=list)
-    #: Outstanding concurrent probes (cluster+rotation scheme).
-    probes_pending: int = 0
-    #: Whether one of the probes will forward to the IOMMU on miss.
-    iommu_owned: bool = False
     # -- IOMMU-side timestamps (Figure 3) --------------------------------
     iommu_arrival: Optional[int] = None
     pw_enqueue: Optional[int] = None

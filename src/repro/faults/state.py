@@ -58,9 +58,6 @@ class FaultState:
                 )
             directed.add((a, b))
             directed.add((b, a))
-        #: Boot-time faults from the static plan, kept for reporting; the
-        #: mutable sets below start as copies and evolve with the timeline.
-        self.boot_dead_links = frozenset(directed)
         for coord in plan.dead_gpms:
             if coord == topology.cpu_coordinate:
                 raise ConfigurationError(

@@ -64,7 +64,6 @@ class CuckooFilter:
         "_fp_mask",
         "_memo",
         "size",
-        "lookups",
         "insert_failures",
     )
 
@@ -97,7 +96,6 @@ class CuckooFilter:
             (fingerprint_bits, self.num_buckets), {}
         )
         self.size = 0
-        self.lookups = 0
         self.insert_failures = 0
 
     # ------------------------------------------------------------------
@@ -222,7 +220,6 @@ class CuckooFilter:
         miss): a memoised item costs one dict lookup before the bucket
         scans.
         """
-        self.lookups += 1
         fingerprint, index1, index2 = (
             self._memo.get(item) or self._hash_parts((item,))[0]
         )

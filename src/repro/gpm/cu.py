@@ -37,7 +37,6 @@ class TraceDriver:
         self.trace: List[int] = []
         self.position = 0
         self.outstanding = 0
-        self.issued = 0
         self._tick_scheduled = False
         self.on_drain: Optional[Callable[[], None]] = None
         #: A halted driver issues nothing; set by GPM.halt()/resume()
@@ -120,7 +119,6 @@ class TraceDriver:
             vaddr = trace[self.position]
             self.position += 1
             self.outstanding += 1
-            self.issued += 1
             issued_now += 1
             issue_fn(vaddr)
         if self.position < end and self.outstanding < max_outstanding:

@@ -39,16 +39,13 @@ class PendingTranslation:
     """One outstanding translation miss, with merged waiters (MSHR entry)."""
 
     __slots__ = (
-        "vpn", "waiters", "created_at", "remote_start", "walking", "trace_id",
-        "attempts", "epoch",
+        "vpn", "waiters", "remote_start", "trace_id", "attempts", "epoch",
     )
 
-    def __init__(self, vpn: int, created_at: int) -> None:
+    def __init__(self, vpn: int) -> None:
         self.vpn = vpn
         self.waiters: List[int] = []
-        self.created_at = created_at
         self.remote_start: Optional[int] = None
-        self.walking = False
         #: Tracing span id (the TranslationRequest id) once the miss goes
         #: remote under an enabled tracer; None otherwise.
         self.trace_id: Optional[int] = None
@@ -100,9 +97,7 @@ class GPM(Component):
             sim, f"gpm{gpm_id}.gmmu", config.gmmu_walkers, config.walk_latency
         )
         self.l2_data = DataCache(f"gpm{gpm_id}.l2", config.l2_cache)
-        self.hbm = HBMModel(
-            config.hbm_capacity, config.hbm_bandwidth, config.hbm_latency
-        )
+        self.hbm = HBMModel(config.hbm_bandwidth, config.hbm_latency)
         self.driver = TraceDriver(
             sim,
             issue_fn=self._begin_access,
@@ -112,7 +107,6 @@ class GPM(Component):
         self.driver.on_drain = self._on_drain
         # Late-bound by the wafer builder:
         self.policy = None
-        self.iommu_coord: Optional[Coordinate] = None
         self.on_finished: Optional[Callable[["GPM"], None]] = None
         #: Fault state (:class:`~repro.faults.state.FaultState`) when the
         #: config carries a fault plan; None keeps translation requests on
@@ -124,9 +118,6 @@ class GPM(Component):
         # probes serialise on a busy-until port clock, so GPMs sitting on
         # popular routes become probe hotspots.
         self._probe_port_busy = 0
-        #: True between a timeline KillGpm and its RecoverGpm: the issue
-        #: engine is stopped and straggler events for this module no-op.
-        self._halted = False
         #: Bumped by every halt().  Scheduled continuations and
         #: data-phase round-trips carry the epoch they were issued under,
         #: so a reply belonging to an access the kill abandoned is
@@ -182,7 +173,6 @@ class GPM(Component):
         completion, or data response from before the kill is dropped
         instead of double-completing.
         """
-        self._halted = True
         self._fail_epoch += 1
         self.driver.halt()
         abandoned = self.driver.outstanding
@@ -204,7 +194,6 @@ class GPM(Component):
 
     def resume(self) -> None:
         """Hot re-attach: the remaining trace resumes issuing."""
-        self._halted = False
         self.driver.resume()
 
     # ------------------------------------------------------------------
@@ -260,7 +249,7 @@ class GPM(Component):
             self._stalled.append((vaddr, self.sim.now))
             self.bump("mshr_stalls")
             return
-        pending = PendingTranslation(vpn, self.sim.now)
+        pending = PendingTranslation(vpn)
         pending.waiters.append(vaddr)
         self._pending[vpn] = pending
         if self._tracer is not None:
@@ -269,7 +258,6 @@ class GPM(Component):
                 args={"vpn": vpn, "needs_walk": needs_walk},
             )
         if needs_walk:
-            pending.walking = True
             self.gmmu.submit(vpn, self._local_walk_done)
         else:
             self._go_remote(pending)
@@ -278,7 +266,6 @@ class GPM(Component):
         pending = self._pending.get(vpn)
         if pending is None:
             return  # resolved meanwhile (e.g. a PTE push arrived)
-        pending.walking = False
         entry = self.hierarchy.complete_local_walk(vpn)
         if self._tracer is not None:
             self._tracer.instant(

@@ -38,7 +38,6 @@ from repro.stats.latency import LatencyBreakdown
 from repro.stats.locality import SpatialLocalityAnalyzer
 from repro.stats.reuse import ReuseDistanceAnalyzer, TranslationCountAnalyzer
 from repro.stats.timeseries import WindowedCounter
-from repro.tlb.mshr import MSHRFile
 from repro.tlb.tlb import SetAssociativeTLB
 
 Coordinate = Tuple[int, int]
@@ -86,9 +85,10 @@ class IOMMU(Component):
             else None
         )
         # Figure 19 variant: a conventional TLB replaces the redirection
-        # table, with MSHRs that throttle concurrency when exhausted.
+        # table, with MSHRs that throttle concurrency when exhausted.  One
+        # MSHR per in-flight VPN: ``_tlb_waiters`` keys are the occupied
+        # registers, its lists the requests merged into each.
         self.tlb: Optional[SetAssociativeTLB] = None
-        self.tlb_mshr: Optional[MSHRFile] = None
         self._tlb_waiters: Dict[int, List[TranslationRequest]] = {}
         self._tlb_blocked: Deque[TranslationRequest] = deque()
         if config.iommu_tlb is not None:
@@ -98,7 +98,6 @@ class IOMMU(Component):
                 config.iommu_tlb.num_ways,
                 config.iommu_tlb.latency,
             )
-            self.tlb_mshr = MSHRFile("iommu.tlb.mshr", config.iommu_tlb.num_mshrs)
         #: Request ids currently queued or walking.  A fault-duplicated
         #: TRANSLATION_REQ delivers the *same mutable request object*
         #: twice; letting the copy re-enter would overwrite the original's
@@ -363,15 +362,14 @@ class IOMMU(Component):
                 lambda: self.respond(request, entry, ServedBy.IOMMU),
             )
             return True
-        if request.vpn in self._tlb_waiters:
-            self._tlb_waiters[request.vpn].append(request)
-            self.tlb_mshr.allocate(request.vpn)  # merge
+        waiters = self._tlb_waiters.get(request.vpn)
+        if waiters is not None:
+            waiters.append(request)  # merge into the in-flight MSHR
             return True
-        if self.tlb_mshr.is_full:
+        if len(self._tlb_waiters) >= self.config.iommu_tlb.num_mshrs:
             self._tlb_blocked.append(request)
             self.bump("tlb_mshr_blocked")
             return False
-        self.tlb_mshr.allocate(request.vpn)
         self._tlb_waiters[request.vpn] = []
         self._enqueue(request)
         return True
@@ -379,7 +377,6 @@ class IOMMU(Component):
     def _tlb_walk_completed(self, vpn: int, entry: PageTableEntry) -> None:
         self.tlb.insert(vpn, entry)
         waiters = self._tlb_waiters.pop(vpn, [])
-        self.tlb_mshr.release(vpn)
         for waiter in waiters:
             self.respond(waiter, entry, ServedBy.IOMMU)
         # Drain the blocked queue in arrival order until an MSHR-needing

@@ -22,7 +22,6 @@ class RedirectionTable:
         self._entries: Dict[int, int] = {}
         self.hits = 0
         self.misses = 0
-        self.updates = 0
         self.evictions = 0
 
     def lookup(self, vpn: int) -> Optional[int]:
@@ -42,7 +41,6 @@ class RedirectionTable:
             self._entries.pop(next(iter(self._entries)))
             self.evictions += 1
         self._entries[vpn] = gpm_id
-        self.updates += 1
 
     def invalidate(self, vpn: int) -> bool:
         return self._entries.pop(vpn, None) is not None

@@ -9,7 +9,7 @@ kept so memory-bound phases behave sensibly.
 
 from __future__ import annotations
 
-from repro.units import GB, bytes_per_cycle, serialization_cycles
+from repro.units import bytes_per_cycle, serialization_cycles
 
 
 class HBMModel:
@@ -17,11 +17,9 @@ class HBMModel:
 
     def __init__(
         self,
-        capacity_bytes: int = 8 * GB,
         bandwidth_bytes_per_sec: float = 1.23e12,
         access_latency: int = 120,
     ) -> None:
-        self.capacity_bytes = capacity_bytes
         self.bandwidth_per_cycle = bytes_per_cycle(bandwidth_bytes_per_sec)
         self.access_latency = access_latency
         #: Serialisation of a 64-byte line, the size every access uses.

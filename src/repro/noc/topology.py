@@ -52,7 +52,6 @@ class MeshTopology:
                 self.tiles.append(tile)
                 self._by_coordinate[(x, y)] = tile
                 tile_id += 1
-        self.cpu_tile = self._by_coordinate[self.cpu_coordinate]
         self.gpm_tiles: List[Tile] = [t for t in self.tiles if not t.is_cpu]
 
     # ------------------------------------------------------------------

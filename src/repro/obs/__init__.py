@@ -60,7 +60,7 @@ __all__ = [
     "write_trace",
 ]
 
-#: Default cycle period for queue-depth / buffer-pressure samplers.
+#: Cycle period of the run's sampler when no buffer-pressure period is set.
 DEFAULT_SAMPLE_PERIOD = 2_000
 
 
@@ -72,15 +72,11 @@ class Observability:
         metrics: bool = False,
         trace: bool = False,
         profile: bool = False,
-        sample_period: int = DEFAULT_SAMPLE_PERIOD,
     ) -> None:
-        if sample_period <= 0:
-            raise ValueError("sample_period must be positive")
         # Tracing implies metrics: the profiling report reads both.
         self.registry = MetricsRegistry(enabled=metrics or trace)
         self.tracer = Tracer(enabled=trace)
         self.profiler: Optional[HostProfiler] = HostProfiler() if profile else None
-        self.sample_period = sample_period
 
     @property
     def enabled(self) -> bool:

@@ -48,7 +48,7 @@ class Gauge:
         self.value = value
 
     def sample(self, time: int, value: float) -> None:
-        """Record a timestamped sample (PeriodicSampler-compatible)."""
+        """Record a timestamped sample (the wafer sampler's gauge path)."""
         self.value = value
         self.times.append(time)
         self.values.append(value)

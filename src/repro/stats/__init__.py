@@ -2,7 +2,7 @@
 
 Plain counters live on :class:`repro.sim.Component`; this package adds the
 structures the paper's characterisation figures need: histograms (Figs 6-8),
-time-series samplers (Figs 4, 13), latency breakdowns (Fig 3), and the reuse
+windowed counters (Fig 13), latency breakdowns (Fig 3), and the reuse
 distance / spatial-locality analyzers behind observations O3 and O4.
 """
 
@@ -10,7 +10,7 @@ from repro.stats.histogram import BucketHistogram, Histogram
 from repro.stats.latency import LatencyBreakdown
 from repro.stats.locality import SpatialLocalityAnalyzer
 from repro.stats.reuse import ReuseDistanceAnalyzer, TranslationCountAnalyzer
-from repro.stats.timeseries import TimeSeries, WindowedCounter
+from repro.stats.timeseries import WindowedCounter
 
 __all__ = [
     "BucketHistogram",
@@ -18,7 +18,6 @@ __all__ = [
     "LatencyBreakdown",
     "ReuseDistanceAnalyzer",
     "SpatialLocalityAnalyzer",
-    "TimeSeries",
     "TranslationCountAnalyzer",
     "WindowedCounter",
 ]

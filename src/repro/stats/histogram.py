@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 
 class Histogram:
@@ -19,19 +19,8 @@ class Histogram:
     def count(self, key: int) -> int:
         return self._counts.get(key, 0)
 
-    def keys(self) -> List[int]:
-        return sorted(self._counts)
-
     def items(self) -> List[Tuple[int, int]]:
         return sorted(self._counts.items())
-
-    def fraction(self, key: int) -> float:
-        return self.count(key) / self.total if self.total else 0.0
-
-    def mean(self) -> float:
-        if not self.total:
-            return 0.0
-        return sum(k * c for k, c in self._counts.items()) / self.total
 
 
 class BucketHistogram:
@@ -73,24 +62,3 @@ class BucketHistogram:
         if not self.total:
             return [0.0] * len(self.counts)
         return [count / self.total for count in self.counts]
-
-    def cumulative_fraction_below(self, boundary: int) -> float:
-        """Fraction of samples strictly below ``boundary``."""
-        if not self.total:
-            return 0.0
-        acc = 0
-        for index, bound in enumerate(self.boundaries):
-            if bound <= boundary:
-                acc += self.counts[index]
-            else:
-                break
-        return acc / self.total
-
-
-def merge_histograms(histograms: Iterable[Histogram]) -> Histogram:
-    """Combine several exact histograms into one."""
-    merged = Histogram()
-    for histogram in histograms:
-        for key, count in histogram.items():
-            merged.add(key, count)
-    return merged

@@ -58,23 +58,6 @@ class SpatialLocalityAnalyzer:
         if len(recent) > self.window:
             del recent[0]
 
-    def fractions(self) -> List[float]:
-        """Per-bucket (non-cumulative) fractions, far bucket last."""
-        if not self.total_pairs:
-            return [0.0] * (len(self.boundaries) + 1)
-        values = [self.counts[bound] / self.total_pairs for bound in self.boundaries]
-        values.append(self.far / self.total_pairs)
-        return values
-
-    def labels(self) -> List[str]:
-        labels = []
-        low = 0
-        for bound in self.boundaries:
-            labels.append(f"<={bound}" if low == 0 else f"({low},{bound}]")
-            low = bound
-        labels.append(f">{low}")
-        return labels
-
     def summary(self) -> Dict[str, object]:
         """``[bound, pairs]`` per bucket, the far pairs, and the total."""
         return {

@@ -25,7 +25,7 @@ from repro.config.hdpat import HDPATConfig
 from repro.config.presets import gpm_preset, gpm_preset_names
 from repro.config.scaling import capacity_scaled
 from repro.config.system import SystemConfig
-from repro.obs import DEFAULT_SAMPLE_PERIOD, Observability, summarize
+from repro.obs import Observability, summarize
 from repro.obs.export import write_trace
 from repro.system.runner import run_benchmark
 from repro.workloads.registry import BENCHMARK_NAMES
@@ -101,10 +101,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--profile", action="store_true",
         help="time host-side event callbacks and print a profiling report",
     )
-    obs_group.add_argument(
-        "--sample-period", type=int, default=DEFAULT_SAMPLE_PERIOD,
-        help="cycles between queue-depth samples (default %(default)s)",
-    )
     return parser
 
 
@@ -131,10 +127,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ValueError:
         print(f"error: --mesh must look like 7x7, got {args.mesh!r}",
               file=sys.stderr)
-        return 2
-    if args.sample_period <= 0:
-        print(f"error: --sample-period must be positive, "
-              f"got {args.sample_period}", file=sys.stderr)
         return 2
     if args.sanitize not in (False, True, "races", "races:report"):
         # Also catches a stray positional swallowed by the optional value.
@@ -201,7 +193,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             metrics=args.metrics_out is not None,
             trace=args.trace is not None,
             profile=args.profile,
-            sample_period=args.sample_period,
         )
     result = run_benchmark(
         config, benchmark, scale=args.scale, seed=args.seed, obs=obs,

@@ -46,7 +46,6 @@ class MigrationStats:
         self.migrations = 0
         self.bytes_moved = 0
         self.rejected_cooldown = 0
-        self.rejected_capacity = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -94,7 +93,6 @@ class MigrationEngine(Component):
         self, vpn: int, entry: PageTableEntry, dest_gpm: int
     ) -> None:
         if self.migration_stats.migrations >= self.config.max_migrations:
-            self.migration_stats.rejected_capacity += 1
             return
         if self.sim.now < self._cooldown_until.get(vpn, 0):
             self.migration_stats.rejected_cooldown += 1

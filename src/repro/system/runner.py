@@ -17,7 +17,6 @@ from repro.errors import AccountingWarning, TruncationWarning
 from repro.mem.allocator import PageAllocator
 from repro.obs import Observability
 from repro.sim.engine import gc_paused
-from repro.stats.timeseries import PeriodicSampler, TimeSeries
 from repro.system.result import RunResult
 from repro.system.wafer import WaferScaleGPU
 from repro.workloads.base import Workload
@@ -38,8 +37,9 @@ def run_benchmark(
     """Run one benchmark on one configuration and return its results.
 
     ``scale`` shrinks the workload (accesses and footprint together);
-    ``sample_buffer_every`` attaches a periodic IOMMU buffer-pressure
-    sampler (Figure 4); ``policy`` overrides the config-derived policy
+    ``sample_buffer_every`` records the IOMMU buffer pressure every that
+    many cycles into ``RunResult.extras["buffer_series"]`` (Figure 4);
+    ``policy`` overrides the config-derived policy
     (used for the SOTA baselines); ``obs`` attaches a fresh
     :class:`~repro.obs.Observability` whose metrics snapshot lands in
     ``RunResult.extras["metrics"]``; ``sanitize`` arms the runtime
@@ -56,7 +56,10 @@ def run_benchmark(
     with gc_paused():
         if isinstance(workload, str):
             workload = get_workload(workload)
-        wafer = WaferScaleGPU(config, policy=policy, obs=obs, sanitize=sanitize)
+        wafer = WaferScaleGPU(
+            config, policy=policy, obs=obs, sanitize=sanitize,
+            sample_buffer_every=sample_buffer_every,
+        )
         allocator = PageAllocator(wafer.address_space, wafer.num_gpms)
         trace = workload.generate(
             num_gpms=wafer.num_gpms,
@@ -67,23 +70,10 @@ def run_benchmark(
         for allocation in allocator.allocations:
             wafer.install_entries(allocator.materialize(allocation))
         wafer.load_traces(trace.per_gpm, burst=trace.burst, interval=trace.interval)
-
-        buffer_series = None
-        if sample_buffer_every:
-            buffer_series = TimeSeries(f"{workload.name}.buffer_pressure")
-            PeriodicSampler(
-                wafer.sim,
-                probe=wafer.iommu.buffer_pressure,
-                period=sample_buffer_every,
-                series=buffer_series,
-            )
-
         wafer.run(max_cycles=max_cycles)
         result = collect_result(wafer, trace)
-        if buffer_series is not None:
-            result.extras["buffer_series"] = [
-                [cycle, value] for cycle, value in buffer_series.points()
-            ]
+        if wafer.buffer_series is not None:
+            result.extras["buffer_series"] = wafer.buffer_series
         if wafer.sim.sanitizer is not None:
             result.extras["sanitizers"] = wafer.sim.sanitizer.report()
         if wafer.faults is not None:

@@ -21,7 +21,7 @@ from repro.mem.address import AddressSpace
 from repro.mem.page import PageTableEntry
 from repro.noc.network import MeshNetwork
 from repro.noc.topology import MeshTopology
-from repro.obs import NULL_OBS, Observability
+from repro.obs import DEFAULT_SAMPLE_PERIOD, NULL_OBS, Observability
 from repro.sim.engine import Simulator
 
 Coordinate = Tuple[int, int]
@@ -36,6 +36,7 @@ class WaferScaleGPU:
         policy: Optional[TranslationPolicy] = None,
         obs: Optional[Observability] = None,
         sanitize: Union[bool, str] = False,
+        sample_buffer_every: Optional[int] = None,
     ) -> None:
         self.config = config
         self.obs = obs if obs is not None else NULL_OBS
@@ -90,7 +91,6 @@ class WaferScaleGPU:
                 obs=self.obs,
             )
             gpm.policy = self.policy
-            gpm.iommu_coord = self.topology.cpu_coordinate
             gpm.on_finished = self._gpm_finished
             gpm.faults = self.faults
             self.gpms.append(gpm)
@@ -123,45 +123,61 @@ class WaferScaleGPU:
             )
         self._finished: set = set()
         self._metrics_collected = False
-        if self.obs.registry.enabled or self.obs.tracer.enabled:
-            self._attach_depth_samplers()
+        #: IOMMU buffer pressure as ``[cycle, value]`` every
+        #: ``sample_buffer_every`` cycles (Figure 4); None when unset.
+        self.buffer_series: Optional[List[List[float]]] = None
+        if sample_buffer_every or self.obs.registry.enabled:
+            self._attach_sampler(sample_buffer_every)
 
-    def _attach_depth_samplers(self) -> None:
-        """Sample per-GPM outstanding-miss depth and IOMMU buffer pressure.
+    def _attach_sampler(self, buffer_every: Optional[int]) -> None:
+        """Attach the run's one periodic sampler.
 
-        Samples land in registry gauges (and, when tracing, as Chrome
-        counter events) every ``obs.sample_period`` cycles.  All probes
-        share ONE scheduled event: independent samplers would each see the
-        others pending in the queue and reschedule forever, keeping the
-        simulation alive after the workload drains.
+        Every ``buffer_every`` cycles (:data:`DEFAULT_SAMPLE_PERIOD` when
+        unset) one tick fills :attr:`buffer_series` and, under metrics,
+        records per-GPM outstanding-miss depth and the buffer pressure
+        into registry gauges (and, when tracing, as Chrome counter
+        events).  The tick reschedules only while other events are
+        pending, so it stops once the workload drains; a second
+        self-rescheduling sampler would see this one pending, and the two
+        would keep the run alive forever.
         """
+        sim = self.sim
+        registry = self.obs.registry
         tracer = self.obs.tracer if self.obs.tracer.enabled else None
-        period = self.obs.sample_period
-        probes = [
-            (
-                f"{gpm.name}.pending_depth",
-                (lambda g=gpm: len(g._pending)),
-                self.obs.registry.gauge(f"{gpm.name}.pending_depth"),
-            )
-            for gpm in self.gpms
-        ]
-        probes.append((
-            "iommu.buffer_pressure",
-            self.iommu.buffer_pressure,
-            self.obs.registry.gauge("iommu.buffer_pressure"),
-        ))
+        period = buffer_every or DEFAULT_SAMPLE_PERIOD
+        pressure = self.iommu.buffer_pressure
+        series = None
+        if buffer_every:
+            series = self.buffer_series = []
+        probes = []
+        if registry.enabled:
+            probes = [
+                (
+                    f"{gpm.name}.pending_depth",
+                    (lambda g=gpm: len(g._pending)),
+                    registry.gauge(f"{gpm.name}.pending_depth"),
+                )
+                for gpm in self.gpms
+            ]
+            probes.append((
+                "iommu.buffer_pressure",
+                pressure,
+                registry.gauge("iommu.buffer_pressure"),
+            ))
 
         def _tick() -> None:
-            now = self.sim.now
+            now = sim.now
+            if series is not None:
+                series.append([now, pressure()])
             for name, probe, gauge in probes:
                 value = probe()
                 gauge.sample(now, value)
                 if tracer is not None:
                     tracer.counter(now, name, track="depth", value=value)
-            if self.sim.pending_events:
-                self.sim.schedule(period, _tick)
+            if sim.pending_events:
+                sim.schedule(period, _tick)
 
-        self.sim.schedule(period, _tick)
+        sim.schedule(period, _tick)
 
     # ------------------------------------------------------------------
     # Lookup

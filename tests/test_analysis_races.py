@@ -17,6 +17,7 @@ from repro.analysis.races import (
 )
 from repro.analysis.sanitizers import (
     BENIGN_RACE_FIELDS,
+    OBSERVER_CALLBACKS,
     RaceSanitizer,
     result_digest,
 )
@@ -26,6 +27,7 @@ from repro.obs import Observability
 from repro.sim.component import Component
 from repro.sim.engine import Simulator
 from repro.system.runner import run_benchmark
+from repro.system.wafer import WaferScaleGPU
 from tests.fixtures.racy_ticker import RacyCounter
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -233,7 +235,7 @@ class TestDynamicSanitizer:
                 del BENIGN_RACE_FIELDS[key]
 
     def test_observer_readers_do_not_count_as_race(self):
-        # A read-only observer (PeriodicSampler._tick is registered as
+        # A read-only observer (the wafer's sampler tick is registered as
         # such) sampling a field another event writes is not a race:
         # observer output never reaches digests.
         sim = Simulator(sanitize="races")
@@ -246,13 +248,24 @@ class TestDynamicSanitizer:
         def sampler():
             _ = target.depth
 
-        sampler.__qualname__ = "PeriodicSampler._tick"
+        sampler.__qualname__ = "WaferScaleGPU._attach_sampler.<locals>._tick"
         sim.schedule(1, writer)
         sim.schedule(1, sampler)
         sim.run()
         races = sim.sanitizer.report()["races"]
         assert races["findings"] == []
         assert races["benign_suppressed"] >= 1
+
+    def test_wafer_sampler_is_the_registered_observer(self, small_system_config):
+        # Buffer sampling and metrics gauges share one tick, and that
+        # tick is the observer the detector knows by name.
+        wafer = WaferScaleGPU(
+            small_system_config, obs=Observability(metrics=True),
+            sample_buffer_every=500,
+        )
+        assert wafer.sim.pending_events == 1
+        (tick,) = wafer.sim._slots[500]
+        assert tick.__qualname__ in OBSERVER_CALLBACKS
 
     def test_double_arm_rejected(self):
         first = RaceSanitizer()

@@ -29,7 +29,6 @@ def _request(wafer, vpn, gpm_id=0):
         vpn=vpn,
         requester_gpm=gpm_id,
         requester_coord=gpm.coordinate,
-        issued_at=wafer.sim.now,
     )
 
 

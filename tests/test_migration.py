@@ -60,7 +60,7 @@ class TestMigrationTrigger:
         requester = wafer.gpms[0]
         for _ in range(2):
             wafer.iommu.receive_request(
-                TranslationRequest(vpn, 0, requester.coordinate, wafer.sim.now)
+                TranslationRequest(vpn, 0, requester.coordinate)
             )
             wafer.sim.run()
         assert wafer.migration.migration_stats.migrations == 1
@@ -75,7 +75,7 @@ class TestMigrationTrigger:
 
         for _ in range(2):
             wafer.iommu.receive_request(
-                TranslationRequest(vpn, 0, wafer.gpms[0].coordinate, wafer.sim.now)
+                TranslationRequest(vpn, 0, wafer.gpms[0].coordinate)
             )
             wafer.sim.run()
         assert not wafer.gpms[5].hierarchy.page_table.contains(vpn)
@@ -88,7 +88,7 @@ class TestMigrationTrigger:
 
         for _ in range(4):
             wafer.iommu.receive_request(
-                TranslationRequest(vpn, 5, wafer.gpms[5].coordinate, wafer.sim.now)
+                TranslationRequest(vpn, 5, wafer.gpms[5].coordinate)
             )
             wafer.sim.run()
         assert wafer.migration.migration_stats.migrations == 0
@@ -102,13 +102,13 @@ class TestMigrationTrigger:
         # GPM 0 earns the page...
         for _ in range(2):
             wafer.iommu.receive_request(
-                TranslationRequest(vpn, 0, wafer.gpms[0].coordinate, wafer.sim.now)
+                TranslationRequest(vpn, 0, wafer.gpms[0].coordinate)
             )
             wafer.sim.run()
         # ...then GPM 1 hammers it; cooldown must prevent a second move.
         for _ in range(4):
             wafer.iommu.receive_request(
-                TranslationRequest(vpn, 1, wafer.gpms[1].coordinate, wafer.sim.now)
+                TranslationRequest(vpn, 1, wafer.gpms[1].coordinate)
             )
             wafer.sim.run()
         assert wafer.migration.migration_stats.migrations == 1
@@ -122,7 +122,7 @@ class TestMigrationTrigger:
             if allocation.owner_of[vpn] == 0:
                 continue
             wafer.iommu.receive_request(
-                TranslationRequest(vpn, 0, wafer.gpms[0].coordinate, wafer.sim.now)
+                TranslationRequest(vpn, 0, wafer.gpms[0].coordinate)
             )
         wafer.sim.run()
         assert wafer.migration.tracked_pages() <= 4
@@ -135,7 +135,7 @@ class TestMigrationTrigger:
 
         for _ in range(2):
             wafer.iommu.receive_request(
-                TranslationRequest(vpn, 0, wafer.gpms[0].coordinate, wafer.sim.now)
+                TranslationRequest(vpn, 0, wafer.gpms[0].coordinate)
             )
             wafer.sim.run()
         report = wafer.network.traffic_report()
@@ -149,7 +149,7 @@ class TestMigrationTrigger:
 
         for _ in range(2):
             wafer.iommu.receive_request(
-                TranslationRequest(vpn, 0, wafer.gpms[0].coordinate, wafer.sim.now)
+                TranslationRequest(vpn, 0, wafer.gpms[0].coordinate)
             )
             wafer.sim.run()
         gpm = wafer.gpms[0]

@@ -1,15 +1,10 @@
-"""Tests for the statistics package: histograms, time series, breakdowns."""
+"""Tests for the statistics package: histograms, windows, breakdowns."""
 
 import pytest
 
-from repro.stats.histogram import BucketHistogram, Histogram, merge_histograms
+from repro.stats.histogram import BucketHistogram, Histogram
 from repro.stats.latency import LatencyBreakdown
-from repro.stats.timeseries import (
-    PeriodicSampler,
-    TimeSeries,
-    WindowedCounter,
-    normalized_shape,
-)
+from repro.stats.timeseries import WindowedCounter, normalized_shape
 
 
 class TestHistogram:
@@ -22,35 +17,11 @@ class TestHistogram:
         assert histogram.count(5) == 1
         assert histogram.total == 3
 
-    def test_fraction(self):
-        histogram = Histogram()
-        histogram.add(1, 3)
-        histogram.add(2, 1)
-        assert histogram.fraction(1) == pytest.approx(0.75)
-
-    def test_mean(self):
-        histogram = Histogram()
-        histogram.add(2, 2)
-        histogram.add(4, 2)
-        assert histogram.mean() == pytest.approx(3.0)
-
     def test_keys_sorted(self):
         histogram = Histogram()
         for key in (5, 1, 3):
             histogram.add(key)
-        assert histogram.keys() == [1, 3, 5]
-
-    def test_empty_fraction_zero(self):
-        assert Histogram().fraction(1) == 0.0
-
-    def test_merge(self):
-        a, b = Histogram(), Histogram()
-        a.add(1, 2)
-        b.add(1, 1)
-        b.add(2, 1)
-        merged = merge_histograms([a, b])
-        assert merged.count(1) == 3
-        assert merged.count(2) == 1
+        assert histogram.items() == [(1, 1), (3, 1), (5, 1)]
 
 
 class TestBucketHistogram:
@@ -71,13 +42,6 @@ class TestBucketHistogram:
         histogram.add(1, 3)
         histogram.add(20, 1)
         assert histogram.fractions() == pytest.approx([0.75, 0.25])
-
-    def test_cumulative_fraction(self):
-        histogram = BucketHistogram([10, 100])
-        histogram.add(5, 1)
-        histogram.add(50, 1)
-        histogram.add(500, 2)
-        assert histogram.cumulative_fraction_below(100) == pytest.approx(0.5)
 
     def test_labels_cover_all_buckets(self):
         histogram = BucketHistogram([10, 100])
@@ -125,21 +89,6 @@ class TestLatencyBreakdown:
         assert breakdown.percentages() == {"a": 0.0}
 
 
-class TestTimeSeries:
-    def test_sample_and_stats(self):
-        series = TimeSeries("s")
-        series.sample(0, 1.0)
-        series.sample(10, 3.0)
-        assert series.max() == 3.0
-        assert series.mean() == pytest.approx(2.0)
-        assert series.points() == [(0, 1.0), (10, 3.0)]
-
-    def test_empty_stats(self):
-        series = TimeSeries()
-        assert series.max() == 0.0
-        assert series.mean() == 0.0
-
-
 class TestWindowedCounter:
     def test_window_bucketing(self):
         counter = WindowedCounter(100)
@@ -147,11 +96,6 @@ class TestWindowedCounter:
         counter.record(50)
         counter.record(150)
         assert counter.windows == [2, 1]
-
-    def test_series_cycle_labels(self):
-        counter = WindowedCounter(100)
-        counter.record(250)
-        assert counter.series() == [(0, 0), (100, 0), (200, 1)]
 
     def test_normalized_shape(self):
         counter = WindowedCounter(10)
@@ -163,20 +107,3 @@ class TestWindowedCounter:
         with pytest.raises(ValueError):
             WindowedCounter(0)
 
-
-class TestPeriodicSampler:
-    def test_samples_while_events_pending(self, sim):
-        series = TimeSeries()
-        values = iter(range(100))
-        PeriodicSampler(sim, lambda: next(values), period=10, series=series)
-        sim.schedule(35, lambda: None)  # keep the sim alive until cycle 35
-        sim.run()
-        assert series.times == [10, 20, 30, 40]
-
-    def test_stop_disables_sampling(self, sim):
-        series = TimeSeries()
-        sampler = PeriodicSampler(sim, lambda: 1.0, period=10, series=series)
-        sampler.stop()
-        sim.schedule(50, lambda: None)
-        sim.run()
-        assert len(series) == 0

@@ -2,7 +2,11 @@
 
 import pytest
 
-from repro.stats.locality import SpatialLocalityAnalyzer, fraction_within
+from repro.stats.locality import (
+    LOCALITY_BOUNDARIES,
+    SpatialLocalityAnalyzer,
+    fraction_within,
+)
 from repro.stats.reuse import (
     ReuseDistanceAnalyzer,
     TranslationCountAnalyzer,
@@ -113,11 +117,10 @@ class TestSpatialLocalityAnalyzer:
         analyzer = SpatialLocalityAnalyzer()
         for vpn in (0, 1, 5, 100, 101):
             analyzer.record(vpn)
-        assert sum(analyzer.fractions()) == pytest.approx(1.0)
-
-    def test_labels_match_fraction_buckets(self):
-        analyzer = SpatialLocalityAnalyzer()
-        assert len(analyzer.labels()) == len(analyzer.fractions())
+        summary = analyzer.summary()
+        within = fraction_within(summary, LOCALITY_BOUNDARIES[-1])
+        far = summary["far"] / summary["total_pairs"]
+        assert within + far == pytest.approx(1.0)
 
     def test_single_request_no_pairs(self):
         analyzer = SpatialLocalityAnalyzer()

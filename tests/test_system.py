@@ -13,6 +13,7 @@ from repro.core.overhead import (
 )
 from repro.core.request import ServedBy, TranslationRequest
 from repro.errors import CapacityError, ConfigurationError
+from repro.obs import Observability
 from repro.system import runner
 from repro.system.runner import run_benchmark
 from repro.system.wafer import WaferScaleGPU
@@ -54,8 +55,8 @@ class TestWaferAssembly:
 
 class TestRequestRecord:
     def test_unique_ids_and_hash(self):
-        a = TranslationRequest(1, 0, (0, 0), 0)
-        b = TranslationRequest(1, 0, (0, 0), 0)
+        a = TranslationRequest(1, 0, (0, 0))
+        b = TranslationRequest(1, 0, (0, 0))
         assert a != b and hash(a) != hash(b)
         assert a == a
 
@@ -123,6 +124,22 @@ class TestRunner:
             sample_buffer_every=500,
         )
         assert len(result.extras["buffer_series"]) > 0
+
+    def test_buffer_sampling_with_metrics_drains(self, small_system_config):
+        # The buffer-pressure series and the metrics gauges share the run's
+        # one sampler: two self-rescheduling samplers would each see the
+        # other pending and keep the run alive until max_cycles.
+        kwargs = dict(
+            scale=0.02, seed=1, sample_buffer_every=500, max_cycles=5_000_000
+        )
+        plain = run_benchmark(small_system_config, "spmv", **kwargs)
+        observed = run_benchmark(
+            small_system_config, "spmv", obs=Observability(metrics=True),
+            **kwargs,
+        )
+        assert not observed.truncated
+        assert observed.extras["buffer_series"] == plain.extras["buffer_series"]
+        assert observed.exec_cycles == plain.exec_cycles
 
     def test_speedup_over(self, small_system_config, small_hdpat_config):
         baseline = run_benchmark(small_system_config, "pr", scale=0.05, seed=1)

@@ -1,10 +1,16 @@
-"""Tests for the set-associative TLB and MSHR file."""
+"""Tests for the set-associative TLB and the IOMMU TLB variant's MSHRs."""
+
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.tlb.mshr import MSHRFile
+from repro.config.gpm import TLBConfig
+from repro.core.request import TranslationRequest
+from repro.errors import ConfigurationError
+from repro.mem.allocator import PageAllocator
+from repro.system.wafer import WaferScaleGPU
 from repro.tlb.tlb import SetAssociativeTLB
 
 
@@ -80,11 +86,6 @@ class TestTLBBasics:
         with pytest.raises(ValueError):
             SetAssociativeTLB("t", 0, 4)
 
-    def test_mshr_created_when_requested(self):
-        tlb = SetAssociativeTLB("t", 2, 2, num_mshrs=4)
-        assert tlb.mshrs is not None
-        assert SetAssociativeTLB("t", 2, 2).mshrs is None
-
 
 class TestTLBProperties:
     @given(st.lists(st.integers(0, 1000), min_size=1, max_size=300))
@@ -109,41 +110,74 @@ class TestTLBProperties:
                 assert payload == ("payload", vpn)
 
 
+def _tlb_iommu(config, num_mshrs):
+    """A wafer whose IOMMU runs the Figure 19 TLB variant with
+    ``num_mshrs`` MSHRs, 64 installed pages, and a log of answered VPNs."""
+    iommu = replace(
+        config.iommu, iommu_tlb=TLBConfig(8, 8, num_mshrs, latency=2)
+    )
+    wafer = WaferScaleGPU(config.with_iommu(iommu))
+    allocator = PageAllocator(wafer.address_space, wafer.num_gpms)
+    allocation = allocator.allocate_pages(64)
+    wafer.install_entries(allocator.materialize(allocation))
+    answered = []
+    respond = wafer.iommu.respond
+
+    def logged_respond(request, entry, served_by, extras=None):
+        answered.append(request.vpn)
+        respond(request, entry, served_by, extras)
+
+    wafer.iommu.respond = logged_respond
+    return wafer, allocation.base_vpn, answered
+
+
+def _send(wafer, *vpns):
+    gpm = wafer.gpms[0]
+    for vpn in vpns:
+        wafer.iommu.receive_request(
+            TranslationRequest(vpn, gpm.gpm_id, gpm.coordinate)
+        )
+
+
 class TestMSHR:
-    def test_allocate_until_full(self):
-        mshr = MSHRFile("m", 2)
-        assert mshr.allocate(1)
-        assert mshr.allocate(2)
-        assert not mshr.allocate(3)
-        assert mshr.stalls == 1
+    """The IOMMU TLB variant's MSHRs: one per in-flight VPN."""
 
-    def test_merge_same_vpn_even_when_full(self):
-        mshr = MSHRFile("m", 1)
-        mshr.allocate(1)
-        assert mshr.allocate(1)  # merges, does not need a new register
-        assert mshr.merges == 1
-        assert mshr.waiters(1) == 2
+    def test_allocate_until_full(self, small_system_config):
+        wafer, base, _ = _tlb_iommu(small_system_config, 2)
+        _send(wafer, base, base + 1, base + 2)
+        assert wafer.iommu.stat("tlb_mshr_blocked") == 1
+        assert sorted(wafer.iommu._tlb_waiters) == [base, base + 1]
 
-    def test_release_returns_merged_count(self):
-        mshr = MSHRFile("m", 2)
-        mshr.allocate(5)
-        mshr.allocate(5)
-        assert mshr.release(5) == 2
-        assert mshr.release(5) == 0
+    def test_merge_same_vpn_even_when_full(self, small_system_config):
+        wafer, base, _ = _tlb_iommu(small_system_config, 1)
+        _send(wafer, base, base)
+        # The second request merges: it takes no MSHR and is not blocked.
+        assert wafer.iommu.stat("tlb_mshr_blocked") == 0
+        assert list(wafer.iommu._tlb_waiters) == [base]
+        assert len(wafer.iommu._tlb_waiters[base]) == 1
 
-    def test_release_frees_register(self):
-        mshr = MSHRFile("m", 1)
-        mshr.allocate(1)
-        mshr.release(1)
-        assert mshr.allocate(2)
+    def test_release_returns_merged_count(self, small_system_config):
+        wafer, base, answered = _tlb_iommu(small_system_config, 2)
+        _send(wafer, base, base)
+        wafer.sim.run()
+        assert wafer.iommu.stat("walks") == 1
+        assert answered == [base, base]
+        assert not wafer.iommu._tlb_waiters
 
-    def test_outstanding_listing(self):
-        mshr = MSHRFile("m", 4)
-        mshr.allocate(1)
-        mshr.allocate(9)
-        assert sorted(mshr.outstanding_vpns()) == [1, 9]
-        assert mshr.occupancy == 2
+    def test_release_frees_register(self, small_system_config):
+        wafer, base, answered = _tlb_iommu(small_system_config, 1)
+        _send(wafer, base, base + 1)
+        assert wafer.iommu.stat("tlb_mshr_blocked") == 1
+        wafer.sim.run()
+        assert wafer.iommu.stat("walks") == 2
+        assert sorted(answered) == [base, base + 1]
+        assert not wafer.iommu._tlb_blocked
+
+    def test_outstanding_listing(self, small_system_config):
+        wafer, base, _ = _tlb_iommu(small_system_config, 4)
+        _send(wafer, base + 1, base + 9, base + 1)
+        assert sorted(wafer.iommu._tlb_waiters) == [base + 1, base + 9]
 
     def test_invalid_size(self):
-        with pytest.raises(ValueError):
-            MSHRFile("m", 0)
+        with pytest.raises(ConfigurationError):
+            TLBConfig(8, 8, 0, latency=2)
