@@ -10,8 +10,9 @@ import pytest
 from repro.experiments.common import RunCache
 
 #: Common workload scale for the figure checks.  The CLI
-#: (``hdpat-experiments <fig> --scale ...``) reruns any figure at higher
-#: fidelity; Figure 13's size-invariance result justifies scaled proxies.
+#: (``python -m repro experiments <fig> --scale ...``) reruns any figure
+#: at higher fidelity; Figure 13's size-invariance result justifies
+#: scaled proxies.
 FIGURE_SCALE = 0.04
 
 FIGURE_SEED = 42

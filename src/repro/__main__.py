@@ -1,16 +1,16 @@
-"""``python -m repro <verb>`` — one front door for every repo CLI.
+"""``python -m repro <verb>`` — the one module entry point.
 
-Verbs map onto the per-package CLIs (each also installed as its own
-console script):
+Verbs map onto the per-package CLIs:
 
-- ``run``         a single benchmark run (``hdpat-run``)
-- ``experiments`` figure/table sweeps (``hdpat-experiments``)
-- ``lint``        the determinism lint (``python -m repro.analysis lint``)
+- ``run``         a single benchmark run (:mod:`repro.system.cli`, also
+                  installed as ``hdpat-run``)
+- ``experiments`` figure/table sweeps (:mod:`repro.experiments.cli`, also
+                  installed as ``hdpat-experiments``)
+- ``lint``        the determinism lint (:mod:`repro.analysis.cli`)
 - ``races``       the static same-cycle race pass
-- ``sanitize``    a sanitized run (``python -m repro.analysis sanitize``)
 
 Everything after the verb is forwarded to the sub-CLI untouched, so
-``python -m repro run --workload fir --profile`` works as expected.
+``python -m repro run fir --profile`` works as expected.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ verbs:
   experiments  run figure/table experiment sweeps
   lint         determinism lint over the source tree
   races        static same-cycle race pass over the simulation trees
-  sanitize     run a benchmark with runtime sanitizers armed
 
 ``python -m repro <verb> --help`` shows each verb's options.
 """
@@ -44,7 +43,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if verb == "experiments":
         from repro.experiments.cli import main as experiments_main
         return experiments_main(rest)
-    if verb in ("lint", "races", "sanitize"):
+    if verb in ("lint", "races"):
         from repro.analysis.cli import main as analysis_main
         return analysis_main([verb] + rest)
     print(f"python -m repro: unknown verb {verb!r}\n\n{_USAGE}",

@@ -18,12 +18,12 @@ bit-deterministic and conservation-correct, so both are machine-checked:
   with per-callback read/write summaries, flagging statically-possible
   same-cycle conflicts (RACE001 write-write, RACE002 read-write).
 
-CLI: ``python -m repro.analysis {lint,races,sanitize}``.
+CLI: ``python -m repro lint`` and ``python -m repro races``; the runtime
+sanitizers arm with ``python -m repro run <benchmark> --sanitize``.
 See docs/ANALYSIS.md.
 """
 
 from repro.analysis.lint import (
-    Baseline,
     Finding,
     layer_of,
     lint_paths,
@@ -31,7 +31,6 @@ from repro.analysis.lint import (
     statement_spans,
     summarize,
     suppressions_at,
-    update_baseline_file,
 )
 from repro.analysis.races import (
     RACE_RW,
@@ -52,7 +51,6 @@ from repro.analysis.sanitizers import (
 
 __all__ = [
     "ALL_RULES",
-    "Baseline",
     "BufferLeakSanitizer",
     "ConservationSanitizer",
     "EventOrderSanitizer",
@@ -73,5 +71,4 @@ __all__ = [
     "statement_spans",
     "summarize",
     "suppressions_at",
-    "update_baseline_file",
 ]

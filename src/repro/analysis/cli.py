@@ -1,49 +1,35 @@
-"""``python -m repro.analysis`` — lint, races, and sanitize verbs.
+"""The ``lint`` and ``races`` verbs of ``python -m repro``.
 
 ::
 
-    python -m repro.analysis lint src/repro
-    python -m repro.analysis lint --format json --baseline analysis-baseline.txt
-    python -m repro.analysis lint --update-baseline
-    python -m repro.analysis races --baseline analysis-races-baseline.txt
-    python -m repro.analysis sanitize --workload fir --scale 0.05
-    python -m repro.analysis sanitize --races --skip-determinism
+    python -m repro lint src/repro
+    python -m repro lint --format json --strict
+    python -m repro races
+    python -m repro races tests/fixtures/racy_ticker.py
 
-``lint`` exits non-zero when any error-severity finding survives pragmas
-and the baseline (``--strict`` also fails on warnings);
-``--update-baseline`` atomically regenerates the baseline file from the
-current findings instead.  ``races`` runs the static same-cycle race
-pass (RACE001/RACE002) with the same baseline machinery.  ``sanitize``
-builds a small preset, runs it with every runtime sanitizer armed
-(``--races`` adds the dynamic race detector; ``--report`` collects race
-findings instead of raising), then dual-runs it to check the determinism
-contract; any :class:`~repro.errors.SanitizerError` exits non-zero.
+``lint`` exits non-zero when any error-severity finding survives the
+inline ``# lint:`` pragmas (``--strict`` also fails on warnings).
+``races`` runs the static same-cycle race pass (RACE001/RACE002) and
+exits non-zero on any finding that no pragma suppresses.  The runtime
+sanitizers are armed by ``python -m repro run <benchmark> --sanitize``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import sys
 from typing import List, Optional
 
-from repro.analysis.lint import (
-    Baseline,
-    lint_paths,
-    summarize,
-    update_baseline_file,
-)
+from repro.analysis.lint import lint_paths, summarize
 from repro.analysis.rules import ALL_RULES
 
 DEFAULT_LINT_PATHS = ["src/repro"]
-DEFAULT_LINT_BASELINE = "analysis-baseline.txt"
-DEFAULT_RACES_BASELINE = "analysis-races-baseline.txt"
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="python -m repro.analysis",
-        description="Static determinism lint and runtime sanitizers.",
+        prog="python -m repro",
+        description="Static determinism lint and race pass.",
     )
     verbs = parser.add_subparsers(dest="verb", required=True)
 
@@ -57,23 +43,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="finding output format (default %(default)s)",
     )
     lint.add_argument(
-        "--baseline", default=None, metavar="FILE",
-        help="suppression file of grandfathered findings",
-    )
-    lint.add_argument(
-        "--write-baseline", default=None, metavar="FILE",
-        help="write current findings as a new baseline and exit 0",
-    )
-    lint.add_argument(
         "--strict", action="store_true",
         help="warnings also fail the run (default: errors only)",
-    )
-    lint.add_argument(
-        "--update-baseline", nargs="?", const=DEFAULT_LINT_BASELINE,
-        default=None, metavar="FILE", dest="update_baseline",
-        help="atomically regenerate FILE (default "
-             f"{DEFAULT_LINT_BASELINE}) from the current findings, in "
-             "sorted RULEID:path:line order, and exit 0",
     )
 
     races = verbs.add_parser(
@@ -88,70 +59,16 @@ def build_parser() -> argparse.ArgumentParser:
         "--format", choices=("text", "json"), default="text",
         help="finding output format (default %(default)s)",
     )
-    races.add_argument(
-        "--baseline", default=None, metavar="FILE",
-        help="suppression file of reviewed, justified race findings",
-    )
-    races.add_argument(
-        "--update-baseline", nargs="?", const=DEFAULT_RACES_BASELINE,
-        default=None, metavar="FILE", dest="update_baseline",
-        help="atomically regenerate FILE (default "
-             f"{DEFAULT_RACES_BASELINE}) from the current findings, "
-             "preserving per-entry justification comments, and exit 0",
-    )
-
-    sanitize = verbs.add_parser(
-        "sanitize", help="run a small preset with runtime sanitizers armed"
-    )
-    sanitize.add_argument("--workload", default="fir")
-    sanitize.add_argument("--scale", type=float, default=0.05)
-    sanitize.add_argument("--mesh", default="7x7", help="mesh as WxH")
-    sanitize.add_argument("--seed", type=int, default=42)
-    sanitize.add_argument(
-        "--hdpat", action="store_true",
-        help="sanitize the full HDPAT configuration (default: baseline)",
-    )
-    sanitize.add_argument(
-        "--races", action="store_true",
-        help="also arm the dynamic same-cycle race detector "
-             "(OrderRaceError on the first unjustified conflict)",
-    )
-    sanitize.add_argument(
-        "--report", action="store_true",
-        help="with --races: collect race findings into the report "
-             "instead of raising on the first one",
-    )
-    sanitize.add_argument(
-        "--skip-determinism", action="store_true",
-        help="skip the dual-run digest comparison",
-    )
-    sanitize.add_argument(
-        "--format", choices=("text", "json"), default="text",
-    )
     return parser
 
 
 def run_lint(args: argparse.Namespace) -> int:
-    paths = args.paths or DEFAULT_LINT_PATHS
-    baseline = Baseline.load(args.baseline) if args.baseline else None
-    findings, baselined = lint_paths(paths, baseline=baseline)
-
-    if args.update_baseline:
-        count = update_baseline_file(args.update_baseline, findings)
-        print(f"baseline: {count} entry(ies) -> {args.update_baseline}")
-        return 0
-    if args.write_baseline:
-        with open(args.write_baseline, "w", encoding="utf-8") as handle:
-            handle.write(Baseline.render(findings))
-        print(f"baseline: {len(findings)} finding(s) -> {args.write_baseline}")
-        return 0
-
+    findings = lint_paths(args.paths or DEFAULT_LINT_PATHS)
     summary = summarize(findings)
     if args.format == "json":
         print(json.dumps({
             "findings": [finding.to_dict() for finding in findings],
             "summary": summary,
-            "baselined": baselined,
             "rules": sorted(rule.id for rule in ALL_RULES),
         }, indent=2, sort_keys=True))
     else:
@@ -159,8 +76,7 @@ def run_lint(args: argparse.Namespace) -> int:
             print(f"{finding.path}:{finding.line}:{finding.col}: "
                   f"{finding.rule_id} [{finding.severity}] {finding.message}")
         print(f"hdpat-lint: {summary['errors']} error(s), "
-              f"{summary['warnings']} warning(s)"
-              + (f", {baselined} baselined" if baselined else ""))
+              f"{summary['warnings']} warning(s)")
     failed = summary["errors"] > 0 or (args.strict and summary["warnings"] > 0)
     return 1 if failed else 0
 
@@ -169,117 +85,22 @@ def run_races(args: argparse.Namespace) -> int:
     # Imported lazily: the lint verb stays importable on its own.
     from repro.analysis.races import DEFAULT_RACE_PATHS, analyze_paths
 
-    paths = args.paths or DEFAULT_RACE_PATHS
-    baseline = Baseline.load(args.baseline) if args.baseline else None
-    findings, baselined = analyze_paths(paths, baseline=baseline)
-
-    if args.update_baseline:
-        count = update_baseline_file(args.update_baseline, findings)
-        print(f"baseline: {count} entry(ies) -> {args.update_baseline}")
-        return 0
-
+    findings = analyze_paths(args.paths or DEFAULT_RACE_PATHS)
     if args.format == "json":
         print(json.dumps({
             "findings": [finding.to_dict() for finding in findings],
             "summary": summarize(findings),
-            "baselined": baselined,
         }, indent=2, sort_keys=True))
     else:
         for finding in findings:
             print(f"{finding.path}:{finding.line}: "
                   f"{finding.rule_id} {finding.message}")
-        print(f"hdpat-races: {len(findings)} finding(s)"
-              + (f", {baselined} baselined" if baselined else ""))
+        print(f"hdpat-races: {len(findings)} finding(s)")
     return 1 if findings else 0
-
-
-def run_sanitize(args: argparse.Namespace) -> int:
-    # Imported lazily: the lint verb must work without building a system.
-    from repro.analysis.sanitizers import check_determinism
-    from repro.config.hdpat import HDPATConfig
-    from repro.config.scaling import capacity_scaled
-    from repro.config.system import SystemConfig
-    from repro.errors import SanitizerError
-    from repro.system.runner import run_benchmark
-
-    try:
-        width, height = (int(part) for part in args.mesh.lower().split("x"))
-    except ValueError:
-        print(f"error: --mesh must look like 7x7, got {args.mesh!r}",
-              file=sys.stderr)
-        return 2
-    hdpat = HDPATConfig.full() if args.hdpat else HDPATConfig.baseline()
-    config = capacity_scaled(
-        SystemConfig(
-            mesh_width=width, mesh_height=height, hdpat=hdpat, seed=args.seed
-        ),
-        args.scale,
-    )
-    sanitize_mode: object = True
-    if args.races:
-        sanitize_mode = "races:report" if args.report else "races"
-    elif args.report:
-        print("error: --report requires --races", file=sys.stderr)
-        return 2
-    report = {"workload": args.workload, "scale": args.scale,
-              "mesh": args.mesh, "seed": args.seed}
-    try:
-        result = run_benchmark(
-            config, args.workload, scale=args.scale, seed=args.seed,
-            sanitize=sanitize_mode,
-        )
-        report["sanitizers"] = result.extras["sanitizers"]
-        if not args.skip_determinism:
-            report["determinism_digest"] = check_determinism(
-                config, args.workload, scale=args.scale, seed=args.seed
-            )
-    except SanitizerError as exc:
-        report["violation"] = {"type": type(exc).__name__, "message": str(exc)}
-        if args.format == "json":
-            print(json.dumps(report, indent=2, sort_keys=True))
-        else:
-            print(f"SANITIZER VIOLATION [{type(exc).__name__}]: {exc}",
-                  file=sys.stderr)
-        return 1
-    races_report = report["sanitizers"].get("races") or {}
-    race_findings = races_report.get("findings") or []
-    if args.format == "json":
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        sanitizers = report["sanitizers"]
-        status = (f"{len(race_findings)} race finding(s)"
-                  if race_findings else "clean")
-        print(f"sanitize: {args.workload} scale={args.scale} mesh={args.mesh} "
-              f"— {status}")
-        print(f"  events checked:    {sanitizers['events_checked']:,}")
-        print(f"  schedules checked: {sanitizers['schedules_checked']:,}")
-        print(f"  buffers watched:   {sanitizers['buffers_watched']}")
-        print(f"  messages delivered:{sanitizers['messages_delivered']:,}")
-        if races_report:
-            print(f"  races:             "
-                  f"{races_report['cycles_checked']:,} cycles, "
-                  f"{races_report['accesses_recorded']:,} accesses, "
-                  f"{races_report['benign_suppressed']} benign suppressed")
-            for race in race_findings:
-                first, second = race["events"]
-                print(f"    {race['kind']} {race['class']}"
-                      f"({race['object']}).{race['field']} @ cycle "
-                      f"{race['cycle']}: {first['callback']} vs "
-                      f"{second['callback']}")
-        if "determinism_digest" in report:
-            print(f"  determinism:       dual-run digest "
-                  f"{report['determinism_digest'][:16]}... (match)")
-    return 1 if race_findings else 0
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     if args.verb == "lint":
         return run_lint(args)
-    if args.verb == "races":
-        return run_races(args)
-    return run_sanitize(args)
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+    return run_races(args)

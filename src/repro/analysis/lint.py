@@ -1,16 +1,12 @@
-"""hdpat-lint driver: file walking, layer mapping, pragmas, baselines.
+"""hdpat-lint: file walking, layer mapping and pragmas.
 
 The driver parses each module once, runs every applicable
-:class:`~repro.analysis.rules.Rule`, and filters the findings through two
-suppression mechanisms:
-
-* **Pragmas** — a ``# lint:`` comment on the offending line:
-  ``# lint: disable=WAL001`` (or ``disable=all``), or a rule's named tag
-  such as ``# lint: allow-wallclock``.
-* **Baseline file** — grandfathered findings listed one per line as
-  ``RULEID:path:line`` (``*`` wildcards the line).  Lines starting with
-  ``#`` and blanks are ignored.  The shipped ``analysis-baseline.txt`` is
-  empty: the tree lints clean.
+:class:`~repro.analysis.rules.Rule`, and drops the findings an inline
+pragma suppresses — the one suppression mechanism: a ``# lint:`` comment
+on the offending statement, ``# lint: disable=WAL001`` (or
+``disable=all``), or a rule's named tag such as
+``# lint: allow-wallclock``.  Every suppression therefore sits next to
+the code it excuses.
 """
 
 from __future__ import annotations
@@ -18,7 +14,6 @@ from __future__ import annotations
 import ast
 import os
 import re
-import tempfile
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.rules import (
@@ -179,147 +174,14 @@ def iter_python_files(paths: Iterable[str]) -> Iterator[str]:
 def lint_paths(
     paths: Sequence[str],
     rules: Optional[Sequence[Rule]] = None,
-    baseline: Optional["Baseline"] = None,
-) -> Tuple[List[Finding], int]:
-    """Lint every python file under ``paths``.
-
-    Returns ``(findings, baselined_count)`` where findings suppressed by
-    the baseline are excluded but counted.
-    """
+) -> List[Finding]:
+    """Lint every python file under ``paths``; returns the findings."""
     findings: List[Finding] = []
-    baselined = 0
     for file_path in iter_python_files(paths):
         with open(file_path, "r", encoding="utf-8") as handle:
             source = handle.read()
-        for finding in lint_source(source, path=file_path, rules=rules):
-            if baseline is not None and baseline.covers(finding):
-                baselined += 1
-                continue
-            findings.append(finding)
-    return findings, baselined
-
-
-class Baseline:
-    """Grandfathered-finding suppression list.
-
-    Entries are ``RULEID:path:line`` with ``/``-normalised relative paths;
-    ``line`` may be ``*`` to cover a whole file (robust to drift while a
-    cleanup is in flight).
-    """
-
-    def __init__(self, entries: Optional[Iterable[str]] = None) -> None:
-        self._exact: Set[str] = set()
-        self._wildcard: Set[Tuple[str, str]] = set()
-        for entry in entries or ():
-            self.add_entry(entry)
-
-    @classmethod
-    def load(cls, path: str) -> "Baseline":
-        baseline = cls()
-        if not os.path.exists(path):
-            return baseline
-        with open(path, "r", encoding="utf-8") as handle:
-            for raw in handle:
-                # Inline '# ...' justification comments are part of the
-                # baseline format (every grandfathered race entry carries
-                # one); strip them before parsing the entry itself.
-                line = raw.split("#", 1)[0].strip()
-                if line:
-                    baseline.add_entry(line)
-        return baseline
-
-    @staticmethod
-    def _normalize(path: str) -> str:
-        return os.path.normpath(path).replace(os.sep, "/")
-
-    def add_entry(self, entry: str) -> None:
-        rule_id, path, line = entry.rsplit(":", 2)
-        path = self._normalize(path)
-        if line == "*":
-            self._wildcard.add((rule_id, path))
-        else:
-            self._exact.add(f"{rule_id}:{path}:{line}")
-
-    def covers(self, finding: Finding) -> bool:
-        path = self._normalize(finding.path)
-        if (finding.rule_id, path) in self._wildcard:
-            return True
-        return f"{finding.rule_id}:{path}:{finding.line}" in self._exact
-
-    def __len__(self) -> int:
-        return len(self._exact) + len(self._wildcard)
-
-    @staticmethod
-    def render(findings: Sequence[Finding]) -> str:
-        """Serialise findings as baseline entries (for --write-baseline)."""
-        lines = [
-            "# hdpat-lint baseline: grandfathered findings, one per line as",
-            "# RULEID:path:line ('*' wildcards the line). Shrink, never grow.",
-        ]
-        lines.extend(
-            f"{f.rule_id}:{Baseline._normalize(f.path)}:{f.line}"
-            for f in findings
-        )
-        return "\n".join(lines) + "\n"
-
-
-def update_baseline_file(path: str, findings: Sequence[Finding]) -> int:
-    """Atomically regenerate a baseline file from ``findings``.
-
-    Entries are written in sorted ``RULEID:path:line`` order, one per
-    line.  The existing file's leading comment header is preserved (a
-    default header is written for a fresh file), as is any inline ``#``
-    justification comment attached to an entry that survives the
-    regeneration.  The file is replaced via ``os.replace`` on a temp
-    file in the same directory, so readers never observe a partial
-    baseline.  Returns the number of entries written.
-    """
-    entries = sorted({
-        f"{f.rule_id}:{Baseline._normalize(f.path)}:{f.line}"
-        for f in findings
-    })
-    header: List[str] = []
-    comments: Dict[str, str] = {}
-    if os.path.exists(path):
-        with open(path, "r", encoding="utf-8") as handle:
-            in_header = True
-            for raw in handle:
-                line = raw.rstrip("\n")
-                stripped = line.strip()
-                if in_header and (not stripped or stripped.startswith("#")):
-                    header.append(line)
-                    continue
-                in_header = False
-                if not stripped or stripped.startswith("#"):
-                    continue
-                entry, _, comment = stripped.partition("#")
-                if comment.strip():
-                    comments[entry.strip()] = comment.strip()
-    if not header:
-        header = [
-            "# hdpat-lint baseline: grandfathered findings, one per line as",
-            "# RULEID:path:line ('*' wildcards the line). Shrink, never grow.",
-        ]
-    body = [
-        f"{entry}  # {comments[entry]}" if entry in comments else entry
-        for entry in entries
-    ]
-    payload = "\n".join(header + body) + "\n"
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp_path = tempfile.mkstemp(
-        dir=directory, prefix=".baseline-", suffix=".tmp"
-    )
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(payload)
-        os.replace(tmp_path, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_path)
-        except OSError:
-            pass
-        raise
-    return len(entries)
+        findings.extend(lint_source(source, path=file_path, rules=rules))
+    return findings
 
 
 def summarize(findings: Sequence[Finding]) -> Dict[str, int]:
@@ -336,7 +198,6 @@ def summarize(findings: Sequence[Finding]) -> Dict[str, int]:
 
 __all__ = [
     "ALL_RULES",
-    "Baseline",
     "Finding",
     "Rule",
     "iter_python_files",
@@ -346,5 +207,4 @@ __all__ = [
     "statement_spans",
     "summarize",
     "suppressions_at",
-    "update_baseline_file",
 ]

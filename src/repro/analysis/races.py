@@ -19,10 +19,10 @@ hits it.  Per scanned module it:
 
 The pass is deliberately class-granular — it cannot prove two callbacks
 share an instance or a cycle — so findings are *statically possible*
-races, reviewed into ``analysis-races-baseline.txt`` with a justification
-comment each, or suppressed inline with ``# lint: disable=RACE001`` /
-``# lint: allow-race``.  Findings reuse the hdpat-lint
-:class:`~repro.analysis.rules.Finding` / baseline machinery.
+races; a reviewed benign one is suppressed inline, with its reason, by
+``# lint: disable=RACE001`` or ``# lint: allow-race``.  Findings reuse
+the hdpat-lint :class:`~repro.analysis.rules.Finding` and pragma
+machinery.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.lint import (
-    Baseline,
     iter_python_files,
     layer_of,
     statement_spans,
@@ -309,26 +308,15 @@ def analyze_source(
     return findings
 
 
-def analyze_paths(
-    paths: Sequence[str],
-    baseline: Optional[Baseline] = None,
-) -> Tuple[List[Finding], int]:
-    """Race-analyse every python file under ``paths``.
-
-    Returns ``(findings, baselined_count)``, mirroring
-    :func:`repro.analysis.lint.lint_paths`.
-    """
+def analyze_paths(paths: Sequence[str]) -> List[Finding]:
+    """Race-analyse every python file under ``paths``; returns the
+    findings, like :func:`repro.analysis.lint.lint_paths`."""
     findings: List[Finding] = []
-    baselined = 0
     for file_path in iter_python_files(paths):
         with open(file_path, "r", encoding="utf-8") as handle:
             source = handle.read()
-        for finding in analyze_source(source, path=file_path):
-            if baseline is not None and baseline.covers(finding):
-                baselined += 1
-                continue
-            findings.append(finding)
-    return findings, baselined
+        findings.extend(analyze_source(source, path=file_path))
+    return findings
 
 
 __all__ = [

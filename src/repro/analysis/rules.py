@@ -60,10 +60,6 @@ class Finding:
     severity: str
     layer: str
 
-    def key(self) -> str:
-        """Stable identity used by the baseline-suppression file."""
-        return f"{self.rule_id}:{self.path}:{self.line}"
-
     def to_dict(self) -> dict:
         return {
             "rule": self.rule_id,

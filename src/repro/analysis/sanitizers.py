@@ -573,7 +573,7 @@ class RaceSanitizer:
             f"{verb}; their relative order is fixed only by insertion "
             f"seq, so any alternative in-cycle dispatch could change the "
             f"result.  Fix the callbacks, or justify the pair in "
-            f"BENIGN_RACE_FIELDS / the race baseline."
+            f"BENIGN_RACE_FIELDS."
         )
 
     def report(self) -> Dict[str, object]:

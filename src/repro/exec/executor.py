@@ -12,10 +12,11 @@ and *what happens when it breaks*:
   :class:`~repro.faults.retry.RetryPolicy` backoff — scheduled as an
   *eligibility time*, never a blocking sleep, so a permanently failing
   job costs zero idle wall-clock after its final attempt;
-- a circuit breaker (``max_consecutive_failures``) and SIGINT/SIGTERM
-  handling that drain in-flight jobs, write the terminal heartbeat, and
-  raise a typed :class:`~repro.errors.SweepAbortedError` with the
-  partial results;
+- a circuit breaker (``max_consecutive_failures``) and, around the
+  pool, SIGINT/SIGTERM handling that drains in-flight jobs (a second
+  signal cuts the drain short and kills the workers), writes the
+  terminal heartbeat, and raises a typed
+  :class:`~repro.errors.SweepAbortedError` with the partial results;
 - deterministic chaos testing of all of the above via an injected
   :class:`~repro.exec.resilience.WorkerFaultPlan`.
 
@@ -72,7 +73,7 @@ from repro.system.result import RunResult
 
 #: How long an abort drain waits for in-flight jobs before giving up and
 #: killing the pool (bounded: a hung worker must not turn a Ctrl-C into
-#: an indefinite stall).
+#: an indefinite stall; a second signal ends the drain at once).
 DRAIN_TIMEOUT_SECONDS = 30.0
 
 
@@ -138,6 +139,8 @@ class SweepExecutor:
         #: Why the sweep aborted, or None if it ran to completion.
         self.aborted_reason: Optional[str] = None
         self._abort_requested: Optional[str] = None
+        #: Set by a second SIGINT/SIGTERM: stop draining, kill the pool.
+        self._drain_cut = False
         #: Final failures since the last success (the breaker's input).
         self._consecutive = 0
         #: Per-worker last-seen wall-clock (pid -> time.time()), fed by
@@ -267,7 +270,9 @@ class SweepExecutor:
 
         The only exception raised is :class:`SweepAbortedError` — the
         circuit breaker tripped, ``abort_after`` fired, or SIGINT/SIGTERM
-        arrived — and it carries the partial results.
+        arrived during a pool batch — and it carries the partial results.
+        In-process jobs install no handlers, exactly like
+        :meth:`run_inline`: a signal there interrupts the job itself.
         """
         results: Dict[int, RunResult] = {}
         if not jobs:
@@ -275,21 +280,21 @@ class SweepExecutor:
         self._queued.inc(len(jobs))
         self._consecutive = 0
         self._beat(force=True)
-        previous = self._install_signal_handlers()
-        try:
-            if self.jobs <= 1 or len(jobs) == 1:
-                for index, job in enumerate(jobs):
-                    reason = self._abort_reason(results)
-                    if reason is not None:
-                        self._finish_abort(results, reason)
-                    try:
-                        results[index] = self._execute_inline(job)
-                    except Exception:
-                        pass  # recorded in self.failures
-            else:
+        if self.jobs > 1 and len(jobs) > 1:
+            previous = self._install_signal_handlers()
+            try:
                 self._map_pool(jobs, results)
-        finally:
-            self._restore_signal_handlers(previous)
+            finally:
+                self._restore_signal_handlers(previous)
+            return results
+        for index, job in enumerate(jobs):
+            reason = self._abort_reason(results)
+            if reason is not None:
+                self._finish_abort(results, reason)
+            try:
+                results[index] = self._execute_inline(job)
+            except Exception:
+                pass  # recorded in self.failures
         return results
 
     def _complete(self, job, result, wall, counters=None) -> None:
@@ -407,12 +412,17 @@ class SweepExecutor:
                 reason = self._abort_reason(results)
                 if reason is not None:
                     # Drain (bounded): in-flight results are harvested
-                    # and stored, so a rerun never repeats them.
+                    # and stored, so a rerun never repeats them.  A
+                    # second signal ends it; the finally kills the pool.
                     deadline = time.monotonic() + min(
                         DRAIN_TIMEOUT_SECONDS,
                         self.job_timeout or DRAIN_TIMEOUT_SECONDS,
                     )
-                    while active and time.monotonic() < deadline:
+                    while (
+                        active
+                        and not self._drain_cut
+                        and time.monotonic() < deadline
+                    ):
                         done, _ = wait(
                             list(active), timeout=0.2,
                             return_when=FIRST_COMPLETED,
@@ -519,6 +529,8 @@ class SweepExecutor:
         )
 
     def _on_signal(self, signum, frame) -> None:
+        if self._abort_requested is not None:
+            self._drain_cut = True
         self._abort_requested = signal.Signals(signum).name
 
     def _install_signal_handlers(self):
@@ -555,11 +567,13 @@ class SweepExecutor:
 
     def _shutdown_pool(self, pool, force: bool = False) -> None:
         """Tear a pool down; ``force`` kills worker processes outright so
-        a hung worker can never wedge teardown or interpreter exit."""
+        a hung worker can never wedge teardown or interpreter exit.  The
+        process map is read first: ``shutdown`` drops the pool's
+        reference to it."""
+        processes = list((getattr(pool, "_processes", None) or {}).values())
         pool.shutdown(wait=not force, cancel_futures=True)
         if force:
-            processes = getattr(pool, "_processes", None)
-            for process in list((processes or {}).values()):
+            for process in processes:
                 try:
                     process.kill()
                 except Exception:

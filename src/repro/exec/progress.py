@@ -4,7 +4,7 @@ A sweep sharded across worker processes is opaque while it runs — the
 terminal shows nothing until a whole figure completes.  The heartbeat
 gives operators (and CI) a machine-readable pulse::
 
-    hdpat-experiments all --progress /tmp/sweep.jsonl &
+    python -m repro experiments all --progress /tmp/sweep.jsonl &
     tail -f /tmp/sweep.jsonl | python -m json.tool --json-lines
 
 Each line is one self-contained JSON object; the last line is always the

@@ -2,8 +2,8 @@
 
 Every module exposes ``run(scale=..., benchmarks=..., seed=...) ->
 ExperimentResult`` and registers itself in :mod:`repro.experiments.registry`.
-The CLI (``python -m repro.experiments <id>`` or ``hdpat-experiments``)
-prints the regenerated rows.
+The CLI (``python -m repro experiments <id>``, also installed as
+``hdpat-experiments``) prints the regenerated rows.
 """
 
 from repro.experiments.common import ExperimentResult, RunCache

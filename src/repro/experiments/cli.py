@@ -1,13 +1,13 @@
 """Command-line interface: regenerate any paper table or figure.
 
-Usage::
+Usage (the same ``main`` is installed as ``hdpat-experiments``)::
 
-    hdpat-experiments fig14                  # full suite, parallel sweep
-    hdpat-experiments fig14 --jobs 1         # the historical serial path
-    hdpat-experiments fig15 --scale 0.25     # tighter numbers, slower
-    hdpat-experiments fig03 --benchmarks spmv
-    hdpat-experiments all --cache-dir ~/.hdpat-cache
-    hdpat-experiments sweep --schemes baseline,hdpat,transfw \\
+    python -m repro experiments fig14               # parallel sweep
+    python -m repro experiments fig14 --jobs 1      # serial, in-process
+    python -m repro experiments fig15 --scale 0.25  # tighter, slower
+    python -m repro experiments fig03 --benchmarks spmv
+    python -m repro experiments all --output tables.txt
+    python -m repro experiments sweep --schemes baseline,hdpat,transfw \\
         --benchmarks aes,spmv --scales 0.05,0.1 --seeds 1,2 --jobs 8
 
 Experiment runs shard their config×workload grids across ``--jobs`` worker
@@ -40,7 +40,7 @@ from repro.experiments.registry import EXPERIMENT_IDS, get_experiment
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="hdpat-experiments",
+        prog="python -m repro experiments",
         description="Regenerate HDPAT paper tables and figures.",
     )
     parser.add_argument(
@@ -263,7 +263,3 @@ def main(argv: Optional[List[str]] = None) -> int:
         )
         return 3
     return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

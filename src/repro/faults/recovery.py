@@ -22,9 +22,9 @@ hardware models:
 * ``RecoverGpm`` — the module re-attaches, its displaced pages migrate
   back home (with copy traffic this time), and its trace resumes.
 
-All counters land under ``timeline.*`` in the fault state (and therefore
-in ``RunResult.extras["faults"]["counters"]``) plus the component's own
-stats merged as ``recovery.*`` metrics.
+All counters land under ``timeline.*`` in the fault state, and therefore
+in ``RunResult.extras["faults"]["counters"]`` and the ``faults.timeline.*``
+metrics.
 """
 
 from __future__ import annotations
@@ -82,9 +82,8 @@ class RecoveryManager(Component):
             )
         return self._migration
 
-    def _both(self, key: str, amount: int = 1) -> None:
-        """Count on the component and in the fault-state report."""
-        self.bump(key, amount)
+    def _count(self, key: str, amount: int = 1) -> None:
+        """Count in the fault-state report (``faults.timeline.*``)."""
         self.wafer.faults.bump(f"timeline.{key}", amount)
 
     # ------------------------------------------------------------------
@@ -106,19 +105,19 @@ class RecoveryManager(Component):
         self.wafer.network.set_link_bandwidth_factor(
             a, b, event.bandwidth_factor
         )
-        self._both("degrade_links")
+        self._count("degrade_links")
 
     def _apply_restore(self, event: RestoreLink) -> None:
         a, b = event.link
         self.wafer.faults.restore_link(event.link)
         self.wafer.network.set_link_bandwidth_factor(a, b, 1.0)
-        self._both("restore_links")
+        self._count("restore_links")
 
     def _apply_kill(self, event: KillGpm) -> None:
         faults = self.wafer.faults
         gpm_id = self.wafer.gpm_id_at(event.gpm)
         if not faults.gpm_alive(gpm_id):
-            self._both("redundant_events")
+            self._count("redundant_events")
             return
         faults.kill_gpm(gpm_id)
         gpm = self.wafer.gpms[gpm_id]
@@ -132,15 +131,15 @@ class RecoveryManager(Component):
         if owned:
             target = faults.remap_owner(gpm_id)
             moved = self._engine().migrate_pages(owned, target, copy=False)
-            self._both("remapped_pages", moved)
+            self._count("remapped_pages", moved)
             self._displaced[gpm_id] = owned
-        self._both("kills")
+        self._count("kills")
 
     def _apply_recover(self, event: RecoverGpm) -> None:
         faults = self.wafer.faults
         gpm_id = self.wafer.gpm_id_at(event.gpm)
         if faults.gpm_alive(gpm_id):
-            self._both("redundant_events")
+            self._count("redundant_events")
             return
         faults.recover_gpm(gpm_id)
         gpm = self.wafer.gpms[gpm_id]
@@ -152,10 +151,10 @@ class RecoveryManager(Component):
         )
         if vpns:
             moved = self._engine().migrate_pages(vpns, gpm_id, copy=True)
-            self._both("rehomed_pages", moved)
+            self._count("rehomed_pages", moved)
         self.wafer.note_gpm_recovered(gpm)
         gpm.resume()
-        self._both("recoveries")
+        self._count("recoveries")
 
     # ------------------------------------------------------------------
     # Drain: paced checkpoint migration off a dying module
@@ -164,7 +163,7 @@ class RecoveryManager(Component):
         faults = self.wafer.faults
         gpm_id = self.wafer.gpm_id_at(event.gpm)
         if not faults.gpm_alive(gpm_id):
-            self._both("redundant_events")
+            self._count("redundant_events")
             return
         # Hottest pages first: the PTE access counter is the only signal
         # a real driver would have at warning time.
@@ -179,7 +178,7 @@ class RecoveryManager(Component):
                 key=lambda e: (-e.access_count, e.vpn),
             )
         ]
-        self._both("drain_warnings")
+        self._count("drain_warnings")
         if queue:
             self._drain_batch(gpm_id, queue, event.deadline, 0)
 
@@ -203,8 +202,8 @@ class RecoveryManager(Component):
         ]
         if batch:
             moved = self._engine().migrate_pages(batch, dest, copy=True)
-            self._both("drained_pages", moved)
-            self._both("drain_checkpoints")
+            self._count("drained_pages", moved)
+            self._count("drain_checkpoints")
             self._drained.setdefault(gpm_id, []).extend(batch)
         if rest and self.sim.now + DRAIN_INTERVAL_CYCLES < deadline:
             self.sim.schedule(

@@ -276,8 +276,8 @@ class GPM(Component):
             self._translation_done(vpn, entry, ServedBy.LOCAL_WALK)
         else:
             # Cuckoo-filter false positive: the full local path was paid
-            # before discovering the page is remote (§II-B outcome 3).
-            self.bump("filter_false_positive_walks")
+            # before discovering the page is remote (§II-B outcome 3);
+            # the hierarchy counts it (``gpmN.filter.false_positives``).
             self._go_remote(pending)
 
     def _go_remote(self, pending: PendingTranslation) -> None:
@@ -302,7 +302,6 @@ class GPM(Component):
         if pending is None or pending.epoch != epoch:
             return  # resolved, or superseded by a newer attempt
         self.faults.bump("timeouts")
-        self.bump("translation_timeouts")
         if self.faults.retry.exhausted(pending.attempts):
             raise TranslationTimeoutError(
                 f"{self.name}: translation of VPN {vpn:#x} timed out "
@@ -312,7 +311,6 @@ class GPM(Component):
         pending.attempts += 1
         pending.epoch += 1
         self.faults.bump("retries")
-        self.bump("translation_retries")
         backoff = self.faults.retry.delay_cycles_for(pending.attempts - 1)
         retry_epoch = pending.epoch
         self.sim.schedule(backoff, lambda: self._retry_remote(vpn, retry_epoch))

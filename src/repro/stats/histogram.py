@@ -57,8 +57,3 @@ class BucketHistogram:
             low = bound
         labels.append(f">={low}")
         return labels
-
-    def fractions(self) -> List[float]:
-        if not self.total:
-            return [0.0] * len(self.counts)
-        return [count / self.total for count in self.counts]

@@ -1,17 +1,17 @@
-"""Single-run command line: ``python -m repro.system <benchmark> [...]``.
+"""Single-run command line: ``python -m repro run <benchmark> [...]``.
 
 Runs one benchmark on one configuration and prints (or JSON-dumps) the
 result — the quickest way to poke at the system without writing a script:
 
-    python -m repro.system spmv --hdpat --scale 0.1
-    python -m repro.system pr --mesh 7x12 --ablation redirection --json
-    python -m repro.system mt --page-size 65536 --gpu h100
-    python -m repro.system run --workload fir --trace out.json
+    python -m repro run spmv --hdpat --scale 0.1
+    python -m repro run pr --mesh 7x12 --ablation redirection --json
+    python -m repro run mt --page-size 65536 --gpu h100
+    python -m repro run fir --trace out.json
 
-``run`` is an optional leading verb; ``--workload`` is an alias for the
-positional benchmark name.  ``--trace`` writes a Chrome trace-event file
-(or JSONL when the path ends in ``.jsonl``), ``--metrics-out`` dumps the
-metrics-registry snapshot, and ``--profile`` prints the profiling report.
+The same ``main`` is installed as the ``hdpat-run`` console script.
+``--trace`` writes a Chrome trace-event file (or JSONL when the path ends
+in ``.jsonl``), ``--metrics-out`` dumps the metrics-registry snapshot,
+and ``--profile`` prints the profiling report.
 """
 
 from __future__ import annotations
@@ -33,14 +33,10 @@ from repro.workloads.registry import BENCHMARK_NAMES
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="python -m repro.system",
+        prog="python -m repro run",
         description="Run one benchmark on one wafer configuration.",
     )
-    parser.add_argument("benchmark", nargs="?", choices=BENCHMARK_NAMES)
-    parser.add_argument(
-        "--workload", default=None, choices=BENCHMARK_NAMES,
-        help="benchmark name (alias for the positional argument)",
-    )
+    parser.add_argument("benchmark", choices=BENCHMARK_NAMES)
     parser.add_argument(
         "--mesh", default="7x7", help="mesh as WxH (default %(default)s)"
     )
@@ -105,23 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    if argv and argv[0] == "run":
-        argv = argv[1:]
     args = build_parser().parse_args(argv)
-    if args.benchmark and args.workload and args.benchmark != args.workload:
-        print(
-            f"error: benchmark given twice ({args.benchmark!r} vs "
-            f"--workload {args.workload!r})",
-            file=sys.stderr,
-        )
-        return 2
-    benchmark = args.benchmark or args.workload
-    if benchmark is None:
-        print("error: no benchmark given (positional name or --workload)",
-              file=sys.stderr)
-        return 2
     try:
         width, height = (int(part) for part in args.mesh.lower().split("x"))
     except ValueError:
@@ -195,7 +175,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             profile=args.profile,
         )
     result = run_benchmark(
-        config, benchmark, scale=args.scale, seed=args.seed, obs=obs,
+        config, args.benchmark, scale=args.scale, seed=args.seed, obs=obs,
         sanitize=args.sanitize,
     )
     notice = sys.stderr if args.json else sys.stdout
@@ -264,7 +244,3 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.profile:
         print(summarize(result, obs=obs), file=notice)
     return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

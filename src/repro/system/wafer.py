@@ -336,6 +336,4 @@ class WaferScaleGPU:
             })
             if self.faults is not None:
                 registry.merge_stats("faults", dict(self.faults.counters))
-            if self.recovery is not None:
-                registry.merge_stats("recovery", self.recovery.stats)
         return registry.snapshot()

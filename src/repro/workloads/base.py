@@ -80,8 +80,6 @@ class Workload(abc.ABC):
     #: Issue shape: up to ``burst`` accesses every ``interval`` cycles.
     burst: int = 4
     interval: int = 1
-    #: Byte distance between consecutive scalar accesses within a stream.
-    element_step: int = 256
 
     def generate(
         self,

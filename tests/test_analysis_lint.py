@@ -1,5 +1,5 @@
 """hdpat-lint tests: every rule fires on a seeded violation (none is
-vacuous), pragmas and baselines suppress, and the shipped tree is clean."""
+vacuous), inline pragmas suppress, and the shipped tree is clean."""
 
 import json
 import os
@@ -10,12 +10,7 @@ import textwrap
 import pytest
 
 from repro.analysis import lint_paths, lint_source, rules_by_id
-from repro.analysis.lint import (
-    Baseline,
-    layer_of,
-    summarize,
-    update_baseline_file,
-)
+from repro.analysis.lint import layer_of, summarize
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC_REPRO = os.path.join(REPO_ROOT, "src", "repro")
@@ -206,7 +201,7 @@ class TestSeededViolations:
 
 
 # ----------------------------------------------------------------------
-# Suppression: pragmas and baseline
+# Suppression: inline pragmas
 # ----------------------------------------------------------------------
 class TestSuppression:
     def test_disable_pragma_by_rule_id(self):
@@ -256,89 +251,6 @@ class TestSuppression:
         )
         assert findings == ["FLT001"]
 
-    def test_baseline_suppresses_exact_and_wildcard(self):
-        findings = lint_source("def f(acc=[]):\n    return acc\n",
-                               path="src/repro/sim/toy.py", layer="sim")
-        assert len(findings) == 1
-        exact = Baseline([findings[0].key()])
-        assert exact.covers(findings[0])
-        wildcard = Baseline(["MUT001:src/repro/sim/toy.py:*"])
-        assert wildcard.covers(findings[0])
-        other = Baseline(["WAL001:src/repro/sim/toy.py:*"])
-        assert not other.covers(findings[0])
-
-    def test_baseline_load_ignores_comments(self, tmp_path):
-        baseline_file = tmp_path / "baseline.txt"
-        baseline_file.write_text("# comment\n\nMUT001:a/b.py:3\n")
-        baseline = Baseline.load(str(baseline_file))
-        assert len(baseline) == 1
-
-    def test_baseline_load_strips_inline_justifications(self, tmp_path):
-        baseline_file = tmp_path / "baseline.txt"
-        baseline_file.write_text(
-            "# header\n"
-            "MUT001:a/b.py:3  # reviewed: harmless in this context\n"
-            "ORD001:a/c.py:*  # output order pinned downstream\n"
-        )
-        baseline = Baseline.load(str(baseline_file))
-        assert len(baseline) == 2
-        finding = lint_source(
-            "def f(items):\n    for i in set(items):\n        pass\n",
-            path="a/c.py", layer="sim",
-        )[0]
-        # The wildcard entry parsed despite its trailing comment.
-        assert baseline.covers(finding)
-
-
-# ----------------------------------------------------------------------
-# Baseline regeneration (--update-baseline)
-# ----------------------------------------------------------------------
-class TestUpdateBaseline:
-    def _findings(self):
-        return lint_source(
-            "import time\n\n\ndef f(acc=[]):\n    return acc\n",
-            path="src/repro/sim/bad.py", layer="sim",
-        )
-
-    def test_writes_sorted_entries_with_default_header(self, tmp_path):
-        target = tmp_path / "baseline.txt"
-        count = update_baseline_file(str(target), self._findings())
-        lines = target.read_text().splitlines()
-        entries = [line for line in lines if not line.startswith("#")]
-        assert count == len(entries) == 2
-        assert entries == sorted(entries)
-        assert lines[0].startswith("#")
-
-    def test_preserves_header_and_surviving_comments(self, tmp_path):
-        target = tmp_path / "baseline.txt"
-        target.write_text(
-            "# custom header line one\n"
-            "# custom header line two\n"
-            "MUT001:src/repro/sim/bad.py:4  # reviewed: accumulator\n"
-            "WAL001:src/repro/gone.py:9  # stale entry, file deleted\n"
-        )
-        update_baseline_file(str(target), self._findings())
-        content = target.read_text()
-        assert content.startswith("# custom header line one\n"
-                                  "# custom header line two\n")
-        # Surviving entry keeps its justification; the stale one is gone.
-        assert "# reviewed: accumulator" in content
-        assert "gone.py" not in content
-
-    def test_atomic_no_temp_file_left_behind(self, tmp_path):
-        target = tmp_path / "baseline.txt"
-        update_baseline_file(str(target), self._findings())
-        leftovers = [p.name for p in tmp_path.iterdir()
-                     if p.name != "baseline.txt"]
-        assert leftovers == []
-
-    def test_regenerated_file_round_trips_through_load(self, tmp_path):
-        target = tmp_path / "baseline.txt"
-        findings = self._findings()
-        update_baseline_file(str(target), findings)
-        baseline = Baseline.load(str(target))
-        assert all(baseline.covers(f) for f in findings)
-
 
 # ----------------------------------------------------------------------
 # Driver: layers, tree cleanliness, CLI
@@ -350,13 +262,9 @@ class TestDriver:
         assert layer_of("src/repro/exec/jobs.py") == "exec"
         assert layer_of("/abs/elsewhere/module.py") == "root"
 
-    def test_shipped_tree_is_clean_with_empty_baseline(self):
-        baseline = Baseline.load(os.path.join(REPO_ROOT,
-                                              "analysis-baseline.txt"))
-        assert len(baseline) == 0, "baseline must stay empty"
-        findings, baselined = lint_paths([SRC_REPRO], baseline=baseline)
+    def test_shipped_tree_is_clean(self):
+        findings = lint_paths([SRC_REPRO])
         assert findings == [], [f.to_dict() for f in findings]
-        assert baselined == 0
 
     def test_only_the_engine_may_read_the_wall_clock(self):
         # Host wall time is attributed at dispatch, in one engine hook;
@@ -396,7 +304,7 @@ class TestCli:
     def _run(self, *args, cwd=REPO_ROOT):
         env = dict(os.environ, PYTHONPATH=os.path.join(REPO_ROOT, "src"))
         return subprocess.run(
-            [sys.executable, "-m", "repro.analysis", *args],
+            [sys.executable, "-m", "repro", *args],
             capture_output=True, text=True, env=env, cwd=cwd,
         )
 
@@ -416,20 +324,13 @@ class TestCli:
         payload = json.loads(proc.stdout)
         assert {f["rule"] for f in payload["findings"]} == {"WAL001", "MUT001"}
 
-    def test_write_baseline_then_lint_with_it_passes(self, tmp_path):
+    def test_pragma_silences_a_finding_end_to_end(self, tmp_path):
         bad = tmp_path / "repro" / "sim" / "bad.py"
         bad.parent.mkdir(parents=True)
-        bad.write_text("def f(acc=[]):\n    return acc\n")
-        baseline = tmp_path / "baseline.txt"
-        write = self._run("lint", str(bad), "--write-baseline", str(baseline))
-        assert write.returncode == 0
-        rerun = self._run("lint", str(bad), "--baseline", str(baseline))
-        assert rerun.returncode == 0, rerun.stdout
-
-    def test_sanitize_verb_clean(self):
-        proc = self._run("sanitize", "--scale", "0.02", "--mesh", "5x5",
-                         "--format", "json")
+        bad.write_text(
+            "def f(acc=[]):  # lint: disable=MUT001 (caller-owned)\n"
+            "    return acc\n"
+        )
+        proc = self._run("lint", str(bad), "--strict")
         assert proc.returncode == 0, proc.stdout + proc.stderr
-        payload = json.loads(proc.stdout)
-        assert payload["sanitizers"]["violations"] == 0
-        assert "determinism_digest" in payload
+        assert "0 error(s), 0 warning(s)" in proc.stdout

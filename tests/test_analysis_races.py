@@ -2,12 +2,12 @@
 both catch the seeded racy fixture, stay silent on clean code, honour
 benign justifications, and leave the determinism contract untouched."""
 
+import json
 import os
 import textwrap
 
 import pytest
 
-from repro.analysis.lint import Baseline
 from repro.analysis.races import (
     DEFAULT_RACE_PATHS,
     RACE_RW,
@@ -32,7 +32,6 @@ from tests.fixtures.racy_ticker import RacyCounter
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 FIXTURE = os.path.join(REPO_ROOT, "tests", "fixtures", "racy_ticker.py")
-RACES_BASELINE = os.path.join(REPO_ROOT, "analysis-races-baseline.txt")
 
 
 class Probe(Component):
@@ -151,24 +150,10 @@ class TestStaticPass:
             """)
         assert findings == []
 
-    def test_baseline_suppresses_with_inline_justification(self, tmp_path):
-        baseline_file = tmp_path / "races.txt"
-        baseline_file.write_text(
-            "# reviewed races\n"
-            f"{RACE_WW}:{FIXTURE}:*  # seeded fixture, racy on purpose\n"
-        )
-        findings, baselined = analyze_paths(
-            [FIXTURE], baseline=Baseline.load(str(baseline_file))
-        )
-        assert findings == []
-        assert baselined == 2
-
-    def test_shipped_simulation_trees_clean_with_committed_baseline(self):
+    def test_shipped_simulation_trees_clean(self):
         paths = [os.path.join(REPO_ROOT, p) for p in DEFAULT_RACE_PATHS]
-        findings, _ = analyze_paths(
-            paths, baseline=Baseline.load(RACES_BASELINE)
-        )
-        assert findings == [], [f.key() for f in findings]
+        findings = analyze_paths(paths)
+        assert findings == [], [f.to_dict() for f in findings]
 
 
 # ----------------------------------------------------------------------
@@ -412,7 +397,7 @@ class TestEndToEnd:
 
 
 # ----------------------------------------------------------------------
-# CLI: the races verb and the sanitize/run --races plumbing
+# CLI: the races verb and the run --sanitize races plumbing
 # ----------------------------------------------------------------------
 class TestCli:
     def _run(self, *args):
@@ -421,7 +406,7 @@ class TestCli:
 
         env = dict(os.environ, PYTHONPATH=os.path.join(REPO_ROOT, "src"))
         return subprocess.run(
-            [sys.executable, "-m", "repro.analysis", *args],
+            [sys.executable, "-m", "repro", *args],
             capture_output=True, text=True, env=env, cwd=REPO_ROOT,
         )
 
@@ -430,18 +415,10 @@ class TestCli:
         assert proc.returncode == 1, proc.stdout + proc.stderr
         assert "RACE001" in proc.stdout
 
-    def test_races_update_baseline_then_clean(self, tmp_path):
-        baseline = tmp_path / "races-baseline.txt"
-        write = self._run("races", FIXTURE,
-                          "--update-baseline", str(baseline))
-        assert write.returncode == 0, write.stdout + write.stderr
-        rerun = self._run("races", FIXTURE, "--baseline", str(baseline))
-        assert rerun.returncode == 0, rerun.stdout
-
-    def test_races_default_paths_clean_with_committed_baseline(self):
-        proc = self._run("races", "--baseline", "analysis-races-baseline.txt",
-                         "--format", "json")
+    def test_races_default_paths_clean(self):
+        proc = self._run("races", "--format", "json")
         assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert json.loads(proc.stdout)["findings"] == []
 
     def test_run_cli_accepts_and_validates_sanitize_modes(self, capsys):
         from repro.system.cli import main as run_main
@@ -452,8 +429,3 @@ class TestCli:
         assert "sanitizers: clean" in out
         assert "races:" in out
         assert run_main(["fir", "--sanitize", "bogus"]) == 2
-
-    def test_sanitize_verb_report_requires_races(self, capsys):
-        from repro.analysis.cli import main as analysis_main
-
-        assert analysis_main(["sanitize", "--report"]) == 2

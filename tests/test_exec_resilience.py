@@ -7,7 +7,11 @@ digests byte-identical to plain serial execution.
 """
 
 import json
+import os
 import signal
+import subprocess
+import sys
+import time
 
 import pytest
 
@@ -20,6 +24,7 @@ from repro.exec import (
     read_heartbeats,
     read_jsonl_prefix,
 )
+from repro.exec import executor as executor_module
 from repro.exec.jobs import MAX_ATTEMPTS
 from repro.exec.resilience import CRASH, OK
 from repro.experiments.cli import main
@@ -310,6 +315,25 @@ class TestSignalAbort:
         with pytest.raises(SweepAbortedError):
             executor.map(_jobs(small_system_config, 2))
 
+    def test_in_process_batch_leaves_signal_handlers_alone(
+        self, small_system_config, monkeypatch
+    ):
+        # A one-job batch runs in-process even with jobs=2; a handler
+        # that only sets a flag would be read after the job ends, so
+        # Ctrl-C must reach the job itself, as under run_inline.
+        seen = []
+        real = executor_module.execute_job
+
+        def spy(job):
+            seen.append(signal.getsignal(signal.SIGINT))
+            return real(job)
+
+        monkeypatch.setattr(executor_module, "execute_job", spy)
+        before = signal.getsignal(signal.SIGINT)
+        results = SweepExecutor(jobs=2).map(_jobs(small_system_config, 1))
+        assert set(results) == {0}
+        assert seen == [before]
+
 
 class TestRetryBackoffAudit:
     def test_no_backoff_computed_after_final_failure(
@@ -386,3 +410,47 @@ class TestCliResilience:
         assert resumed_out.read_bytes() == serial_out.read_bytes()
         jobs = json.loads(metrics.read_text())["sweep"]["jobs"]
         assert jobs["cache_hit_disk"] >= 1 and jobs["failed"] == 0
+
+    def test_second_sigterm_ends_a_hung_drain(self, tmp_path):
+        # Every pool job hangs, so the first SIGTERM's drain would wait
+        # out DRAIN_TIMEOUT_SECONDS; the second must end it at once.
+        plan_path = tmp_path / "hang.json"
+        plan_path.write_text(json.dumps(
+            WorkerFaultPlan(hang_prob=1.0, hang_seconds=30.0).to_dict()
+        ))
+        heartbeat = tmp_path / "hb.jsonl"
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "experiments", *self.GRID,
+             "--jobs", "2", "--worker-faults", str(plan_path),
+             "--progress", str(heartbeat)],
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+            env=env, cwd=str(tmp_path), start_new_session=True,
+        )
+        try:
+            # A beat with jobs running means the pool loop, and so its
+            # signal handlers, are live.
+            deadline = time.monotonic() + 60.0
+            while not (heartbeat.exists() and any(
+                record.get("running")
+                for record in read_heartbeats(str(heartbeat))
+            )):
+                assert proc.poll() is None, proc.stderr.read()
+                assert time.monotonic() < deadline, "pool never started"
+                time.sleep(0.1)
+            proc.send_signal(signal.SIGTERM)
+            time.sleep(0.5)
+            proc.send_signal(signal.SIGTERM)
+            code = proc.wait(timeout=10)
+            stderr = proc.stderr.read()
+        finally:
+            # The session holds the pool workers too; none may outlive
+            # the test, whatever the outcome.
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            proc.wait()
+        assert code == 3, stderr
+        assert "sweep aborted: received SIGTERM" in stderr

@@ -37,11 +37,12 @@ class TestBucketHistogram:
         histogram.add(10)
         assert histogram.counts == [0, 1]
 
-    def test_fractions(self):
+    def test_add_counts_amount(self):
         histogram = BucketHistogram([10])
         histogram.add(1, 3)
         histogram.add(20, 1)
-        assert histogram.fractions() == pytest.approx([0.75, 0.25])
+        assert histogram.counts == [3, 1]
+        assert histogram.total == 4
 
     def test_labels_cover_all_buckets(self):
         histogram = BucketHistogram([10, 100])

@@ -1,11 +1,17 @@
-"""Tests for the single-run CLI (``python -m repro.system``)."""
+"""Tests for the single-run CLI (``python -m repro run``)."""
 
 import json
 
 import pytest
 
+from repro.__main__ import main as front_door
 from repro.obs.export import read_jsonl
-from repro.system.cli import build_parser, main
+from repro.system.cli import build_parser
+
+
+def main(argv):
+    """Run the CLI the way a user does: through ``python -m repro run``."""
+    return front_door(["run", *argv])
 
 
 class TestParser:
@@ -23,6 +29,12 @@ class TestParser:
     def test_hdpat_and_ablation_mutually_exclusive(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["spmv", "--hdpat", "--ablation", "route"])
+
+    def test_missing_benchmark_rejected(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--mesh", "3x3"])
+        assert excinfo.value.code == 2
+        assert "benchmark" in capsys.readouterr().err
 
 
 class TestMain:
@@ -67,32 +79,34 @@ class TestMain:
         ]) == 0
 
 
-class TestRunVerbAndWorkloadAlias:
-    def test_run_verb_with_workload_flag(self, capsys):
+class TestSanitize:
+    @pytest.mark.parametrize("mode", [[], ["races:report"]])
+    def test_sanitize_prints_clean_summary(self, mode, capsys):
         assert main([
-            "run", "--workload", "aes", "--mesh", "3x3", "--scale", "0.02",
+            "fir", "--mesh", "3x3", "--scale", "0.02", "--sanitize", *mode,
         ]) == 0
-        assert "AES on" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "sanitizers: clean" in out
+        assert ("races:" in out) == bool(mode)
 
-    def test_missing_benchmark_errors(self, capsys):
-        assert main(["--mesh", "3x3"]) == 2
-        assert "no benchmark" in capsys.readouterr().err
-
-    def test_conflicting_names_error(self, capsys):
-        assert main(["aes", "--workload", "pr"]) == 2
-        assert "twice" in capsys.readouterr().err
-
-    def test_positional_and_matching_workload_ok(self, capsys):
-        assert main([
-            "aes", "--workload", "aes", "--mesh", "3x3", "--scale", "0.02",
-        ]) == 0
+    def test_sanitized_json_matches_bare_json(self, capsys):
+        # The determinism check: two runs, one with every sanitizer armed,
+        # print byte-identical results.
+        argv = ["spmv", "--mesh", "3x3", "--scale", "0.02", "--hdpat",
+                "--json"]
+        assert main(argv) == 0
+        bare = capsys.readouterr().out
+        assert main(argv + ["--sanitize"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == bare
+        assert "sanitizers: clean" in captured.err
 
 
 class TestObservabilityFlags:
     def test_trace_writes_chrome_file(self, tmp_path, capsys):
         trace_path = tmp_path / "out.json"
         assert main([
-            "run", "--workload", "aes", "--mesh", "3x3", "--scale", "0.02",
+            "aes", "--mesh", "3x3", "--scale", "0.02",
             "--trace", str(trace_path),
         ]) == 0
         payload = json.loads(trace_path.read_text())
@@ -107,7 +121,7 @@ class TestObservabilityFlags:
     def test_trace_jsonl_extension(self, tmp_path):
         trace_path = tmp_path / "out.jsonl"
         assert main([
-            "run", "--workload", "aes", "--mesh", "3x3", "--scale", "0.02",
+            "aes", "--mesh", "3x3", "--scale", "0.02",
             "--trace", str(trace_path),
         ]) == 0
         events = read_jsonl(str(trace_path))
