@@ -33,6 +33,7 @@ Violations raise typed errors from :mod:`repro.errors`
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from typing import Any, Callable, Dict, List, Optional, Tuple
@@ -97,8 +98,9 @@ class EventOrderSanitizer:
 class ConservationSanitizer:
     """Shadow ledger for one mesh network's traffic accounting.
 
-    The network reports every hop (:meth:`on_hop`) and send/delivery pair
-    (:meth:`on_send` / :meth:`deliver`); :meth:`check` at quiesce folds
+    The network reports every hop (:meth:`on_hop`) and send
+    (:meth:`on_send`), and attaches every handler :meth:`counted`, so
+    each delivery is counted as it runs; :meth:`check` at quiesce folds
     the network's per-route tallies, then asserts that nothing is still
     in flight and that each link's own byte counter matches the ledger —
     a drift means some code path bumped link counters out of band (the
@@ -138,10 +140,15 @@ class ConservationSanitizer:
             self.shadow_link_busy.get(key, 0) + serialization_cycles
         )
 
-    def deliver(self, handler: Callable[[Any], None], message: Any) -> None:
-        """Delivery shim: count the arrival, then run the real handler."""
-        self.delivered += 1
-        handler(message)
+    def counted(self, handler: Callable[[Any], None]) -> Callable[[Any], None]:
+        """``handler`` wrapped to count each arrival before it runs.  The
+        wrapper carries the handler's module and qualname, so profiles
+        and race reports still name the handler."""
+        def deliver(payload: Any) -> None:
+            self.delivered += 1
+            handler(payload)
+
+        return functools.update_wrapper(deliver, handler)
 
     # -- quiesce check -------------------------------------------------
     @property

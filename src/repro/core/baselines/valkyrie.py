@@ -13,9 +13,9 @@ from __future__ import annotations
 from typing import Dict, Optional, Tuple
 
 from repro.core.policy import TranslationPolicy
-from repro.core.request import ServedBy
+from repro.core.request import ServedBy, TranslationRequest
 from repro.mem.page import PageTableEntry
-from repro.noc.messages import Message, MessageKind
+from repro.noc.messages import MessageKind
 
 Coordinate = Tuple[int, int]
 
@@ -41,18 +41,12 @@ class ValkyriePolicy(TranslationPolicy):
 
     def start_remote(self, gpm, pending) -> None:
         request = self.make_request(gpm, pending)
-        neighbor_id = self._neighbor_of[gpm.gpm_id]
+        neighbor = self.coord_of_gpm(self._neighbor_of[gpm.gpm_id])
         self.wafer.network.send(
-            Message(
-                MessageKind.PEER_PROBE,
-                src=gpm.coordinate,
-                dst=self.coord_of_gpm(neighbor_id),
-                payload=request,
-            )
+            MessageKind.PEER_PROBE, gpm.coordinate, neighbor, request
         )
 
-    def on_peer_probe(self, gpm, message: Message) -> None:
-        request = message.payload
+    def on_peer_probe(self, gpm, request: TranslationRequest) -> None:
         entry: Optional[PageTableEntry] = gpm.hierarchy.l2.lookup(request.vpn)
         latency = gpm.config.l2_tlb.latency
 

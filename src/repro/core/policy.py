@@ -30,7 +30,7 @@ from repro.core.layers import ConcentricLayout
 from repro.core.request import ServedBy, TranslationRequest
 from repro.errors import ConfigurationError
 from repro.mem.page import PageTableEntry
-from repro.noc.messages import Message, MessageKind
+from repro.noc.messages import MessageKind
 
 Coordinate = Tuple[int, int]
 
@@ -108,19 +108,20 @@ class TranslationPolicy:
     # ------------------------------------------------------------------
     # Peer side
     # ------------------------------------------------------------------
-    def on_peer_probe(self, gpm, message: Message) -> None:  # pragma: no cover
+    def on_peer_probe(self, gpm, probe) -> None:  # pragma: no cover
+        """A peer probe arrived at ``gpm`` (the GPM's PEER_PROBE
+        handler, bound to the GPM); ``probe`` is the policy's payload."""
         raise ConfigurationError(
             f"policy {self.name!r} does not expect peer probes"
         )
 
-    def on_redirect(self, gpm, message: Message) -> None:
+    def on_redirect(self, gpm, request: TranslationRequest) -> None:
         """An IOMMU redirect arrived at an auxiliary GPM (§IV-F).
 
         If the PTE is still cached here, answer the requester directly;
         if it was evicted meanwhile, bounce the request back to the IOMMU
         flagged ``no_redirect`` so it takes the walk path.
         """
-        request: TranslationRequest = message.payload
         self._trace_step(gpm, request, "redirect_probe")
 
         def _done(entry: Optional[PageTableEntry]) -> None:
@@ -155,12 +156,8 @@ class TranslationPolicy:
 
     def send_to_iommu(self, from_coord: Coordinate, request: TranslationRequest) -> None:
         self.wafer.network.send(
-            Message(
-                MessageKind.TRANSLATION_REQ,
-                src=from_coord,
-                dst=self.wafer.iommu.coordinate,
-                payload=request,
-            )
+            MessageKind.TRANSLATION_REQ, from_coord, self.wafer.iommu.coordinate,
+            request,
         )
 
     def respond(
@@ -180,12 +177,8 @@ class TranslationPolicy:
                 args={"gpm": gpm.gpm_id, "served_by": served_by.value},
             )
         self.wafer.network.send(
-            Message(
-                MessageKind.TRANSLATION_RESP,
-                src=gpm.coordinate,
-                dst=request.requester_coord,
-                payload=(request.vpn, entry, served_by, None),
-            )
+            MessageKind.TRANSLATION_RESP, gpm.coordinate, request.requester_coord,
+            (request.vpn, entry, served_by, None),
         )
 
 
@@ -217,16 +210,14 @@ class _ChainPolicy(TranslationPolicy):
         self, from_coord: Coordinate, request: TranslationRequest, chain: List[int]
     ) -> None:
         self.wafer.network.send(
-            Message(
-                MessageKind.PEER_PROBE,
-                src=from_coord,
-                dst=self.coord_of_gpm(chain[0]),
-                payload=(request, chain),
-            )
+            MessageKind.PEER_PROBE, from_coord, self.coord_of_gpm(chain[0]),
+            (request, chain),
         )
 
-    def on_peer_probe(self, gpm, message: Message) -> None:
-        request, chain = message.payload
+    def on_peer_probe(
+        self, gpm, probe: Tuple[TranslationRequest, List[int]]
+    ) -> None:
+        request, chain = probe
         request.probed_gpms.append(gpm.gpm_id)
         self._trace_step(gpm, request, "peer_probe")
         remaining = chain[1:]
@@ -396,19 +387,15 @@ class ClusterRotationPolicy(TranslationPolicy):
                     sent_any = True
                 continue
             self.wafer.network.send(
-                Message(
-                    MessageKind.PEER_PROBE,
-                    src=gpm.coordinate,
-                    dst=self.coord_of_gpm(holder_id),
-                    payload=(request, forwards),
-                )
+                MessageKind.PEER_PROBE, gpm.coordinate,
+                self.coord_of_gpm(holder_id), (request, forwards),
             )
             sent_any = True
         if not sent_any:
             self.send_to_iommu(gpm.coordinate, request)
 
-    def on_peer_probe(self, gpm, message: Message) -> None:
-        request, forwards = message.payload
+    def on_peer_probe(self, gpm, probe: Tuple[TranslationRequest, bool]) -> None:
+        request, forwards = probe
         self._trace_step(gpm, request, "peer_probe")
 
         def _done(entry: Optional[PageTableEntry]) -> None:

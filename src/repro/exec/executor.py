@@ -557,13 +557,11 @@ class SweepExecutor:
     def _new_pool(
         self, plan: Optional[WorkerFaultPlan], width: int
     ) -> ProcessPoolExecutor:
-        if plan is not None:
-            return ProcessPoolExecutor(
-                max_workers=width,
-                initializer=install_worker_fault_plan,
-                initargs=(plan.to_dict(),),
-            )
-        return ProcessPoolExecutor(max_workers=width)
+        return ProcessPoolExecutor(
+            max_workers=width,
+            initializer=install_worker_fault_plan,
+            initargs=(plan.to_dict() if plan is not None else None,),
+        )
 
     def _shutdown_pool(self, pool, force: bool = False) -> None:
         """Tear a pool down; ``force`` kills worker processes outright so

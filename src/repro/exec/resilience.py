@@ -176,8 +176,16 @@ _WORKER_PLAN: Optional[WorkerFaultPlan] = None
 
 
 def install_worker_fault_plan(data: Optional[Dict[str, object]]) -> None:
-    """Process-pool initializer: arm (or disarm) chaos in this worker."""
+    """Process-pool initializer: arm (or disarm) chaos in this worker.
+
+    Workers fork after the sweep installs its SIGINT/SIGTERM handlers, so
+    they start with the parent's.  SIGTERM goes back to the default (a
+    terminated worker dies, even one orphaned by a killed parent) and
+    SIGINT is ignored, so a terminal Ctrl-C drains through the parent.
+    """
     global _WORKER_PLAN
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
     _WORKER_PLAN = WorkerFaultPlan.from_dict(data) if data else None
 
 

@@ -144,7 +144,7 @@ class RecoveryManager(Component):
         faults.recover_gpm(gpm_id)
         gpm = self.wafer.gpms[gpm_id]
         # Re-attach is idempotent; a boot-dead module was never attached.
-        self.wafer.network.attach(gpm.coordinate, gpm.handle_message)
+        self.wafer.network.attach(gpm.coordinate, gpm.mesh_handlers())
         vpns = sorted(
             set(self._displaced.pop(gpm_id, []))
             | set(self._drained.pop(gpm_id, []))

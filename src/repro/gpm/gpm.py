@@ -15,6 +15,7 @@ pages it owns, and accepting proactive PTE pushes from the IOMMU.
 from __future__ import annotations
 
 from collections import deque
+from types import MethodType
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.config.gpm import GPMConfig
@@ -25,7 +26,7 @@ from repro.gpm.cu import TraceDriver
 from repro.mem.address import AddressSpace
 from repro.mem.hbm import HBMModel
 from repro.mem.page import PageTableEntry
-from repro.noc.messages import Message, MessageKind
+from repro.noc.messages import MessageKind
 from repro.obs import NULL_OBS
 from repro.sim.component import Component
 from repro.sim.engine import Simulator
@@ -462,20 +463,16 @@ class GPM(Component):
                 done_at, lambda: self._complete_if_current(epoch)
             )
             return
-        owner_coord = self.policy.coord_of_gpm(owner_gpm)
         self.network.send(
-            Message(
-                MessageKind.DATA_REQ,
-                src=self.coordinate,
-                dst=owner_coord,
-                payload=(key, self.coordinate, epoch),
-            )
+            MessageKind.DATA_REQ, self.coordinate,
+            self.policy.coord_of_gpm(owner_gpm), (key, self.coordinate, epoch),
         )
         self.bump("remote_data_accesses")
 
-    def handle_data_request(self, message: Message) -> None:
-        """Serve a remote cacheline read from our L2 or HBM."""
-        key, requester_coord, epoch = message.payload
+    def handle_data_request(self, request: Tuple[int, Coordinate, int]) -> None:
+        """Serve a remote cacheline read from our L2 or HBM; the reply
+        carries the requester's epoch back."""
+        key, requester_coord, epoch = request
         if self.l2_data.probe(key):
             latency = self.config.l2_cache_hit_latency
         else:
@@ -483,26 +480,13 @@ class GPM(Component):
         self.sim.schedule(
             latency,
             lambda: self.network.send(
-                Message(
-                    MessageKind.DATA_RESP,
-                    src=self.coordinate,
-                    dst=requester_coord,
-                    payload=(key, epoch),
-                )
+                MessageKind.DATA_RESP, self.coordinate, requester_coord, epoch
             ),
         )
 
-    def handle_data_response(self, message: Message) -> None:
-        """A remote cacheline arrived: complete its access (the same test
-        as :meth:`_complete_if_current`, inlined on the busiest reply)."""
-        if message.payload[1] != self._fail_epoch:
-            self.bump("stale_completions")
-            return
-        stats = self.stats
-        stats["accesses_completed"] = stats.get("accesses_completed", 0) + 1
-        self.driver.complete_one()
-
     def _complete_if_current(self, epoch: int) -> None:
+        """Complete one access (L2 data hit, local HBM read or a
+        DATA_RESP) unless a kill abandoned it."""
         if epoch != self._fail_epoch:
             # The access this completion belongs to was abandoned by a
             # kill (and will be re-issued after recovery); completing it
@@ -516,19 +500,24 @@ class GPM(Component):
         self.driver.complete_one()
 
     # ------------------------------------------------------------------
-    # Message dispatch
+    # Mesh handlers
     # ------------------------------------------------------------------
-    def handle_message(self, message: Message) -> None:
-        """Deliver one NoC message to its handler (:data:`_DISPATCH`)."""
-        handler = _DISPATCH.get(message.kind)
-        if handler is None:
-            raise ValueError(
-                f"{self.name}: unexpected message kind {message.kind}"
-            )
-        handler(self, message)
+    def mesh_handlers(self) -> Dict[MessageKind, Callable]:
+        """The handler per message kind this module receives, each called
+        with the payload; peer probes and redirects go to the policy,
+        bound to this module."""
+        return {
+            MessageKind.DATA_REQ: self.handle_data_request,
+            MessageKind.DATA_RESP: self._complete_if_current,
+            MessageKind.TRANSLATION_RESP: self.handle_translation_response,
+            MessageKind.PTE_PUSH: self.handle_pte_push,
+            MessageKind.PAGE_MIGRATION: self.receive_migrated_pages,
+            MessageKind.PEER_PROBE: MethodType(self.policy.on_peer_probe, self),
+            MessageKind.REDIRECT: MethodType(self.policy.on_redirect, self),
+        }
 
-    def handle_translation_response(self, message: Message) -> None:
-        vpn, entry, served_by, extras = message.payload
+    def handle_translation_response(self, response: tuple) -> None:
+        vpn, entry, served_by, extras = response
         if extras:
             for extra_entry in extras:
                 self.accept_pte_push(extra_entry)
@@ -536,9 +525,13 @@ class GPM(Component):
         # of remote_translation_complete sees every response.
         self.remote_translation_complete(vpn, entry, served_by)
 
-    def handle_pte_push(self, message: Message) -> None:
-        for entry in message.payload:
+    def handle_pte_push(self, entries: List[PageTableEntry]) -> None:
+        for entry in entries:
             self.accept_pte_push(entry)
+
+    def receive_migrated_pages(self, vpns) -> None:
+        """A page-migration copy landed.  The pages were re-homed when the
+        migration started, so the arrival only ends the copy's transit."""
 
     # ------------------------------------------------------------------
     # Stats helpers
@@ -557,16 +550,6 @@ class GPM(Component):
 #: (§V-A's shared ports with local priority), so each occupies the port
 #: for a few cycles and hot holders become throughput-bound.
 PROBE_PORT_OCCUPANCY = 4
-
-#: Message kind -> GPM handler: one dict lookup per delivery.
-_DISPATCH: Dict[MessageKind, Callable[[GPM, Message], None]] = {
-    MessageKind.DATA_RESP: GPM.handle_data_response,
-    MessageKind.DATA_REQ: GPM.handle_data_request,
-    MessageKind.TRANSLATION_RESP: GPM.handle_translation_response,
-    MessageKind.PTE_PUSH: GPM.handle_pte_push,
-    MessageKind.PEER_PROBE: lambda gpm, message: gpm.policy.on_peer_probe(gpm, message),
-    MessageKind.REDIRECT: lambda gpm, message: gpm.policy.on_redirect(gpm, message),
-}
 
 _LOCAL_OUTCOME = {
     ProbeOutcome.L1_HIT: ServedBy.LOCAL_L1,

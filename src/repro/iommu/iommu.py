@@ -29,7 +29,7 @@ from repro.errors import AddressError
 from repro.iommu.redirection import RedirectionTable
 from repro.mem.page import PageTableEntry
 from repro.mem.page_table import GlobalPageTable
-from repro.noc.messages import Message, MessageKind
+from repro.noc.messages import MessageKind
 from repro.obs import NULL_OBS
 from repro.sim.component import Component
 from repro.sim.engine import Simulator
@@ -120,13 +120,9 @@ class IOMMU(Component):
     # ------------------------------------------------------------------
     # Ingress
     # ------------------------------------------------------------------
-    def handle_message(self, message: Message) -> None:
-        if message.kind is not MessageKind.TRANSLATION_REQ:  # pragma: no cover
-            raise ValueError(f"iommu: unexpected message kind {message.kind}")
-        self.receive_request(message.payload)
-
     def receive_request(self, request: TranslationRequest) -> None:
-        """Entry point for a translation request arriving at the CPU."""
+        """Entry point for a translation request arriving at the CPU (the
+        TRANSLATION_REQ handler)."""
         if request.request_id in self._pipeline_ids:
             # A duplicated copy of a request already in flight here; the
             # original will answer it.
@@ -162,13 +158,9 @@ class IOMMU(Component):
                         track="iommu", span_id=request.request_id,
                         args={"target_gpm": target_gpm},
                     )
+                target = self.policy.coord_of_gpm(target_gpm)
                 self.network.send(
-                    Message(
-                        MessageKind.REDIRECT,
-                        src=self.coordinate,
-                        dst=self.policy.coord_of_gpm(target_gpm),
-                        payload=request,
-                    )
+                    MessageKind.REDIRECT, self.coordinate, target, request
                 )
                 return
         self._enqueue(request)
@@ -307,13 +299,8 @@ class IOMMU(Component):
     ) -> None:
         def _send() -> None:
             self.network.send(
-                Message(
-                    MessageKind.PTE_PUSH,
-                    src=self.coordinate,
-                    dst=self.policy.coord_of_gpm(target_gpm),
-                    payload=entries,
-                    size_bytes=16 + 16 * len(entries),
-                )
+                MessageKind.PTE_PUSH, self.coordinate,
+                self.policy.coord_of_gpm(target_gpm), entries, 16 + 16 * len(entries),
             )
 
         self.bump("pte_pushes", len(entries))
@@ -409,13 +396,8 @@ class IOMMU(Component):
             )
         size = 16 + 16 * len(extras) if extras else None
         self.network.send(
-            Message(
-                MessageKind.TRANSLATION_RESP,
-                src=self.coordinate,
-                dst=request.requester_coord,
-                payload=(request.vpn, entry, served_by, extras),
-                size_bytes=size,
-            )
+            MessageKind.TRANSLATION_RESP, self.coordinate, request.requester_coord,
+            (request.vpn, entry, served_by, extras), size,
         )
 
     # ------------------------------------------------------------------

@@ -8,7 +8,7 @@ concentric layers are defined on: Chebyshev rings around the centre CPU
 tile and quadrant partitions.
 """
 
-from repro.noc.messages import Message, MessageKind
+from repro.noc.messages import MessageKind
 from repro.noc.network import MeshNetwork
 from repro.noc.routing import xy_route
 from repro.noc.topology import MeshTopology, Tile
@@ -16,7 +16,6 @@ from repro.noc.topology import MeshTopology, Tile
 __all__ = [
     "MeshNetwork",
     "MeshTopology",
-    "Message",
     "MessageKind",
     "Tile",
     "xy_route",

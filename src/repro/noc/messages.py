@@ -1,4 +1,4 @@
-"""Message types carried by the mesh.
+"""Message kinds carried by the mesh, and their default sizes.
 
 Sizes follow the granularities the paper reasons about: translation
 requests/responses are small control packets, PTE pushes carry a handful of
@@ -9,9 +9,6 @@ remote memory at cacheline granularity).
 from __future__ import annotations
 
 import enum
-from typing import Any, Optional, Tuple
-
-Coordinate = Tuple[int, int]
 
 
 class MessageKind(enum.Enum):
@@ -28,7 +25,6 @@ class MessageKind(enum.Enum):
     TRANSLATION_REQ = "translation_req"
     TRANSLATION_RESP = "translation_resp"
     PEER_PROBE = "peer_probe"
-    PEER_RESP = "peer_resp"
     PTE_PUSH = "pte_push"
     REDIRECT = "redirect"
     DATA_REQ = "data_req"
@@ -41,7 +37,6 @@ MESSAGE_BYTES = {
     MessageKind.TRANSLATION_REQ: 16,
     MessageKind.TRANSLATION_RESP: 16,
     MessageKind.PEER_PROBE: 16,
-    MessageKind.PEER_RESP: 16,
     MessageKind.PTE_PUSH: 32,
     MessageKind.REDIRECT: 16,
     MessageKind.DATA_REQ: 16,
@@ -56,43 +51,8 @@ TRANSLATION_KINDS = frozenset(
         MessageKind.TRANSLATION_REQ,
         MessageKind.TRANSLATION_RESP,
         MessageKind.PEER_PROBE,
-        MessageKind.PEER_RESP,
         MessageKind.PTE_PUSH,
         MessageKind.REDIRECT,
     }
 )
 
-
-class Message:
-    """One mesh packet.
-
-    A plain ``__slots__`` class rather than a dataclass: one is built per
-    send, and the generated ``__init__``/``__post_init__`` pair showed up
-    in profiles.  Field order and defaults match the old dataclass.
-    """
-
-    __slots__ = ("kind", "src", "dst", "payload", "size_bytes")
-
-    def __init__(
-        self,
-        kind: MessageKind,
-        src: Coordinate,
-        dst: Coordinate,
-        payload: Any = None,
-        size_bytes: Optional[int] = None,
-    ) -> None:
-        self.kind = kind
-        self.src = src
-        self.dst = dst
-        self.payload = payload
-        self.size_bytes = MESSAGE_BYTES[kind] if size_bytes is None else size_bytes
-
-    @property
-    def is_translation_traffic(self) -> bool:
-        return self.kind in TRANSLATION_KINDS
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"Message(kind={self.kind!r}, src={self.src!r}, dst={self.dst!r}, "
-            f"payload={self.payload!r}, size_bytes={self.size_bytes!r})"
-        )

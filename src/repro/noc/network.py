@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Callable, Dict, List, Optional, Tuple
+from types import MethodType
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.errors import DeadDestinationError, RoutingError
 from repro.noc.link import Link
-from repro.noc.messages import TRANSLATION_KINDS, Message, MessageKind
+from repro.noc.messages import MESSAGE_BYTES, TRANSLATION_KINDS, MessageKind
 from repro.noc.routing import route_links
 from repro.noc.topology import MeshTopology
 from repro.obs import NULL_OBS
@@ -16,16 +17,19 @@ from repro.sim.engine import Simulator
 from repro.units import bytes_per_cycle
 
 Coordinate = Tuple[int, int]
-DeliveryFn = Callable[[Message], None]
+#: A tile's handlers: message kind -> a callable taking the payload.
+Handlers = Mapping[MessageKind, Callable[[Any], None]]
 
 
-def _request_id_of(message: Message) -> Optional[int]:
-    """The TranslationRequest id a message carries, if any (duck-typed)."""
-    payload = message.payload
-    if message.kind is MessageKind.PEER_PROBE and isinstance(payload, tuple):
+def _request_id_of(kind: MessageKind, payload: Any) -> Optional[int]:
+    """The TranslationRequest id a payload carries, if any (duck-typed)."""
+    if kind is MessageKind.PEER_PROBE and isinstance(payload, tuple):
         payload = payload[0]
     return getattr(payload, "request_id", None)
 
+
+#: The handler table of a tile with nothing attached.
+_NO_HANDLERS: Handlers = {}
 
 #: One route-table entry: the route's links, its detour hops over the
 #: Manhattan distance, and its ``(kind, size_bytes) -> sends`` tally.
@@ -35,15 +39,18 @@ Route = Tuple[Tuple[Link, ...], int, Dict[Tuple[MessageKind, int], int]]
 class MeshNetwork(Component):
     """Delivers messages across the mesh.
 
+    Each tile attaches one handler per message kind it receives.
     ``send`` looks its ``(src, dst)`` route up in one table, walks the
     route's links advancing each busy-until clock (latency plus
     contention), bumps the route's ``(kind, size_bytes)`` tally and
-    schedules a single delivery event — one event per message keeps the
+    schedules a single delivery event: the destination's handler for the
+    kind, bound to the payload.  One event per message keeps the
     simulator fast while preserving geometry-dependent latency and the
-    congestion trend.  Every traffic counter is derived from the tallies
-    by :meth:`_fold`: at report time, before every bandwidth-factor change
-    (so busy cycles stay exact under fail-slow links), and when a fault
-    topology epoch retires the table.
+    congestion trend, and the event is the handler itself, so profiles
+    and race reports name the code that runs.  Every traffic counter is
+    derived from the tallies by :meth:`_fold`: at report time, before
+    every bandwidth-factor change (so busy cycles stay exact under
+    fail-slow links), and when a fault topology epoch retires the table.
     """
 
     __slots__ = (
@@ -92,7 +99,7 @@ class MeshNetwork(Component):
         #: topology epoch folds and drops the whole table.
         self._routes: Dict[Tuple[Coordinate, Coordinate], Route] = {}
         self._routes_epoch = 0
-        self._handlers: Dict[Coordinate, DeliveryFn] = {}
+        self._handlers: Dict[Coordinate, Handlers] = {}
         # Folded from the tallies; read through the properties below.
         self._messages_routed = 0
         self._total_hops = 0
@@ -102,9 +109,20 @@ class MeshNetwork(Component):
     # ------------------------------------------------------------------
     # Wiring
     # ------------------------------------------------------------------
-    def attach(self, coordinate: Coordinate, handler: DeliveryFn) -> None:
-        """Register the message handler for a tile."""
-        self._handlers[coordinate] = handler
+    def attach(self, coordinate: Coordinate, handlers: Handlers) -> None:
+        """Register a tile's handlers, one per message kind it receives.
+
+        A handler is called with the payload alone; a send of a kind the
+        destination has no handler for raises :class:`RoutingError`.
+        Under the conservation sanitizer each handler is wrapped to count
+        its arrivals.
+        """
+        if self._conservation is not None:
+            handlers = {
+                kind: self._conservation.counted(handler)
+                for kind, handler in handlers.items()
+            }
+        self._handlers[coordinate] = handlers
 
     def _link(self, src: Coordinate, dst: Coordinate) -> Link:
         link = self._links.get((src, dst))
@@ -137,13 +155,13 @@ class MeshNetwork(Component):
     # ------------------------------------------------------------------
     # Transfer
     # ------------------------------------------------------------------
-    def _validate_endpoints(self, message: Message) -> None:
+    def _validate_endpoints(self, src: Coordinate, dst: Coordinate) -> None:
         """Typed errors for undeliverable sends, raised immediately."""
         on_mesh = self._on_mesh
-        if message.src not in on_mesh or message.dst not in on_mesh:
+        if src not in on_mesh or dst not in on_mesh:
             width, height = self.topology.width, self.topology.height
-            what = "source" if message.src not in on_mesh else "destination"
-            coord = message.src if message.src not in on_mesh else message.dst
+            what = "source" if src not in on_mesh else "destination"
+            coord = src if src not in on_mesh else dst
             raise RoutingError(
                 f"message {what} {coord} outside "
                 f"{width}x{height} mesh"
@@ -151,30 +169,37 @@ class MeshNetwork(Component):
         if (
             self._faults is not None
             and not self._faults.dynamic
-            and message.dst in self._faults.dead_tiles
+            and dst in self._faults.dead_tiles
         ):
             # Static plans fail fast: the destination was dead before the
             # run started, so the send is a caller bug.  Under a timeline
             # the same send is a legitimate race with a mid-run death and
             # becomes a dead-letter in send() instead.
             raise DeadDestinationError(
-                f"destination tile {message.dst} is disabled by the "
+                f"destination tile {dst} is disabled by the "
                 f"fault plan"
             )
 
-    def send(self, message: Message, on_deliver: DeliveryFn = None) -> int:
-        """Send ``message``; returns its scheduled delivery cycle.
+    def send(
+        self,
+        kind: MessageKind,
+        src: Coordinate,
+        dst: Coordinate,
+        payload: Any = (),
+        size_bytes: Optional[int] = None,
+    ) -> int:
+        """Send one ``kind`` message; returns its scheduled delivery cycle.
 
-        Delivery goes to ``on_deliver`` when given, otherwise to the handler
-        attached at the destination tile.  A zero-hop send (src == dst)
+        The delivery event is the destination's handler for ``kind``
+        bound to ``payload`` (a bound method refuses None, so a message
+        without a payload carries ``()``).  ``size_bytes`` defaults to
+        the kind's :data:`MESSAGE_BYTES`.  A zero-hop send (src == dst)
         delivers next cycle without touching any link.  Undeliverable
         sends raise typed errors immediately (:class:`RoutingError` for an
-        off-mesh coordinate or missing handler,
+        off-mesh coordinate or a kind the destination has no handler for,
         :class:`DeadDestinationError` for a fault-disabled tile) instead
         of scheduling an event that would silently hang the run.
         """
-        src = message.src
-        dst = message.dst
         faults = self._faults
         if faults is not None and faults.topology_epoch != self._routes_epoch:
             # The fault topology moved: fold the tallies, drop the table.
@@ -186,16 +211,16 @@ class MeshNetwork(Component):
             # A tabled route's endpoints were validated on its first send,
             # and a static plan's dead tiles never change.  (Dynamic plans
             # do their dead-tile handling below as dead-letters.)
-            self._validate_endpoints(message)
+            self._validate_endpoints(src, dst)
         dead_letter = (
             faults is not None and faults.dynamic and dst in faults.dead_tiles
         )
-        handler = on_deliver or self._handlers.get(dst)
+        handler = self._handlers.get(dst, _NO_HANDLERS).get(kind)
         if handler is None and not dead_letter:
-            raise RoutingError(f"no handler attached at {dst}")
+            raise RoutingError(f"no {kind.value} handler attached at {dst}")
+        if size_bytes is None:
+            size_bytes = MESSAGE_BYTES[kind]
         links, extra_hops, tally = route or self._route(src, dst)
-        kind = message.kind
-        size_bytes = message.size_bytes
         tally[kind, size_bytes] += 1
         sent_at = self.sim.now
         verdict = None
@@ -227,7 +252,7 @@ class MeshNetwork(Component):
         else:
             arrival = sent_at + 1
         if self._plain:
-            self.sim.schedule_at(arrival, lambda: handler(message))
+            self.sim.schedule_at(arrival, MethodType(handler, payload))
             return arrival
         if verdict == "delay":
             faults.bump("injected.delays")
@@ -240,7 +265,9 @@ class MeshNetwork(Component):
                 serialization = link.serialization(size_bytes)
                 conservation.on_hop((link.src, link.dst), size_bytes, serialization)
         if self._tracer is not None:
-            self._trace_send(message, sent_at, arrival, links)
+            self._trace_send(
+                kind, src, dst, payload, size_bytes, sent_at, arrival, links
+            )
         if dead_letter:
             # The send raced a mid-run death: its bytes crossed the links
             # but nobody is home at the destination.  Account the loss
@@ -260,42 +287,34 @@ class MeshNetwork(Component):
                 conservation.on_send()
                 conservation.on_drop()
             return arrival
-        if conservation is None:
-            self.sim.schedule_at(arrival, lambda: handler(message))
-            if verdict == "duplicate":
-                faults.bump("injected.duplicates")
-                self.sim.schedule_at(arrival + 1, lambda: handler(message))
-        else:
+        if conservation is not None:
             conservation.on_send()
-            self.sim.schedule_at(
-                arrival, lambda: conservation.deliver(handler, message)
-            )
-            if verdict == "duplicate":
-                faults.bump("injected.duplicates")
+        delivery = MethodType(handler, payload)
+        self.sim.schedule_at(arrival, delivery)
+        if verdict == "duplicate":
+            faults.bump("injected.duplicates")
+            if conservation is not None:
                 conservation.on_send()
-                self.sim.schedule_at(
-                    arrival + 1,
-                    lambda: conservation.deliver(handler, message),
-                )
+            self.sim.schedule_at(arrival + 1, delivery)
         return arrival
 
     def _trace_send(
-        self, message: Message, sent_at: int, arrival: int, links
+        self, kind: MessageKind, src: Coordinate, dst: Coordinate,
+        payload: Any, size_bytes: int, sent_at: int, arrival: int, links,
     ) -> None:
         """Record a message transit plus its per-hop delivery times.
 
         A hop's delivery time is read back after the hop loop as
         ``busy_until - serialisation + latency``, exact because each send
-        runs to completion and no route repeats a link.  Messages still
-        carrying a :class:`TranslationRequest` also get an async step
+        runs to completion and no route repeats a link.  Messages whose
+        payload carries a :class:`TranslationRequest` also get an async step
         event keyed by the request id, stitching the NoC leg into the
         request's remote-translation span.
         """
-        size_bytes = message.size_bytes
-        kind = message.kind.value
+        name = f"noc.{kind.value}"
         args = {
-            "src": list(message.src),
-            "dst": list(message.dst),
+            "src": list(src),
+            "dst": list(dst),
             "bytes": size_bytes,
         }
         if links:
@@ -306,13 +325,13 @@ class MeshNetwork(Component):
                 for link in links
             ]
         self._tracer.complete(
-            sent_at, arrival - sent_at, f"noc.{kind}", cat="noc",
+            sent_at, arrival - sent_at, name, cat="noc",
             track="noc", args=args,
         )
-        request_id = _request_id_of(message)
+        request_id = _request_id_of(kind, payload)
         if request_id is not None:
             self._tracer.async_instant(
-                sent_at, f"noc.{kind}", cat="translation", track="noc",
+                sent_at, name, cat="translation", track="noc",
                 span_id=request_id,
                 args={"deliver_at": arrival, "hops": len(links)},
             )

@@ -40,9 +40,13 @@ class HostProfiler:
     an ``engine`` row — the measured run wall minus every other row — so
     the rows partition the run wall by construction.
 
-    Walker-pool completions (IOMMU and GMMU walks finishing) are
-    scheduled as :mod:`repro.sim.queueing` lambdas, so their seconds land
-    in the ``sim`` row, not in the layer that submitted the walk.
+    A mesh delivery is the receiving handler bound to its payload, so
+    its seconds land in the handler's layer (``GPM.handle_data_request``
+    in ``gpm``, ``IOMMU.receive_request`` in ``iommu``), and a send's
+    own cost in the row of the callback that sends.  Walker-pool
+    completions (IOMMU and GMMU walks finishing) are scheduled as
+    :mod:`repro.sim.queueing` lambdas, so their seconds land in the
+    ``sim`` row, not in the layer that submitted the walk.
     """
 
     __slots__ = ("seconds", "counts", "run_seconds", "sanitize_seconds",

@@ -30,7 +30,7 @@ from typing import Dict
 
 from repro.config.migration import MigrationConfig
 from repro.mem.page import PageTableEntry
-from repro.noc.messages import Message, MessageKind
+from repro.noc.messages import MessageKind
 from repro.sim.component import Component
 from repro.system.shootdown import shootdown
 
@@ -149,14 +149,10 @@ class MigrationEngine(Component):
             for source_gpm in sorted(by_source):
                 moved = by_source[source_gpm]
                 self.wafer.network.send(
-                    Message(
-                        MessageKind.PAGE_MIGRATION,
-                        src=self.wafer.gpms[source_gpm].coordinate,
-                        dst=dest.coordinate,
-                        payload=moved[0] if len(moved) == 1 else tuple(moved),
-                        size_bytes=page_size * len(moved),
-                    ),
-                    on_deliver=lambda _msg: None,
+                    MessageKind.PAGE_MIGRATION,
+                    self.wafer.gpms[source_gpm].coordinate, dest.coordinate,
+                    moved[0] if len(moved) == 1 else tuple(moved),
+                    page_size * len(moved),
                 )
             self.migration_stats.bytes_moved += page_size * len(entries)
         self.migration_stats.migrations += len(entries)

@@ -19,6 +19,7 @@ from repro.gpm.gpm import GPM
 from repro.iommu.iommu import IOMMU
 from repro.mem.address import AddressSpace
 from repro.mem.page import PageTableEntry
+from repro.noc.messages import MessageKind
 from repro.noc.network import MeshNetwork
 from repro.noc.topology import MeshTopology
 from repro.obs import DEFAULT_SAMPLE_PERIOD, NULL_OBS, Observability
@@ -99,9 +100,10 @@ class WaferScaleGPU:
             # attached: a message routed at one raises DeadDestinationError
             # instead of silently disappearing into a handler.
             if self.faults is None or self.faults.gpm_alive(gpm_id):
-                self.network.attach(tile.coordinate, gpm.handle_message)
+                self.network.attach(tile.coordinate, gpm.mesh_handlers())
         self.network.attach(
-            self.topology.cpu_coordinate, self.iommu.handle_message
+            self.topology.cpu_coordinate,
+            {MessageKind.TRANSLATION_REQ: self.iommu.receive_request},
         )
         self.iommu.policy = self.policy
         self.policy.bind(self)

@@ -14,7 +14,7 @@ from repro.errors import (
     EventOrderError,
     SanitizerError,
 )
-from repro.noc.messages import Message, MessageKind
+from repro.noc.messages import MessageKind
 from repro.noc.network import MeshNetwork
 from repro.noc.topology import MeshTopology
 from repro.sim.engine import Simulator
@@ -22,13 +22,8 @@ from repro.sim.queueing import FiniteBuffer
 from repro.system.runner import run_benchmark
 
 
-def make_message(src, dst, size=64):
-    return Message(
-        kind=MessageKind.TRANSLATION_REQ,
-        src=src,
-        dst=dst,
-        size_bytes=size,
-    )
+def send_message(network, src, dst, size=64):
+    return network.send(MessageKind.TRANSLATION_REQ, src, dst, size_bytes=size)
 
 
 # ----------------------------------------------------------------------
@@ -100,13 +95,13 @@ class TestBufferLeak:
 class TestConservation:
     def _network(self, sim):
         network = MeshNetwork(sim, MeshTopology(3, 3))
-        network.attach((1, 0), lambda message: None)
+        network.attach((1, 0), {MessageKind.TRANSLATION_REQ: lambda payload: None})
         return network
 
     def test_byte_count_mismatch_raises(self):
         sim = Simulator(sanitize=True)
         network = self._network(sim)
-        network.send(make_message((0, 0), (1, 0)))
+        send_message(network, (0, 0), (1, 0))
         # A toy component corrupts the link's byte counter out of band.
         link = network._links[((0, 0), (1, 0))]
         link.bytes_carried += 7
@@ -116,7 +111,7 @@ class TestConservation:
     def test_undelivered_message_raises(self):
         sim = Simulator(sanitize=True)
         network = self._network(sim)
-        network.send(make_message((0, 0), (1, 0)))
+        send_message(network, (0, 0), (1, 0))
         # Simulate a lost delivery: drop the pending event, then quiesce.
         sim._queue.clear()
         with pytest.raises(ConservationError, match="in flight"):
@@ -125,8 +120,8 @@ class TestConservation:
     def test_clean_traffic_passes(self):
         sim = Simulator(sanitize=True)
         network = self._network(sim)
-        network.send(make_message((0, 0), (1, 0)))
-        network.send(make_message((0, 0), (1, 0), size=256))
+        send_message(network, (0, 0), (1, 0))
+        send_message(network, (0, 0), (1, 0), size=256)
         sim.run()
         report = sim.sanitizer.report()
         assert report["messages_delivered"] == 2

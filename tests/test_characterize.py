@@ -77,3 +77,17 @@ class TestProfiles:
             _profile("pr").mean_touches_per_page
             > 3 * _profile("relu").mean_touches_per_page
         )
+
+    @pytest.mark.parametrize("name", ["spmv", "relu"])
+    def test_unique_pages_counts_distinct_vpns(self, name):
+        allocator = PageAllocator(AddressSpace(), 48)
+        trace = get_workload(name).generate(
+            num_gpms=48, allocator=allocator, scale=0.05, seed=9
+        )
+        profile = characterize(trace, allocator)
+        space = allocator.address_space
+        vpns = {space.vpn_of(vaddr) for stream in trace.per_gpm for vaddr in stream}
+        assert profile.unique_pages == len(vpns)
+        assert profile.mean_touches_per_page * profile.unique_pages == (
+            pytest.approx(profile.total_accesses)
+        )

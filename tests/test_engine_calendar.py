@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 
 from repro.errors import EventOrderError, SimulationError
 from repro.noc.link import Link
-from repro.noc.messages import Message, MessageKind
+from repro.noc.messages import MessageKind
 from repro.noc.network import MeshNetwork
 from repro.noc.topology import MeshTopology
 from repro.obs import HostProfiler
@@ -228,10 +228,10 @@ class TestFractionalBandwidthSerialization:
                 link_bandwidth_bytes_per_sec=1e9,
             )
             network.set_link_bandwidth_factor((0, 0), (1, 0), factor)
+            network.attach((1, 0), {MessageKind.DATA_REQ: lambda payload: None})
             for _ in range(2):
                 delivery = network.send(
-                    Message(MessageKind.DATA_REQ, (0, 0), (1, 0), size_bytes=32),
-                    lambda message: None,
+                    MessageKind.DATA_REQ, (0, 0), (1, 0), size_bytes=32
                 )
             deliveries.append(delivery)
         assert deliveries == [32 + 4, 512 + 4]

@@ -335,6 +335,34 @@ class TestSignalAbort:
         assert seen == [before]
 
 
+def _worker_signal_dispositions():
+    """(SIGTERM is the default action, SIGINT is ignored) in this process."""
+    return (
+        signal.getsignal(signal.SIGTERM) == signal.SIG_DFL,
+        signal.getsignal(signal.SIGINT) == signal.SIG_IGN,
+    )
+
+
+class TestWorkerSignals:
+    @pytest.mark.parametrize("chaos", [False, True])
+    def test_workers_do_not_inherit_the_sweep_handlers(self, chaos):
+        # Workers fork at the first submit, after map() installed its
+        # flag-setting handlers; a worker keeping them would shrug off
+        # SIGTERM and outlive a parent killed with SIGKILL.
+        plan = WorkerFaultPlan(seed=1) if chaos else None
+        executor = SweepExecutor(jobs=2)
+        previous = executor._install_signal_handlers()
+        try:
+            pool = executor._new_pool(plan, 1)
+            try:
+                future = pool.submit(_worker_signal_dispositions)
+                assert future.result(timeout=60) == (True, True)
+            finally:
+                executor._shutdown_pool(pool)
+        finally:
+            executor._restore_signal_handlers(previous)
+
+
 class TestRetryBackoffAudit:
     def test_no_backoff_computed_after_final_failure(
         self, small_system_config, monkeypatch

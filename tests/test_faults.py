@@ -13,7 +13,7 @@ from repro.errors import (
     TranslationTimeoutError,
 )
 from repro.faults import FaultPlan, FaultState, RetryPolicy, degradation_plan
-from repro.noc.messages import Message, MessageKind
+from repro.noc.messages import MessageKind
 from repro.noc.network import MeshNetwork
 from repro.noc.topology import MeshTopology
 from repro.system.runner import run_benchmark
@@ -146,23 +146,19 @@ class TestNetworkFaults:
 
     def test_send_to_dead_tile_raises_typed_error(self, sim):
         network = self._network(sim, FaultPlan(dead_gpms=((4, 4),)))
-        message = Message(MessageKind.TRANSLATION_REQ, (0, 0), (4, 4), None)
         with pytest.raises(DeadDestinationError):
-            network.send(message)
+            network.send(MessageKind.TRANSLATION_REQ, (0, 0), (4, 4))
 
     def test_dead_destination_error_is_fault_error(self, sim):
         network = self._network(sim, FaultPlan(dead_gpms=((4, 4),)))
-        message = Message(MessageKind.TRANSLATION_REQ, (0, 0), (4, 4), None)
         with pytest.raises(FaultError):
-            network.send(message)
+            network.send(MessageKind.TRANSLATION_REQ, (0, 0), (4, 4))
 
     def test_translation_messages_drop(self, sim):
         network = self._network(sim, FaultPlan(drop_prob=1.0))
         delivered = []
-        network.send(
-            Message(MessageKind.TRANSLATION_REQ, (0, 0), (1, 0), None),
-            delivered.append,
-        )
+        network.attach((1, 0), {MessageKind.TRANSLATION_REQ: delivered.append})
+        network.send(MessageKind.TRANSLATION_REQ, (0, 0), (1, 0))
         sim.run()
         assert delivered == []
         assert network._faults.counters["injected.drops"] == 1
@@ -170,30 +166,24 @@ class TestNetworkFaults:
     def test_data_plane_immune_to_transients(self, sim):
         network = self._network(sim, FaultPlan(drop_prob=1.0))
         delivered = []
-        network.send(
-            Message(MessageKind.DATA_RESP, (0, 0), (1, 0), None),
-            delivered.append,
-        )
+        network.attach((1, 0), {MessageKind.DATA_RESP: delivered.append})
+        network.send(MessageKind.DATA_RESP, (0, 0), (1, 0))
         sim.run()
         assert len(delivered) == 1
 
     def test_duplicates_deliver_twice(self, sim):
         network = self._network(sim, FaultPlan(duplicate_prob=1.0))
         delivered = []
-        network.send(
-            Message(MessageKind.TRANSLATION_RESP, (0, 0), (1, 0), None),
-            delivered.append,
-        )
+        network.attach((1, 0), {MessageKind.TRANSLATION_RESP: delivered.append})
+        network.send(MessageKind.TRANSLATION_RESP, (0, 0), (1, 0))
         sim.run()
         assert len(delivered) == 2
 
     def test_reroute_around_dead_link(self, sim):
         network = self._network(sim, FaultPlan(dead_links=(((0, 0), (1, 0)),)))
         delivered = []
-        network.send(
-            Message(MessageKind.TRANSLATION_REQ, (0, 0), (2, 0), None),
-            delivered.append,
-        )
+        network.attach((2, 0), {MessageKind.TRANSLATION_REQ: delivered.append})
+        network.send(MessageKind.TRANSLATION_REQ, (0, 0), (2, 0))
         sim.run()
         assert len(delivered) == 1
         assert network._faults.counters["rerouted_messages"] == 1
@@ -201,10 +191,8 @@ class TestNetworkFaults:
 
     def test_link_report_marks_failed_links(self, sim):
         network = self._network(sim, FaultPlan(dead_links=(((0, 0), (1, 0)),)))
-        network.send(
-            Message(MessageKind.TRANSLATION_REQ, (0, 0), (2, 0), None),
-            lambda m: None,
-        )
+        network.attach((2, 0), {MessageKind.TRANSLATION_REQ: lambda payload: None})
+        network.send(MessageKind.TRANSLATION_REQ, (0, 0), (2, 0))
         sim.run()
         rows = network.link_report()
         failed = [row for row in rows if row["failed"]]

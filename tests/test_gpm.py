@@ -17,7 +17,8 @@ from repro.core.request import ServedBy
 from repro.faults import FaultPlan, FaultTimeline, KillGpm, RecoverGpm
 from repro.mem.allocator import PageAllocator
 from repro.mem.page import PageTableEntry
-from repro.noc.messages import Message, MessageKind
+from repro.errors import RoutingError
+from repro.noc.messages import MessageKind
 from repro.obs import Observability
 from repro.system.runner import run_benchmark
 from repro.system.wafer import WaferScaleGPU
@@ -190,14 +191,14 @@ class TestPeerProbe:
 
 
 class TestMessageDispatch:
-    """handle_message routes every kind a GPM receives to its handler."""
+    """Every kind a GPM receives reaches its registered handler."""
 
     def _deliver(self, wafer, kind, payload):
+        """A zero-hop send to GPM 0, run to its delivery."""
         gpm = wafer.gpms[0]
-        message = Message(kind, src=gpm.coordinate, dst=gpm.coordinate,
-                          payload=payload)
-        gpm.handle_message(message)
-        return gpm, message
+        wafer.network.send(kind, gpm.coordinate, gpm.coordinate, payload)
+        wafer.sim.run()
+        return gpm
 
     def test_data_request_is_served_and_answered(self, wafer):
         gpm = wafer.gpms[0]
@@ -211,30 +212,36 @@ class TestMessageDispatch:
     def test_data_response_completes_an_access(self, wafer):
         gpm = wafer.gpms[0]
         gpm.driver.outstanding = 1
-        self._deliver(wafer, MessageKind.DATA_RESP, (0, gpm._fail_epoch))
+        self._deliver(wafer, MessageKind.DATA_RESP, gpm._fail_epoch)
         assert gpm.stat("accesses_completed") == 1
         assert gpm.driver.outstanding == 0
 
     def test_pte_push_is_installed(self, wafer):
         allocation = _install_pages(wafer)
         entry = wafer.iommu.page_table.lookup(allocation.base_vpn + 1)
-        gpm, _ = self._deliver(wafer, MessageKind.PTE_PUSH, [entry])
+        gpm = self._deliver(wafer, MessageKind.PTE_PUSH, [entry])
         assert gpm.stat("pte_pushes_received") == 1
 
     @pytest.mark.parametrize("kind, method", [
         (MessageKind.PEER_PROBE, "on_peer_probe"),
         (MessageKind.REDIRECT, "on_redirect"),
     ])
-    def test_policy_kinds_reach_the_policy(self, wafer, monkeypatch, kind, method):
+    def test_policy_kinds_reach_the_policy(
+        self, small_system_config, monkeypatch, kind, method
+    ):
         calls = []
-        monkeypatch.setattr(type(wafer.policy), method,
-                            lambda policy, gpm, message: calls.append((gpm, message)))
-        gpm, message = self._deliver(wafer, kind, None)
-        assert calls == [(gpm, message)]
+        policy_class = type(WaferScaleGPU(small_system_config).policy)
+        monkeypatch.setattr(policy_class, method,
+                            lambda policy, gpm, payload: calls.append((gpm, payload)))
+        # Handlers are bound when the wafer is wired.
+        wafer = WaferScaleGPU(small_system_config)
+        gpm = self._deliver(wafer, kind, "payload")
+        assert calls == [(gpm, "payload")]
 
     def test_unexpected_kind_raises(self, wafer):
-        with pytest.raises(ValueError, match="unexpected message kind"):
+        with pytest.raises(RoutingError, match="translation_req"):
             self._deliver(wafer, MessageKind.TRANSLATION_REQ, None)
+        assert wafer.sim.pending_events == 0
 
     def test_instance_override_sees_translation_responses(self, wafer):
         allocation = _install_pages(wafer)
@@ -252,7 +259,7 @@ class TestMessageDispatch:
     def test_stale_data_response_is_dropped(self, wafer):
         gpm = wafer.gpms[0]
         gpm.halt()  # bumps the fail epoch past the reply's
-        self._deliver(wafer, MessageKind.DATA_RESP, (0, gpm._fail_epoch - 1))
+        self._deliver(wafer, MessageKind.DATA_RESP, gpm._fail_epoch - 1)
         assert gpm.stat("stale_completions") == 1
         assert gpm.stat("accesses_completed") == 0
 

@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 from repro.errors import RoutingError
 from repro.faults.plan import FaultPlan
 from repro.faults.state import FaultState
-from repro.noc.messages import TRANSLATION_KINDS, Message, MessageKind
+from repro.noc.messages import MESSAGE_BYTES, TRANSLATION_KINDS, MessageKind
 from repro.noc.network import MeshNetwork
 from repro.noc.topology import MeshTopology
+from repro.obs.profile import HostProfiler
 from repro.sim.engine import Simulator
 from repro.units import serialization_cycles
 
@@ -19,45 +20,93 @@ def network(sim):
     return MeshNetwork(sim, MeshTopology(5, 5), link_latency=32)
 
 
-def _msg(src, dst, kind=MessageKind.TRANSLATION_REQ, size=None):
-    return Message(kind, src=src, dst=dst, payload=None, size_bytes=size)
+def _attach_everywhere(network, handler):
+    """Attach ``handler`` for every kind at every tile."""
+    for x in range(network.topology.width):
+        for y in range(network.topology.height):
+            network.attach((x, y), dict.fromkeys(MessageKind, handler))
+
+
+@pytest.fixture
+def mesh(network):
+    """The 5x5 network with a do-nothing handler for every kind everywhere."""
+    _attach_everywhere(network, lambda payload: None)
+    return network
+
+
+def _send(network, src, dst, kind=MessageKind.TRANSLATION_REQ, size=None):
+    return network.send(kind, src, dst, size_bytes=size)
+
+
+class _Tile:
+    def on_probe(self, payload):
+        assert payload == "probe"
 
 
 class TestDelivery:
     def test_latency_scales_with_hops(self, sim, network):
         delivered = []
-        network.send(_msg((0, 0), (3, 0)), lambda m: delivered.append(sim.now))
+        _attach_everywhere(network, lambda payload: delivered.append(sim.now))
+        _send(network, (0, 0), (3, 0))
         sim.run()
         assert delivered == [3 * 32]
 
     def test_zero_hop_delivers_next_cycle(self, sim, network):
         delivered = []
-        network.send(_msg((1, 1), (1, 1)), lambda m: delivered.append(sim.now))
+        _attach_everywhere(network, lambda payload: delivered.append(sim.now))
+        _send(network, (1, 1), (1, 1))
         sim.run()
         assert delivered == [1]
 
     def test_attached_handler_receives(self, sim, network):
         received = []
-        network.attach((2, 2), lambda m: received.append(m))
-        message = _msg((0, 0), (2, 2))
-        network.send(message)
+        network.attach((2, 2), {MessageKind.PTE_PUSH: received.append})
+        payload = ["entry"]
+        network.send(MessageKind.PTE_PUSH, (0, 0), (2, 2), payload)
         sim.run()
-        assert received == [message]
+        assert received == [payload]
+
+    def test_send_without_payload_delivers_empty_tuple(self, sim, network):
+        received = []
+        network.attach((2, 2), {MessageKind.DATA_REQ: received.append})
+        network.send(MessageKind.DATA_REQ, (0, 0), (2, 2))
+        sim.run()
+        assert received == [()]
+
+    def test_delivery_event_is_the_handler(self, sim, network):
+        """The scheduled event is the handler bound to the payload, so
+        profiles and race labels name the handler, not the network."""
+        profiler = sim.profiler = HostProfiler()
+        network.attach((2, 2), {MessageKind.PEER_PROBE: _Tile().on_probe})
+        network.send(MessageKind.PEER_PROBE, (0, 0), (2, 2), "probe")
+        sim.run()
+        assert list(profiler.counts) == [(__name__, "_Tile.on_probe")]
 
     def test_missing_handler_raises(self, network):
         with pytest.raises(RoutingError):
-            network.send(_msg((0, 0), (4, 4)))
+            _send(network, (0, 0), (4, 4))
+
+    def test_kind_without_handler_raises_at_send(self, sim, network):
+        network.attach((4, 4), {MessageKind.DATA_REQ: lambda payload: None})
+        with pytest.raises(RoutingError, match="translation_req"):
+            network.send(MessageKind.TRANSLATION_REQ, (0, 0), (4, 4))
+        # Nothing was scheduled and no link or tally moved.
+        assert sim.pending_events == 0
+        assert network.messages_sent == 0
+        assert network.link_wait_cycles() == 0
+        assert not network._links
 
     def test_off_mesh_destination_raises(self, network):
         with pytest.raises(RoutingError):
-            network.send(_msg((0, 0), (99, 0)))
+            _send(network, (0, 0), (99, 0))
 
-    def test_explicit_handler_overrides_attached(self, sim, network):
-        network.attach((2, 2), lambda m: pytest.fail("should not be called"))
+    def test_reattach_replaces_the_table(self, sim, network):
+        network.attach((2, 2), {MessageKind.DATA_REQ: lambda p: pytest.fail()})
         got = []
-        network.send(_msg((0, 0), (2, 2)), lambda m: got.append(m))
+        network.attach((2, 2), {MessageKind.DATA_REQ: got.append})
+        network.send(MessageKind.DATA_REQ, (0, 0), (2, 2), 7)
         sim.run()
-        assert len(got) == 1
+        assert got == [7]
 
 
 class TestContention:
@@ -69,10 +118,9 @@ class TestContention:
             link_bandwidth_bytes_per_sec=8e9,
         )
         times = []
+        _attach_everywhere(network, lambda payload: times.append(sim.now))
         for _ in range(3):
-            network.send(
-                _msg((0, 0), (1, 0), size=64), lambda m: times.append(sim.now)
-            )
+            _send(network, (0, 0), (1, 0), size=64)
         sim.run()
         assert times == [10, 18, 26]
         assert network.link_wait_cycles() > 0
@@ -83,86 +131,79 @@ class TestContention:
             link_bandwidth_bytes_per_sec=8e9,
         )
         times = []
-        network.send(_msg((0, 0), (1, 0), size=64), lambda m: times.append(sim.now))
-        network.send(_msg((0, 1), (1, 1), size=64), lambda m: times.append(sim.now))
+        _attach_everywhere(network, lambda payload: times.append(sim.now))
+        _send(network, (0, 0), (1, 0), size=64)
+        _send(network, (0, 1), (1, 1), size=64)
         sim.run()
         assert times == [10, 10]
 
 
 class TestTraffic:
-    def test_total_bytes_counts_bytes_times_hops(self, sim, network):
-        network.send(_msg((0, 0), (2, 0), size=100), lambda m: None)
+    def test_total_bytes_counts_bytes_times_hops(self, sim, mesh):
+        _send(mesh, (0, 0), (2, 0), size=100)
         sim.run()
-        assert network.total_link_bytes() == 200
+        assert mesh.total_link_bytes() == 200
 
-    def test_translation_traffic_separated(self, sim, network):
-        network.send(
-            _msg((0, 0), (1, 0), kind=MessageKind.DATA_RESP, size=80),
-            lambda m: None,
-        )
-        network.send(
-            _msg((0, 0), (1, 0), kind=MessageKind.TRANSLATION_REQ, size=16),
-            lambda m: None,
-        )
+    def test_translation_traffic_separated(self, sim, mesh):
+        _send(mesh, (0, 0), (1, 0), kind=MessageKind.DATA_RESP, size=80)
+        _send(mesh, (0, 0), (1, 0), kind=MessageKind.TRANSLATION_REQ, size=16)
         sim.run()
-        assert network.total_link_bytes() == 96
-        assert network.translation_link_bytes() == 16
+        assert mesh.total_link_bytes() == 96
+        assert mesh.translation_link_bytes() == 16
 
-    def test_mean_hops(self, sim, network):
-        network.send(_msg((0, 0), (2, 0)), lambda m: None)
-        network.send(_msg((0, 0), (4, 0)), lambda m: None)
+    def test_mean_hops(self, sim, mesh):
+        _send(mesh, (0, 0), (2, 0))
+        _send(mesh, (0, 0), (4, 0))
         sim.run()
-        assert network.mean_hops() == pytest.approx(3.0)
+        assert mesh.mean_hops() == pytest.approx(3.0)
 
-    def test_mean_hops_excludes_zero_hop_sends(self, sim, network):
-        network.send(_msg((0, 0), (2, 0)), lambda m: None)  # 2 hops
-        network.send(_msg((0, 0), (4, 0)), lambda m: None)  # 4 hops
-        network.send(_msg((1, 1), (1, 1)), lambda m: None)  # local, 0 hops
+    def test_mean_hops_excludes_zero_hop_sends(self, sim, mesh):
+        _send(mesh, (0, 0), (2, 0))  # 2 hops
+        _send(mesh, (0, 0), (4, 0))  # 4 hops
+        _send(mesh, (1, 1), (1, 1))  # local, 0 hops
         sim.run()
-        assert network.messages_sent == 3
-        assert network.messages_routed == 2
-        assert network.mean_hops() == pytest.approx(3.0)
+        assert mesh.messages_sent == 3
+        assert mesh.messages_routed == 2
+        assert mesh.mean_hops() == pytest.approx(3.0)
 
-    def test_mean_hops_all_local_is_zero(self, sim, network):
-        network.send(_msg((1, 1), (1, 1)), lambda m: None)
+    def test_mean_hops_all_local_is_zero(self, sim, mesh):
+        _send(mesh, (1, 1), (1, 1))
         sim.run()
-        assert network.messages_routed == 0
-        assert network.mean_hops() == 0.0
+        assert mesh.messages_routed == 0
+        assert mesh.mean_hops() == 0.0
 
 
 class TestMessageDefaults:
-    def test_default_sizes_by_kind(self):
-        assert _msg((0, 0), (1, 0)).size_bytes == 16
-        data = Message(MessageKind.DATA_RESP, (0, 0), (1, 0))
-        assert data.size_bytes == 80
+    def test_default_sizes_by_kind(self, sim, mesh):
+        _send(mesh, (0, 0), (1, 0))
+        _send(mesh, (0, 0), (1, 0), kind=MessageKind.DATA_RESP)
+        assert mesh.total_link_bytes() == 16 + 80
+        assert MESSAGE_BYTES[MessageKind.DATA_RESP] == 80
 
-    def test_translation_kind_classification(self):
-        assert Message(MessageKind.PTE_PUSH, (0, 0), (1, 0)).is_translation_traffic
-        assert not Message(MessageKind.DATA_REQ, (0, 0), (1, 0)).is_translation_traffic
+    def test_translation_kind_classification(self, sim, mesh):
+        _send(mesh, (0, 0), (1, 0), kind=MessageKind.PTE_PUSH)
+        _send(mesh, (0, 0), (1, 0), kind=MessageKind.DATA_REQ)
+        assert MessageKind.PTE_PUSH in TRANSLATION_KINDS
+        assert MessageKind.DATA_REQ not in TRANSLATION_KINDS
+        assert mesh.translation_link_bytes() == MESSAGE_BYTES[MessageKind.PTE_PUSH]
 
 
 class TestTrafficReport:
-    def test_per_kind_accounting(self, sim, network):
-        network.send(
-            _msg((0, 0), (2, 0), kind=MessageKind.DATA_RESP, size=80),
-            lambda m: None,
-        )
-        network.send(
-            _msg((0, 0), (1, 0), kind=MessageKind.TRANSLATION_REQ, size=16),
-            lambda m: None,
-        )
+    def test_per_kind_accounting(self, sim, mesh):
+        _send(mesh, (0, 0), (2, 0), kind=MessageKind.DATA_RESP, size=80)
+        _send(mesh, (0, 0), (1, 0), kind=MessageKind.TRANSLATION_REQ, size=16)
         sim.run()
-        report = network.traffic_report()
+        report = mesh.traffic_report()
         assert report["data_resp"]["messages"] == 1
         assert report["data_resp"]["link_bytes"] == 160  # 80 B x 2 hops
         assert report["translation_req"]["link_bytes"] == 16
         assert report["total"]["messages"] == 2
         assert report["total"]["link_bytes"] == 176
 
-    def test_zero_hop_messages_carry_no_link_bytes(self, sim, network):
-        network.send(_msg((1, 1), (1, 1)), lambda m: None)
+    def test_zero_hop_messages_carry_no_link_bytes(self, sim, mesh):
+        _send(mesh, (1, 1), (1, 1))
         sim.run()
-        report = network.traffic_report()
+        report = mesh.traffic_report()
         assert report["total"]["link_bytes"] == 0
         assert report["translation_req"]["messages"] == 1
 
@@ -238,6 +279,7 @@ class TestReferenceModel:
         sent = routed = hops = 0
         by_kind = {}
         expected, delivered = [], []
+        _attach_everywhere(network, lambda i: delivered.append((i, sim.now)))
 
         def ref_link(key):
             if key not in links:
@@ -291,21 +333,22 @@ class TestReferenceModel:
 
         for sends, event, check_after in rounds:
             for src, dst, kind, size in sends:
-                message = Message(kind, src, dst, size_bytes=size)
+                size_bytes = MESSAGE_BYTES[kind] if size is None else size
                 route, _extra = faults.route(src, dst)
                 arrival = sim.now if route else sim.now + 1
                 for key in route:
                     arrival = ref_link(key).transmit(
-                        arrival, message.size_bytes, kind in TRANSLATION_KINDS
+                        arrival, size_bytes, kind in TRANSLATION_KINDS
                     )
                 sent += 1
                 routed += bool(route)
                 hops += len(route)
                 count, link_bytes = by_kind.get(kind, (0, 0))
-                by_kind[kind] = (count + 1, link_bytes + message.size_bytes * len(route))
+                by_kind[kind] = (count + 1, link_bytes + size_bytes * len(route))
                 expected.append(arrival)
+                # The payload is the send's index; every tile records it.
                 assert network.send(
-                    message, lambda m, i=len(expected) - 1: delivered.append((i, sim.now))
+                    kind, src, dst, len(expected) - 1, size
                 ) == arrival
             if event[0] == "factor":
                 _, a, factor = event

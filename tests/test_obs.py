@@ -408,6 +408,38 @@ class TestPhaseAttribution:
         )
         assert sum(row["share"] for row in rows) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("sanitize", [False, True])
+    def test_mesh_deliveries_are_booked_to_their_handlers(
+        self, small_hdpat_config, sanitize
+    ):
+        obs = Observability(profile=True)
+        run_benchmark(small_hdpat_config, "spmv", scale=0.02, seed=7,
+                      obs=obs, sanitize=sanitize)
+        profiler = obs.profiler
+        rows = profiler.report(top_k=len(profiler.seconds))
+        names = {(row["module"], row["callback"]) for row in rows}
+        for expected in (
+            ("repro.gpm.gpm", "GPM.handle_data_request"),
+            ("repro.gpm.gpm", "GPM.handle_translation_response"),
+            ("repro.iommu.iommu", "IOMMU.receive_request"),
+            ("repro.core.policy", "ClusterRotationPolicy.on_peer_probe"),
+        ):
+            assert expected in names
+        # No delivery trampoline from the network, the sanitizer or
+        # functools stands between the mesh and the handler.
+        assert not [
+            name for name in names
+            if name[0].startswith(("repro.noc", "repro.analysis", "functools"))
+        ]
+        layer_rows = profiler.layer_report()
+        assert "noc" not in {row["phase"] for row in layer_rows}
+        assert sum(row["seconds"] for row in layer_rows[:-1]) < (
+            profiler.run_seconds
+        )
+        assert sum(row["seconds"] for row in layer_rows) == pytest.approx(
+            profiler.run_seconds
+        )
+
     def test_instrumented_digest_matches_bare_run(self, small_system_config):
         from repro.analysis.sanitizers import result_digest
 

@@ -25,7 +25,7 @@ from repro.faults import (
     degradation_plan,
     recovery_scenario,
 )
-from repro.noc.messages import Message, MessageKind
+from repro.noc.messages import MessageKind
 from repro.noc.network import MeshNetwork
 from repro.noc.routing import route_links
 from repro.noc.topology import MeshTopology
@@ -181,12 +181,12 @@ class TestLinkBandwidth:
 
     def _network(self, sim):
         network = MeshNetwork(sim, MeshTopology(2, 1), link_latency=4)
-        network.attach((1, 0), lambda message: None)
+        network.attach((1, 0), {MessageKind.DATA_RESP: lambda payload: None})
         return network
 
     def _send(self, network, size):
         return network.send(
-            Message(MessageKind.DATA_RESP, (0, 0), (1, 0), size_bytes=size)
+            MessageKind.DATA_RESP, (0, 0), (1, 0), size_bytes=size
         )
 
     def test_degraded_link_serialises_slower(self, sim):
@@ -271,12 +271,12 @@ class TestNetworkRestore:
         )
         network = MeshNetwork(sim, topology, faults=faults)
         received = []
-        message = Message(MessageKind.TRANSLATION_REQ, (0, 0), (2, 0), None)
-        network.send(message, received.append)
+        network.attach((2, 0), {MessageKind.TRANSLATION_REQ: received.append})
+        network.send(MessageKind.TRANSLATION_REQ, (0, 0), (2, 0))
         sim.run()
         assert faults.counters["rerouted_hops"] == 2
         faults.restore_link(((0, 0), (1, 0)))
-        network.send(message, received.append)
+        network.send(MessageKind.TRANSLATION_REQ, (0, 0), (2, 0))
         sim.run()
         # The second send took the plain XY route: no new detour hops.
         assert faults.counters["rerouted_hops"] == 2
