@@ -9,6 +9,7 @@ from repro.config.system import SystemConfig
 from repro.exec.executor import SweepExecutor
 from repro.exec.jobs import RunJob, make_job
 from repro.system.result import RunResult
+from repro.units import geomean
 from repro.workloads.registry import BENCHMARK_NAMES
 
 #: Default trace scale for interactive experiment runs.  The paper's
@@ -150,6 +151,40 @@ def job_grid(
         for label, config in configs.items()
         for name in names
     }
+
+
+def speedup_table(
+    experiment_id: str,
+    title: str,
+    headers: List[str],
+    jobs: Dict[tuple, RunJob],
+    columns: Sequence[object],
+    names: Sequence[str],
+    cache: Optional[RunCache] = None,
+    notes: str = "",
+) -> ExperimentResult:
+    """The paper's speedup figure: one row per benchmark of each column's
+    speedup over ``"baseline"``, then a GEOMEAN row.
+
+    ``jobs`` is keyed ``(label, benchmark)`` and holds a ``"baseline"``
+    label; it is warmed in its own order, so the harness decides the
+    order its batch is submitted in.  A figure that shows the baseline
+    lists ``"baseline"`` as a column: a run's speedup over itself, and
+    the geomean of all-ones, are exactly 1.0.
+    """
+    cache = cache or RunCache()
+    cache.warm(jobs.values())
+    rows: List[List[object]] = []
+    for name in names:
+        baseline = cache.get(jobs["baseline", name])
+        rows.append([name.upper()] + [
+            cache.get(jobs[label, name]).speedup_over(baseline)
+            for label in columns
+        ])
+    rows.append(
+        ["GEOMEAN"] + [geomean(column) for column in zip(*(row[1:] for row in rows))]
+    )
+    return ExperimentResult(experiment_id, title, headers, rows, notes)
 
 
 def resolve_benchmarks(

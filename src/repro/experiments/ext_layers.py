@@ -19,8 +19,8 @@ from repro.experiments.common import (
     RunCache,
     job_grid,
     resolve_benchmarks,
+    speedup_table,
 )
-from repro.units import geomean
 
 LAYER_COUNTS = (0, 1, 2, 3)
 
@@ -31,7 +31,6 @@ def run(
     seed: int = 42,
     cache: RunCache = None,
 ) -> ExperimentResult:
-    cache = cache or RunCache()
     names = resolve_benchmarks(
         benchmarks if benchmarks is not None else REPRESENTATIVE_BENCHMARKS
     )
@@ -42,26 +41,14 @@ def run(
          base_config.with_hdpat(replace(HDPATConfig.full(), num_layers=layers)))
         for layers in LAYER_COUNTS
     )
-    jobs = job_grid(configs, names, scale, seed)
-    cache.warm(jobs.values())
-    rows = []
-    per_layer_speedups = {layers: [] for layers in LAYER_COUNTS}
-    for name in names:
-        baseline = cache.get(jobs["baseline", name])
-        row = [name.upper()]
-        for layers in LAYER_COUNTS:
-            speedup = cache.get(jobs[layers, name]).speedup_over(baseline)
-            per_layer_speedups[layers].append(speedup)
-            row.append(speedup)
-        rows.append(row)
-    rows.append(
-        ["GEOMEAN"] + [geomean(per_layer_speedups[c]) for c in LAYER_COUNTS]
-    )
-    return ExperimentResult(
-        experiment_id="ext_layers",
-        title="Design ablation: concentric layer count C (§IV-C)",
-        headers=["Benchmark"] + [f"C={c}" for c in LAYER_COUNTS],
-        rows=rows,
+    return speedup_table(
+        "ext_layers",
+        "Design ablation: concentric layer count C (§IV-C)",
+        ["Benchmark"] + [f"C={c}" for c in LAYER_COUNTS],
+        job_grid(configs, names, scale, seed),
+        LAYER_COUNTS,
+        names,
+        cache,
         notes=(
             "Layers trade probe latency on cold misses for shared-reuse "
             "coverage: sharing-heavy workloads (PR, SPMV) want C>=1, while "

@@ -23,6 +23,7 @@ from repro.experiments.common import (
     RunCache,
     job_grid,
     resolve_benchmarks,
+    speedup_table,
 )
 from repro.units import geomean
 
@@ -50,33 +51,15 @@ def run(
         "migrated": migration_config,
     }
     jobs = job_grid(configs, names, scale, seed)
-    cache.warm(jobs.values())
-    rows = []
-    ratios = []
-    for name in names:
-        baseline = cache.get(jobs["baseline", name])
-        hdpat = cache.get(jobs["hdpat", name])
-        migrated = cache.get(jobs["migrated", name])
-        hdpat_speedup = hdpat.speedup_over(baseline)
-        migrated_speedup = migrated.speedup_over(baseline)
-        ratios.append(migrated_speedup / hdpat_speedup)
-        stats = migrated.extras.get("migration", {})
-        rows.append(
-            [
-                name.upper(),
-                hdpat_speedup,
-                migrated_speedup,
-                stats.get("migrations", 0),
-                stats.get("rejected_cooldown", 0),
-            ]
-        )
-    rows.append(["GEOMEAN-RATIO", "-", geomean(ratios), "-", "-"])
-    return ExperimentResult(
-        experiment_id="ext_migration",
-        title="Extension: HDPAT + page migration (future work, §VI)",
-        headers=["Benchmark", "HDPAT", "HDPAT+migration", "Migrations",
-                 "Cooldown rejects"],
-        rows=rows,
+    table = speedup_table(
+        "ext_migration",
+        "Extension: HDPAT + page migration (future work, §VI)",
+        ["Benchmark", "HDPAT", "HDPAT+migration", "Migrations",
+         "Cooldown rejects"],
+        jobs,
+        ["hdpat", "migrated"],
+        names,
+        cache,
         notes=(
             "Negative result supporting the paper's scoping: with HDPAT "
             "absorbing the reuse, first-touch migration is neutral to "
@@ -84,3 +67,9 @@ def run(
             "the TLBs and peer caches hadn't already captured)."
         ),
     )
+    for name, row in zip(names, table.rows):
+        stats = cache.get(jobs["migrated", name]).extras.get("migration", {})
+        row += [stats.get("migrations", 0), stats.get("rejected_cooldown", 0)]
+    ratios = [migrated / hdpat for _, hdpat, migrated, *_ in table.rows[:-1]]
+    table.rows[-1] = ["GEOMEAN-RATIO", "-", geomean(ratios), "-", "-"]
+    return table

@@ -20,6 +20,7 @@ from repro.experiments.common import (
     RunCache,
     job_grid,
     resolve_benchmarks,
+    speedup_table,
 )
 from repro.units import geomean
 
@@ -45,28 +46,24 @@ def run(
         "unrotated": without_rotation,
     }
     jobs = job_grid(configs, names, scale, seed)
-    cache.warm(jobs.values())
-    rows = []
+    table = speedup_table(
+        "ext_rotation",
+        "Design ablation: layer rotation on vs off (§IV-E)",
+        ["Benchmark", "No rotation", "With rotation", "RTT ratio"],
+        jobs,
+        ["unrotated", "rotated"],
+        names,
+        cache,
+    )
     ratios = []
-    for name in names:
-        baseline = cache.get(jobs["baseline", name])
+    for name, row in zip(names, table.rows):
         rotated = cache.get(jobs["rotated", name])
         unrotated = cache.get(jobs["unrotated", name])
-        rotated_speedup = rotated.speedup_over(baseline)
-        unrotated_speedup = unrotated.speedup_over(baseline)
-        ratios.append(rotated_speedup / unrotated_speedup)
-        rows.append(
-            [name.upper(), unrotated_speedup, rotated_speedup,
-             rotated.mean_rtt / max(unrotated.mean_rtt, 1)]
-        )
-    rows.append(["GEOMEAN", "-", "-", "-"])
-    return ExperimentResult(
-        experiment_id="ext_rotation",
-        title="Design ablation: layer rotation on vs off (§IV-E)",
-        headers=["Benchmark", "No rotation", "With rotation", "RTT ratio"],
-        rows=rows,
-        notes=(
-            f"Rotation speedup ratio (geomean): {geomean(ratios):.3f}. "
-            "Rotation guarantees a nearby holder for every quadrant."
-        ),
+        ratios.append(row[2] / row[1])
+        row.append(rotated.mean_rtt / max(unrotated.mean_rtt, 1))
+    table.rows[-1] = ["GEOMEAN", "-", "-", "-"]
+    table.notes = (
+        f"Rotation speedup ratio (geomean): {geomean(ratios):.3f}. "
+        "Rotation guarantees a nearby holder for every quadrant."
     )
+    return table

@@ -20,8 +20,8 @@ from repro.experiments.common import (
     RunCache,
     job_grid,
     resolve_benchmarks,
+    speedup_table,
 )
-from repro.units import geomean
 
 THRESHOLDS = (1, 2, 4, 8)
 
@@ -32,7 +32,6 @@ def run(
     seed: int = 42,
     cache: RunCache = None,
 ) -> ExperimentResult:
-    cache = cache or RunCache()
     names = resolve_benchmarks(
         benchmarks if benchmarks is not None else REPRESENTATIVE_BENCHMARKS
     )
@@ -43,21 +42,17 @@ def run(
             replace(HDPATConfig.full(), push_threshold=threshold)))
         for threshold in THRESHOLDS
     )
-    jobs = job_grid(configs, names, scale, seed)
-    cache.warm(jobs.values())
-    rows = []
-    for threshold in THRESHOLDS:
-        speedups = [
-            cache.get(jobs[threshold, name]).speedup_over(
-                cache.get(jobs["baseline", name])
-            )
-            for name in names
-        ]
-        rows.append([f"threshold={threshold}", geomean(speedups)])
+    title = "Design ablation: selective-push access-count threshold (§IV-F)"
+    labels = [f"threshold={threshold}" for threshold in THRESHOLDS]
+    per_benchmark = speedup_table(
+        "ext_threshold", title, ["Benchmark"] + labels,
+        job_grid(configs, names, scale, seed), THRESHOLDS, names, cache,
+    )
+    geomeans = per_benchmark.row_for("GEOMEAN")[1:]
     return ExperimentResult(
         experiment_id="ext_threshold",
-        title="Design ablation: selective-push access-count threshold (§IV-F)",
+        title=title,
         headers=["Push threshold", "Geomean speedup"],
-        rows=rows,
+        rows=[[label, value] for label, value in zip(labels, geomeans)],
         notes="HDPAT defaults to 2: push only pages already walked twice.",
     )

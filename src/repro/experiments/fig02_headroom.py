@@ -15,8 +15,8 @@ from repro.experiments.common import (
     RunCache,
     job_grid,
     resolve_benchmarks,
+    speedup_table,
 )
-from repro.units import geomean
 
 
 def run(
@@ -25,48 +25,24 @@ def run(
     seed: int = 42,
     cache: RunCache = None,
 ) -> ExperimentResult:
-    cache = cache or RunCache()
     names = resolve_benchmarks(benchmarks)
     base_config = wafer_7x7_config()
-    ideal_latency = base_config.with_iommu(
-        base_config.iommu.idealized(walk_latency=1)
-    )
-    ideal_parallel = base_config.with_iommu(
-        base_config.iommu.idealized(num_walkers=4096)
-    )
     configs = {
-        "baseline": base_config, "fast": ideal_latency, "wide": ideal_parallel,
+        "baseline": base_config,
+        "fast": base_config.with_iommu(
+            base_config.iommu.idealized(walk_latency=1)
+        ),
+        "wide": base_config.with_iommu(
+            base_config.iommu.idealized(num_walkers=4096)
+        ),
     }
-    jobs = job_grid(configs, names, scale, seed)
-    cache.warm(jobs.values())
-    rows = []
-    latency_speedups, parallel_speedups = [], []
-    for name in names:
-        baseline = cache.get(jobs["baseline", name])
-        fast = cache.get(jobs["fast", name])
-        wide = cache.get(jobs["wide", name])
-        speedup_fast = fast.speedup_over(baseline)
-        speedup_wide = wide.speedup_over(baseline)
-        latency_speedups.append(speedup_fast)
-        parallel_speedups.append(speedup_wide)
-        rows.append([name.upper(), 1.0, speedup_fast, speedup_wide])
-    rows.append(
-        [
-            "GEOMEAN",
-            1.0,
-            geomean(latency_speedups),
-            geomean(parallel_speedups),
-        ]
-    )
-    return ExperimentResult(
-        experiment_id="fig02",
-        title="IOMMU headroom: baseline vs idealized IOMMUs (Figure 2)",
-        headers=[
-            "Benchmark",
-            "Baseline",
-            "1-cycle/16-walker",
-            "500-cycle/4096-walker",
-        ],
-        rows=rows,
+    return speedup_table(
+        "fig02",
+        "IOMMU headroom: baseline vs idealized IOMMUs (Figure 2)",
+        ["Benchmark", "Baseline", "1-cycle/16-walker", "500-cycle/4096-walker"],
+        job_grid(configs, names, scale, seed),
+        list(configs),
+        names,
+        cache,
         notes="Paper: 5.45x and 4.96x average speedups — queueing dominates.",
     )

@@ -7,19 +7,18 @@ naive centralized baseline across all 14 benchmarks.  The paper reports a
 
 from __future__ import annotations
 
-from repro.config.hdpat import HDPATConfig
-from repro.config.presets import wafer_7x7_config
-from repro.core.baselines.registry import SOTA_NAMES, sota_system_config
+from repro.core.baselines.registry import SOTA_NAMES
 from repro.experiments.common import (
     DEFAULT_SCALE,
     ExperimentResult,
     RunCache,
-    job_grid,
-    make_job,
     resolve_benchmarks,
+    speedup_table,
 )
-from repro.units import geomean
+from repro.experiments.sweep import SCHEME_NAMES, cell_job
 
+#: Table columns, in the paper's order.  Jobs are submitted in
+#: ``SCHEME_NAMES`` order instead: baseline, HDPAT, then the SOTA schemes.
 SCHEMES = ("baseline",) + SOTA_NAMES + ("hdpat",)
 
 
@@ -29,42 +28,20 @@ def run(
     seed: int = 42,
     cache: RunCache = None,
 ) -> ExperimentResult:
-    cache = cache or RunCache()
     names = resolve_benchmarks(benchmarks)
-    base_config = wafer_7x7_config()
-    hdpat_config = base_config.with_hdpat(HDPATConfig.full())
-    jobs = job_grid(
-        {"baseline": base_config, "hdpat": hdpat_config}, names, scale, seed
-    )
-    jobs.update(
-        ((scheme, name), make_job(sota_system_config(scheme, base_config),
-                                  name, scale, seed, policy_key=scheme))
-        for scheme in SOTA_NAMES for name in names
-    )
-    cache.warm(jobs.values())
-    rows = []
-    speedups = {scheme: [] for scheme in SCHEMES if scheme != "baseline"}
-    for name in names:
-        baseline = cache.get(jobs["baseline", name])
-        row = [name.upper(), 1.0]
-        for scheme in SOTA_NAMES:
-            speedup = cache.get(jobs[scheme, name]).speedup_over(baseline)
-            speedups[scheme].append(speedup)
-            row.append(speedup)
-        hdpat = cache.get(jobs["hdpat", name])
-        speedup = hdpat.speedup_over(baseline)
-        speedups["hdpat"].append(speedup)
-        row.append(speedup)
-        rows.append(row)
-    rows.append(
-        ["GEOMEAN", 1.0]
-        + [geomean(speedups[scheme]) for scheme in SCHEMES if scheme != "baseline"]
-    )
-    return ExperimentResult(
-        experiment_id="fig14",
-        title="Overall performance vs baseline and SOTA (Figure 14)",
-        headers=["Benchmark"] + [s.capitalize() for s in SCHEMES],
-        rows=rows,
+    jobs = {
+        (scheme, name): cell_job(scheme, name, scale, seed)
+        for scheme in SCHEME_NAMES
+        for name in names
+    }
+    return speedup_table(
+        "fig14",
+        "Overall performance vs baseline and SOTA (Figure 14)",
+        ["Benchmark"] + [s.capitalize() for s in SCHEMES],
+        jobs,
+        SCHEMES,
+        names,
+        cache,
         notes=(
             "Paper: HDPAT averages 1.57x over baseline and ~1.35x over the "
             "best SOTA; Trans-FW/Valkyrie leave remote requests at the "

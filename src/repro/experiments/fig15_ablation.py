@@ -18,8 +18,8 @@ from repro.experiments.common import (
     RunCache,
     job_grid,
     resolve_benchmarks,
+    speedup_table,
 )
-from repro.units import geomean
 
 ABLATIONS = (
     "route",
@@ -38,7 +38,6 @@ def run(
     seed: int = 42,
     cache: RunCache = None,
 ) -> ExperimentResult:
-    cache = cache or RunCache()
     names = resolve_benchmarks(benchmarks)
     base_config = wafer_7x7_config()
     configs = {"baseline": base_config}
@@ -46,27 +45,15 @@ def run(
         (ablation, base_config.with_hdpat(HDPATConfig.ablation(ablation)))
         for ablation in ABLATIONS
     )
-    jobs = job_grid(configs, names, scale, seed)
-    cache.warm(jobs.values())
-    rows = []
-    speedups = {ablation: [] for ablation in ABLATIONS}
-    for name in names:
-        baseline = cache.get(jobs["baseline", name])
-        row = [name.upper()]
-        for ablation in ABLATIONS:
-            speedup = cache.get(jobs[ablation, name]).speedup_over(baseline)
-            speedups[ablation].append(speedup)
-            row.append(speedup)
-        rows.append(row)
-    rows.append(
-        ["GEOMEAN"] + [geomean(speedups[a]) for a in ABLATIONS]
-    )
-    return ExperimentResult(
-        experiment_id="fig15",
-        title="Ablation of HDPAT techniques (Figure 15)",
-        headers=["Benchmark", "Route", "Concentric", "Distributed",
-                 "Cluster+Rot", "+Redirection", "+Prefetch", "HDPAT (all)"],
-        rows=rows,
+    return speedup_table(
+        "fig15",
+        "Ablation of HDPAT techniques (Figure 15)",
+        ["Benchmark", "Route", "Concentric", "Distributed",
+         "Cluster+Rot", "+Redirection", "+Prefetch", "HDPAT (all)"],
+        job_grid(configs, names, scale, seed),
+        ABLATIONS,
+        names,
+        cache,
         notes=(
             "Paper: route/concentric ~1.0x, distributed 1.08x, cluster+rot "
             "1.13x, redirection 1.18x, prefetch 1.17x, all combined 1.57x."

@@ -15,8 +15,8 @@ from repro.experiments.common import (
     RunCache,
     job_grid,
     resolve_benchmarks,
+    speedup_table,
 )
-from repro.units import geomean
 
 GRANULARITIES = (1, 4, 8)
 
@@ -27,7 +27,6 @@ def run(
     seed: int = 42,
     cache: RunCache = None,
 ) -> ExperimentResult:
-    cache = cache or RunCache()
     names = resolve_benchmarks(benchmarks)
     base_config = wafer_7x7_config()
     configs = {"baseline": base_config}
@@ -36,24 +35,14 @@ def run(
          base_config.with_hdpat(HDPATConfig.full(prefetch_degree=granularity)))
         for granularity in GRANULARITIES
     )
-    jobs = job_grid(configs, names, scale, seed)
-    cache.warm(jobs.values())
-    rows = []
-    speedups = {g: [] for g in GRANULARITIES}
-    for name in names:
-        baseline = cache.get(jobs["baseline", name])
-        row = [name.upper()]
-        for granularity in GRANULARITIES:
-            speedup = cache.get(jobs[granularity, name]).speedup_over(baseline)
-            speedups[granularity].append(speedup)
-            row.append(speedup)
-        rows.append(row)
-    rows.append(["GEOMEAN"] + [geomean(speedups[g]) for g in GRANULARITIES])
-    return ExperimentResult(
-        experiment_id="fig18",
-        title="Proactive delivery granularity sweep (Figure 18)",
-        headers=["Benchmark", "1 PTE", "4 PTEs", "8 PTEs"],
-        rows=rows,
+    return speedup_table(
+        "fig18",
+        "Proactive delivery granularity sweep (Figure 18)",
+        ["Benchmark", "1 PTE", "4 PTEs", "8 PTEs"],
+        job_grid(configs, names, scale, seed),
+        GRANULARITIES,
+        names,
+        cache,
         notes=(
             "Paper: 1.40x / 1.57x / 1.59x — saturates at 4 PTEs; BT and MT "
             "gain <10% due to irregular access."

@@ -20,6 +20,7 @@ from repro.experiments.common import (
     RunCache,
     job_grid,
     resolve_benchmarks,
+    speedup_table,
 )
 from repro.units import geomean
 
@@ -30,7 +31,6 @@ def run(
     seed: int = 42,
     cache: RunCache = None,
 ) -> ExperimentResult:
-    cache = cache or RunCache()
     names = resolve_benchmarks(benchmarks)
     base_config = wafer_7x7_config()
     redirection_config = base_config.with_hdpat(HDPATConfig.full())
@@ -48,30 +48,22 @@ def run(
         "redirection": redirection_config,
         "tlb": tlb_config,
     }
-    jobs = job_grid(configs, names, scale, seed)
-    cache.warm(jobs.values())
-    rows = []
-    ratios = []
-    for name in names:
-        baseline = cache.get(jobs["baseline", name])
-        with_redirection = cache.get(jobs["redirection", name])
-        with_tlb = cache.get(jobs["tlb", name])
-        redirection_speedup = with_redirection.speedup_over(baseline)
-        tlb_speedup = with_tlb.speedup_over(baseline)
-        ratios.append(redirection_speedup / tlb_speedup)
-        rows.append(
-            [name.upper(), tlb_speedup, redirection_speedup,
-             redirection_speedup / tlb_speedup]
-        )
-    rows.append(["GEOMEAN", "-", "-", geomean(ratios)])
-    return ExperimentResult(
-        experiment_id="fig19",
-        title="Redirection table vs IOMMU-side TLB (Figure 19)",
-        headers=["Benchmark", "TLB speedup", "Redirection speedup",
-                 "Redirection/TLB"],
-        rows=rows,
+    table = speedup_table(
+        "fig19",
+        "Redirection table vs IOMMU-side TLB (Figure 19)",
+        ["Benchmark", "TLB speedup", "Redirection speedup", "Redirection/TLB"],
+        job_grid(configs, names, scale, seed),
+        ["tlb", "redirection"],
+        names,
+        cache,
         notes=(
             f"TLB sized to equal area: {tlb_entries} entries vs 1024 "
             "redirection entries. Paper: redirection 1.27x ahead."
         ),
     )
+    # Only the ratio column is summarised.
+    ratios = [redirection / tlb for _, tlb, redirection in table.rows[:-1]]
+    for row, ratio in zip(table.rows, ratios):
+        row.append(ratio)
+    table.rows[-1] = ["GEOMEAN", "-", "-", geomean(ratios)]
+    return table

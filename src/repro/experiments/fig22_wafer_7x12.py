@@ -16,8 +16,8 @@ from repro.experiments.common import (
     RunCache,
     job_grid,
     resolve_benchmarks,
+    speedup_table,
 )
-from repro.units import geomean
 
 
 def run(
@@ -26,29 +26,21 @@ def run(
     seed: int = 42,
     cache: RunCache = None,
 ) -> ExperimentResult:
-    cache = cache or RunCache()
     names = resolve_benchmarks(
         benchmarks if benchmarks is not None else REPRESENTATIVE_BENCHMARKS
     )
     base_config = wafer_7x12_config()
-    hdpat_config = base_config.with_hdpat(HDPATConfig.full())
-    jobs = job_grid(
-        {"baseline": base_config, "hdpat": hdpat_config}, names, scale, seed
-    )
-    cache.warm(jobs.values())
-    rows = []
-    speedups = []
-    for name in names:
-        baseline = cache.get(jobs["baseline", name])
-        hdpat = cache.get(jobs["hdpat", name])
-        speedup = hdpat.speedup_over(baseline)
-        speedups.append(speedup)
-        rows.append([name.upper(), speedup])
-    rows.append(["GEOMEAN", geomean(speedups)])
-    return ExperimentResult(
-        experiment_id="fig22",
-        title="HDPAT on the 7x12 wafer (83 GPMs) (Figure 22)",
-        headers=["Benchmark", "HDPAT speedup"],
-        rows=rows,
+    configs = {
+        "baseline": base_config,
+        "hdpat": base_config.with_hdpat(HDPATConfig.full()),
+    }
+    return speedup_table(
+        "fig22",
+        "HDPAT on the 7x12 wafer (83 GPMs) (Figure 22)",
+        ["Benchmark", "HDPAT speedup"],
+        job_grid(configs, names, scale, seed),
+        ["hdpat"],
+        names,
+        cache,
         notes="Paper: all workloads gain; geometric mean 1.49x.",
     )

@@ -71,15 +71,18 @@ def grid_cells(
     ]
 
 
-def cell_job(scheme: str, workload: str, scale: float, seed: int) -> RunJob:
-    """The :class:`RunJob` for one grid cell.  Its content address is the
-    same however the cell runs (serial, pooled, or revived from the disk
-    cache), which is what makes result tables byte-comparable."""
+def cell_job(
+    scheme: str, workload: str, scale: float, seed: Optional[int]
+) -> RunJob:
+    """The :class:`RunJob` for one scheme on one benchmark, shared by the
+    sweep grid and Figure 14.  Its content address is the same however
+    the cell runs (serial, pooled, or revived from the disk cache), which
+    is what makes result tables byte-comparable."""
     return make_job(
         scheme_config(scheme),
         workload,
-        float(scale),
-        seed=int(seed),
+        scale,
+        seed=seed,
         policy_key=scheme if scheme in SOTA_NAMES else "",
     )
 

@@ -374,19 +374,23 @@ class GPM(Component):
         """Called when a translation response reaches this GPM."""
         self._translation_done(vpn, entry, served_by)
 
-    def accept_pte_push(self, entry: PageTableEntry) -> None:
-        """Install a pushed PTE (auxiliary caching / proactive delivery).
+    def accept_pte_pushes(self, entries: List[PageTableEntry]) -> None:
+        """Install pushed PTEs in order (auxiliary caching / proactive
+        delivery); the mesh handler for PTE_PUSH, and the install path of
+        the extras riding on a translation response.
 
-        If a request for this page is currently waiting on the remote path,
-        the push satisfies it immediately — the "catch up to recently
-        completed translations" effect redirection is built around.
+        If a request for one of the pages is currently waiting on the
+        remote path, its push satisfies it immediately — the "catch up to
+        recently completed translations" effect redirection is built
+        around.
         """
-        self.hierarchy.install_cached_remote(entry)
-        self.bump("pte_pushes_received")
-        pending = self._pending.get(entry.vpn)
-        if pending is not None and pending.remote_start is not None:
-            served = ServedBy.PROACTIVE if entry.prefetched else ServedBy.PEER
-            self._translation_done(entry.vpn, entry, served)
+        self.bump("pte_pushes_received", len(entries))
+        for entry in entries:
+            self.hierarchy.install_cached_remote(entry)
+            pending = self._pending.get(entry.vpn)
+            if pending is not None and pending.remote_start is not None:
+                served = ServedBy.PROACTIVE if entry.prefetched else ServedBy.PEER
+                self._translation_done(entry.vpn, entry, served)
 
     # ------------------------------------------------------------------
     # Auxiliary role: answer peer probes
@@ -510,7 +514,7 @@ class GPM(Component):
             MessageKind.DATA_REQ: self.handle_data_request,
             MessageKind.DATA_RESP: self._complete_if_current,
             MessageKind.TRANSLATION_RESP: self.handle_translation_response,
-            MessageKind.PTE_PUSH: self.handle_pte_push,
+            MessageKind.PTE_PUSH: self.accept_pte_pushes,
             MessageKind.PAGE_MIGRATION: self.receive_migrated_pages,
             MessageKind.PEER_PROBE: MethodType(self.policy.on_peer_probe, self),
             MessageKind.REDIRECT: MethodType(self.policy.on_redirect, self),
@@ -519,15 +523,10 @@ class GPM(Component):
     def handle_translation_response(self, response: tuple) -> None:
         vpn, entry, served_by, extras = response
         if extras:
-            for extra_entry in extras:
-                self.accept_pte_push(extra_entry)
+            self.accept_pte_pushes(extras)
         # Looked up on the instance, so a test's per-instance override
         # of remote_translation_complete sees every response.
         self.remote_translation_complete(vpn, entry, served_by)
-
-    def handle_pte_push(self, entries: List[PageTableEntry]) -> None:
-        for entry in entries:
-            self.accept_pte_push(entry)
 
     def receive_migrated_pages(self, vpns) -> None:
         """A page-migration copy landed.  The pages were re-homed when the

@@ -230,18 +230,23 @@ class IOMMU(Component):
     ) -> None:
         targets = self.policy.push_targets(request.vpn) if self.policy else []
         pushes: Dict[int, List[PageTableEntry]] = {}
+        # Every holder of a pushed PTE shares one snapshot of it, taken
+        # once per walk; no receiver mutates a pushed entry.
+        holders: List[int] = []
         # Route/concentric/distributed caching: install the response at
         # every GPM the request probed — unconditionally, which is exactly
         # the duplication/thrashing §IV-B criticises.
         if self.policy is not None and self.policy.install_at_probed:
-            for probed_gpm in request.probed_gpms:
-                pushes.setdefault(probed_gpm, []).append(entry.copy_for_push())
+            holders.extend(request.probed_gpms)
         # Selective demand push: only pages hot enough to earn peer space.
         if targets and entry.access_count >= self.hdpat.push_threshold:
-            for target in targets:
-                pushes.setdefault(target, []).append(entry.copy_for_push())
+            holders.extend(targets)
             if self.redirection is not None:
                 self.redirection.update(entry.vpn, targets[0])
+        if holders:
+            pushed = entry.copy_for_push()
+            for holder in holders:
+                pushes.setdefault(holder, []).append(pushed)
         # Proactive page-entry delivery (§IV-G).
         prefetch_delay = 0
         extras = None
@@ -260,12 +265,13 @@ class IOMMU(Component):
                 # Prefetched PTEs go to one auxiliary holder — "the inner
                 # or middle layers" (§IV-G) — not to every layer.
                 push_to = targets[:1] or [request.requester_gpm]
-                for neighbor in neighbors:
-                    self.prefetch_pushed += 1
-                    for target in push_to:
-                        pushes.setdefault(target, []).append(
-                            neighbor.copy_for_push(prefetched=True)
-                        )
+                # Prefetched PTEs ride back with the demand response too,
+                # so a requester streaming sequential pages catches up
+                # without a second IOMMU round trip.
+                extras = [n.copy_for_push(prefetched=True) for n in neighbors]
+                self.prefetch_pushed += len(extras)
+                for target in push_to:
+                    pushes.setdefault(target, []).extend(extras)
                 if self.redirection is not None and targets:
                     # Redirection entries name concentric-layer holders
                     # only (§IV-F); with no caching layers there is no one
@@ -278,10 +284,6 @@ class IOMMU(Component):
                     # this pressure.
                     for neighbor in neighbors:
                         self.tlb.insert(neighbor.vpn, neighbor)
-                # Prefetched PTEs ride back with the demand response, so a
-                # requester streaming sequential pages catches up without a
-                # second IOMMU round trip.
-                extras = [n.copy_for_push(prefetched=True) for n in neighbors]
                 # The walker holds these PTEs in hand: answer PW-queue
                 # requests for them directly (same revisit pass as §IV-F).
                 prefetched_vpns = {n.vpn for n in neighbors}

@@ -139,7 +139,7 @@ class TestPtePush:
         gpm.load_trace([_addr(wafer, 9999)])
         gpm.start()
         wafer.sim.schedule(
-            40, lambda: gpm.accept_pte_push(remote_entry.copy_for_push(True))
+            40, lambda: gpm.accept_pte_pushes([remote_entry.copy_for_push(True)])
         )
         wafer.sim.run()
         assert gpm.served_by_counts.get(ServedBy.PROACTIVE) == 1
@@ -148,7 +148,7 @@ class TestPtePush:
     def test_unsolicited_push_installs_quietly(self, wafer):
         gpm = wafer.gpms[0]
         entry = PageTableEntry(vpn=777, pfn=2, owner_gpm=3)
-        gpm.accept_pte_push(entry)
+        gpm.accept_pte_pushes([entry])
         assert gpm.stat("pte_pushes_received") == 1
         assert gpm.hierarchy.probe_remote(777).entry is not None
 
