@@ -21,54 +21,8 @@ bit-deterministic and conservation-correct, so both are machine-checked:
 CLI: ``python -m repro lint`` and ``python -m repro races``; the runtime
 sanitizers arm with ``python -m repro run <benchmark> --sanitize``.
 See docs/ANALYSIS.md.
+
+The package namespace re-exports nothing: import from the submodule, so
+a run that needs only the sanitizers (or a result digest) does not load
+the lint machinery.
 """
-
-from repro.analysis.lint import (
-    Finding,
-    layer_of,
-    lint_paths,
-    lint_source,
-    statement_spans,
-    summarize,
-    suppressions_at,
-)
-from repro.analysis.races import (
-    RACE_RW,
-    RACE_WW,
-    analyze_paths,
-    analyze_source,
-)
-from repro.analysis.rules import ALL_RULES, Rule, rules_by_id
-from repro.analysis.sanitizers import (
-    BufferLeakSanitizer,
-    ConservationSanitizer,
-    EventOrderSanitizer,
-    RaceSanitizer,
-    SanitizerContext,
-    check_determinism,
-    result_digest,
-)
-
-__all__ = [
-    "ALL_RULES",
-    "BufferLeakSanitizer",
-    "ConservationSanitizer",
-    "EventOrderSanitizer",
-    "Finding",
-    "RACE_RW",
-    "RACE_WW",
-    "RaceSanitizer",
-    "Rule",
-    "SanitizerContext",
-    "analyze_paths",
-    "analyze_source",
-    "check_determinism",
-    "layer_of",
-    "lint_paths",
-    "lint_source",
-    "result_digest",
-    "rules_by_id",
-    "statement_spans",
-    "summarize",
-    "suppressions_at",
-]

@@ -14,7 +14,14 @@ _request_ids = itertools.count()
 
 class ServedBy(enum.Enum):
     """Which mechanism resolved a translation (Figure 16's categories plus
-    the local outcomes)."""
+    the local outcomes).
+
+    Members are singletons, so the C-level identity hash replaces Enum's
+    Python-level name hash: every access looks one up in a dict.  The
+    two frozensets below are only tested for membership, never iterated.
+    """
+
+    __hash__ = object.__hash__
 
     LOCAL_L1 = "local_l1"
     LOCAL_L2 = "local_l2"

@@ -128,7 +128,7 @@ class Simulator:
         #: dispatched callback, the sanitizer hooks and the whole
         #: :meth:`run` wall are timed and booked to it.
         self.profiler = profiler
-        #: Runtime sanitizers (:class:`repro.analysis.SanitizerContext`).
+        #: Runtime sanitizers (:class:`repro.analysis.sanitizers.SanitizerContext`).
         #: Components discover it via ``sim.sanitizer`` and register their
         #: invariants; None when sanitizing is off (the default).
         #: ``sanitize="races"`` additionally arms the same-cycle race

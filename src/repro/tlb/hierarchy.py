@@ -27,7 +27,13 @@ from repro.tlb.tlb import SetAssociativeTLB
 
 
 class ProbeOutcome(enum.Enum):
-    """Result category of a local hierarchy probe."""
+    """Result category of a local hierarchy probe.
+
+    Identity-hashed like :class:`repro.core.request.ServedBy`: the GPM
+    maps each probe's outcome through a dict.
+    """
+
+    __hash__ = object.__hash__
 
     L1_HIT = "l1_hit"
     L2_HIT = "l2_hit"

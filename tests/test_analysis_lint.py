@@ -9,8 +9,8 @@ import textwrap
 
 import pytest
 
-from repro.analysis import lint_paths, lint_source, rules_by_id
-from repro.analysis.lint import layer_of, summarize
+from repro.analysis.lint import layer_of, lint_paths, lint_source, summarize
+from repro.analysis.rules import rules_by_id
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC_REPRO = os.path.join(REPO_ROOT, "src", "repro")

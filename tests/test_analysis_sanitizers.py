@@ -2,6 +2,9 @@
 and stay silent on a clean run."""
 
 import heapq
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -191,3 +194,26 @@ class TestSanitizedRun:
         for error in (EventOrderError, ConservationError, BufferLeakError,
                       DeterminismError):
             assert issubclass(error, SanitizerError)
+
+
+# ----------------------------------------------------------------------
+# Import cost
+# ----------------------------------------------------------------------
+def test_run_and_sanitizer_imports_leave_the_lint_machinery_unloaded():
+    """A run, a result digest and a sanitized run import only what they
+    use: ``repro.analysis`` re-exports nothing, so the static lint and
+    race analysers stay out of the process."""
+    repo_root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.path.join(repo_root, "src"))
+    probe = (
+        "import sys\n"
+        "import repro.system.runner, repro.analysis.sanitizers\n"
+        "print(sorted(name for name in ('repro.analysis.lint',"
+        " 'repro.analysis.rules', 'repro.analysis.races')"
+        " if name in sys.modules))\n"
+    )
+    completed = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert completed.stdout.strip() == "[]"

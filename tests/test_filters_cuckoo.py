@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import CapacityError
-from repro.filters.cuckoo import CuckooFilter
+from repro.filters.cuckoo import _CHUNK_LANES, CuckooFilter
 from repro.filters.fingerprint import fingerprint_of, mix64
 
 
@@ -153,7 +153,7 @@ class TestCuckooFilterProperties:
     )
     @settings(max_examples=100, deadline=None)
     def test_hash_parts_match_the_helpers(self, items, geometries):
-        """The inlined splitmix64 routine is bit-identical to
+        """The packed-lane splitmix64 routine is bit-identical to
         fingerprint_of / mix64 / _alt_index under each of two geometries,
         and fills each geometry's memo with that geometry's hashes."""
         for capacity, bits in geometries:
@@ -165,6 +165,29 @@ class TestCuckooFilterProperties:
                 expected.append((fingerprint, index1, filt._alt_index(index1, fingerprint)))
             assert filt._hash_parts(items) == expected
             assert [filt._memo[item] for item in items] == expected
+
+    @pytest.mark.parametrize("bits", [1, 12, 32])
+    @pytest.mark.parametrize("size", [
+        0, 1, _CHUNK_LANES - 1, _CHUNK_LANES, _CHUNK_LANES + 1,
+        3 * _CHUNK_LANES + 7,
+    ])
+    def test_hash_parts_across_chunk_boundaries(self, size, bits):
+        """Batches that end short of, on and past a chunk boundary hash
+        every lane as the scalar helpers do, items of 2**64 and above
+        included (reduced mod 2**64, as splitmix64 is).  Width 1 remaps
+        about half of the fingerprints from 0 to 1."""
+        # Steps of the golden ratio mod 2**65 put about half of the items
+        # at or above 2**64, in every lane position.
+        items = [(k * 0x9E3779B97F4A7C15 + 12345) % 2**65 for k in range(size)]
+        items[:3] = [0, 2**64 - 1, 2**64][:size]
+        filt = CuckooFilter(capacity=4096, fingerprint_bits=bits)
+        expected = []
+        for item in items:
+            fingerprint = fingerprint_of(item, bits)
+            index1 = mix64(item) & (filt.num_buckets - 1)
+            expected.append((fingerprint, index1, filt._alt_index(index1, fingerprint)))
+        assert filt._hash_parts(items) == expected
+        assert [filt._memo[item] for item in items] == expected
 
 
 class TestHashMemo:
