@@ -1,6 +1,6 @@
-"""Golden figure tables: the gate on what the speedup harnesses print.
+"""Golden figure tables: the gate on what the figure harnesses print.
 
-Eleven harnesses run at scale 0.02 on ``aes`` with seed 42, all through
+Fifteen harnesses run at scale 0.02 on ``aes`` with seed 42, all through
 one shared :class:`~repro.experiments.common.RunCache`, and each
 ``format_table()`` text must equal the committed one in
 ``fixtures/golden_tables.json``.  The digests in ``golden_digests.json``
@@ -34,8 +34,8 @@ SEED = 42
 BENCHMARKS = ["aes"]
 
 EXPERIMENTS = (
-    "fig02", "fig14", "fig15", "fig18", "fig19", "fig22", "fig21",
-    "ext_layers", "ext_threshold", "ext_rotation", "ext_migration",
+    "fig02", "fig03", "fig04", "fig14", "fig15", "fig16", "fig17", "fig18",
+    "fig19", "fig22", "fig21", "ext_layers", "ext_threshold", "ext_rotation", "ext_migration",
 )
 
 

@@ -56,6 +56,43 @@ class TestQueueStages:
         wafer.sim.run()
         assert iommu.stat("walks") == total
 
+    def test_pre_queue_overflow_keeps_arrival_order(self, small_system_config):
+        # More arrivals at cycle 0 than the PW-queue, the walkers and a
+        # 256-deep pre-queue hold together: the backlog past that depth
+        # must still be walked (or coalesced) once each, in arrival order.
+        hdpat = HDPATConfig(pw_queue_revisit=True)
+        wafer, allocation = _build(small_system_config, hdpat)
+        iommu = wafer.iommu
+        config = small_system_config.iommu
+        total = config.pw_queue_capacity + config.num_walkers + 256 + 40
+        requests = [
+            _request(wafer, allocation.base_vpn + index % 64)
+            for index in range(total)
+        ]
+        arrival = {request.request_id: index for index, request in enumerate(requests)}
+        walked, answered = [], []
+        walk_done, respond = iommu._walk_done, iommu.respond
+
+        def record_walk(request, *rest):
+            walked.append(request.request_id)
+            return walk_done(request, *rest)
+
+        def record_response(request, *rest, **kwargs):
+            answered.append(request.request_id)
+            return respond(request, *rest, **kwargs)
+
+        iommu._walk_done, iommu.respond = record_walk, record_response
+        for request in requests:
+            iommu.receive_request(request)
+        assert iommu.buffer_pressure() == total - config.num_walkers
+        wafer.sim.run()
+        assert sorted(answered) == sorted(arrival)
+        assert len(set(walked)) == len(walked) == iommu.stat("walks")
+        assert iommu.stat("walks") + iommu.stat("coalesced") == total
+        order = [arrival[request_id] for request_id in walked]
+        assert order == sorted(order)
+        assert iommu.buffer_pressure() == 0
+
     def test_latency_breakdown_separates_stages(self, small_system_config):
         wafer, allocation = _build(small_system_config)
         for index in range(30):
