@@ -13,8 +13,9 @@ Five sanitizers ship:
 * :class:`ConservationSanitizer` — NoC byte conservation: every message
   sent is delivered by quiesce, and each link's traffic counters match an
   independently-kept shadow ledger.
-* :class:`BufferLeakSanitizer` — every finite buffer is drained when the
-  simulation ends.
+* :class:`BufferLeakSanitizer` — every queue a walk waits in (the IOMMU
+  pre-queue and each walker pool, queued and in service) is drained when
+  the simulation ends.
 * :class:`RaceSanitizer` (``sanitize="races"``) — shadows attribute
   access on simulated component state while events run, and flags any
   same-cycle pair of events whose write-write or read-write conflict on
@@ -190,13 +191,17 @@ class ConservationSanitizer:
 
 
 class BufferLeakSanitizer:
-    """Asserts all watched finite buffers are empty at quiesce."""
+    """Asserts every watched queue is empty at quiesce.
+
+    A queue is watched by name with a function returning how many items it
+    holds; a walker pool counts its queued and its in-service walks.
+    """
 
     def __init__(self) -> None:
-        self._buffers: List[Any] = []
+        self._buffers: List[Tuple[str, Callable[[], int]]] = []
 
-    def watch(self, buffer: Any) -> None:
-        self._buffers.append(buffer)
+    def watch(self, name: str, occupancy: Callable[[], int]) -> None:
+        self._buffers.append((name, occupancy))
 
     @property
     def watched(self) -> int:
@@ -204,9 +209,9 @@ class BufferLeakSanitizer:
 
     def check(self) -> None:
         leaked = [
-            (buffer.name, len(buffer))
-            for buffer in self._buffers
-            if len(buffer) > 0
+            (name, count)
+            for name, occupancy in self._buffers
+            if (count := occupancy()) > 0
         ]
         if leaked:
             detail = ", ".join(f"{name} holds {count}" for name, count in leaked)
@@ -252,9 +257,6 @@ BENIGN_RACE_FIELDS: Dict[Tuple[str, str], str] = {
     ("Link", "messages_carried"): _COMMUTATIVE,
     ("Link", "busy_cycles"): _COMMUTATIVE,
     ("Link", "total_wait_cycles"): _COMMUTATIVE,
-    ("WalkerPool", "completed"): _COMMUTATIVE,
-    ("WalkerPool", "total_queue_delay"): _COMMUTATIVE,
-    ("WalkerPool", "total_service_time"): _COMMUTATIVE,
     ("SetAssociativeTLB", "hits"): _COMMUTATIVE,
     ("SetAssociativeTLB", "misses"): _COMMUTATIVE,
     ("SetAssociativeTLB", "evictions"): _COMMUTATIVE,
@@ -263,10 +265,6 @@ BENIGN_RACE_FIELDS: Dict[Tuple[str, str], str] = {
     ("IOMMU", "prefetch_pushed"): _COMMUTATIVE,
     ("GPM", "rtt_sum"): _COMMUTATIVE,
     ("GPM", "rtt_count"): _COMMUTATIVE,
-    ("FiniteBuffer", "_area"): (
-        "occupancy-time integral; same-cycle segments have zero width, "
-        "so any in-cycle push/pop order integrates identically"
-    ),
     # -- arbitration points (seq order is the model) -------------------
     ("Link", "busy_until"): _ARBITRATION,
     ("GPM", "_probe_port_busy"): _ARBITRATION,
@@ -277,8 +275,6 @@ BENIGN_RACE_FIELDS: Dict[Tuple[str, str], str] = {
     ),
     ("WalkerPool", "busy_walkers"): _ARBITRATION,
     ("WalkerPool", "_queue"): _ARBITRATION,
-    ("FiniteBuffer", "peak_occupancy"): _ARBITRATION,
-    ("FiniteBuffer", "_last_change"): _ARBITRATION,
     ("MigrationEngine", "_next_pfn"): (
         "single-engine frame allocation; seq is the modelled request "
         "order, identical to the serial migration queue"
@@ -609,8 +605,8 @@ class SanitizerContext:
         self.quiesce_checks_run = 0
 
     # -- registration (called by components at construction) -----------
-    def watch_buffer(self, buffer: Any) -> None:
-        self.buffer_leak.watch(buffer)
+    def watch_buffer(self, name: str, occupancy: Callable[[], int]) -> None:
+        self.buffer_leak.watch(name, occupancy)
 
     def watch_network(self, network: Any) -> ConservationSanitizer:
         sanitizer = ConservationSanitizer(network)

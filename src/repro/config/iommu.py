@@ -11,17 +11,16 @@ from repro.errors import ConfigurationError
 
 @dataclass(frozen=True)
 class IOMMUConfig:
-    """The central IOMMU: walker pool, buffers, and HDPAT-side structures.
+    """The central IOMMU: walker pool, PW-queue, and HDPAT-side structures.
 
-    ``buffer_capacity`` is the pre-queue in front of the walkers — the
-    structure whose occupancy Figure 4 plots (set to 4096 there).
     ``pw_queue_capacity`` is the internal walker request queue; the PW-queue
     revisit mechanism (§IV-F) and Barre's coalescing both operate on it.
+    Requests beyond it wait in the unbounded pre-queue in front of the
+    walkers, whose occupancy Figure 4 plots.
     """
 
     num_walkers: int = 16
     walk_latency: int = 500
-    buffer_capacity: int = 4096
     pw_queue_capacity: int = 64
     redirection_entries: int = 1024
     #: Replace the redirection table with a same-area TLB (Fig. 19).
@@ -38,7 +37,6 @@ class IOMMUConfig:
         return IOMMUConfig(
             num_walkers=num_walkers if num_walkers is not None else self.num_walkers,
             walk_latency=walk_latency if walk_latency is not None else self.walk_latency,
-            buffer_capacity=self.buffer_capacity,
             pw_queue_capacity=max(
                 self.pw_queue_capacity,
                 num_walkers if num_walkers is not None else 0,

@@ -263,10 +263,15 @@ class GPM(Component):
         else:
             self._go_remote(pending)
 
-    def _local_walk_done(self, vpn: int, _record) -> None:
+    def _local_walk_done(self, vpn: int) -> None:
+        """A finished local walk: frees its walker first and starts queued
+        walks last, on every path."""
+        gmmu = self.gmmu
+        gmmu.busy_walkers -= 1
         pending = self._pending.get(vpn)
-        if pending is None:
-            return  # resolved meanwhile (e.g. a PTE push arrived)
+        if pending is None:  # resolved meanwhile (a PTE push, or a halt)
+            gmmu.dispatch()
+            return
         entry = self.hierarchy.complete_local_walk(vpn)
         if self._tracer is not None:
             self._tracer.instant(
@@ -280,6 +285,7 @@ class GPM(Component):
             # before discovering the page is remote (§II-B outcome 3);
             # the hierarchy counts it (``gpmN.filter.false_positives``).
             self._go_remote(pending)
+        gmmu.dispatch()
 
     def _go_remote(self, pending: PendingTranslation) -> None:
         pending.remote_start = self.sim.now
@@ -420,8 +426,10 @@ class GPM(Component):
             # We are the page's home: resolve it with our own GMMU walkers
             # (sharing them with local traffic, as §V-A's interference
             # modelling requires).
-            def _walk_then(vpn_walked, _record) -> None:
+            def _walk_then(vpn_walked: int) -> None:
+                self.gmmu.busy_walkers -= 1
                 on_done(self.hierarchy.complete_local_walk(vpn_walked))
+                self.gmmu.dispatch()
 
             self.sim.schedule(
                 latency, lambda: self.gmmu.submit(vpn, _walk_then)

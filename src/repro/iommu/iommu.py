@@ -5,9 +5,9 @@ Requests arrive over the mesh and flow through:
 1. the **redirection table** (HDPAT, §IV-F) — a hit bounces the request to
    the auxiliary GPM that recently received the PTE, skipping the walk; or
    the **IOMMU-side TLB** in the Figure 19 comparison variant;
-2. the **pre-queue** (front buffer) — requests wait here for PW-queue
-   space; its occupancy is the "buffer pressure" of Figure 4 and its wait
-   the "pre-queue latency" of Figure 3;
+2. the **pre-queue** — an unbounded FIFO where requests wait for
+   PW-queue space; its occupancy is the "buffer pressure" of Figure 4 and
+   its wait the "pre-queue latency" of Figure 3;
 3. the **PW-queue + walker pool** — Table I: 16 walkers, 500-cycle walks.
 
 On walk completion the IOMMU optionally (a) *revisits* the PW-queue and
@@ -33,7 +33,7 @@ from repro.noc.messages import MessageKind
 from repro.obs import NULL_OBS
 from repro.sim.component import Component
 from repro.sim.engine import Simulator
-from repro.sim.queueing import FiniteBuffer, WalkerPool
+from repro.sim.queueing import WalkerPool
 from repro.stats.latency import LatencyBreakdown
 from repro.stats.locality import SpatialLocalityAnalyzer
 from repro.stats.reuse import ReuseDistanceAnalyzer, TranslationCountAnalyzer
@@ -77,8 +77,9 @@ class IOMMU(Component):
         self.walkers = WalkerPool(
             sim, "iommu.walkers", config.num_walkers, config.walk_latency
         )
-        self.front = FiniteBuffer(sim, "iommu.front", config.buffer_capacity)
-        self._spill: Deque[TranslationRequest] = deque()
+        self.front: Deque[TranslationRequest] = deque()  # the pre-queue
+        if sim.sanitizer is not None:
+            sim.sanitizer.watch_buffer("iommu.pre_queue", self.front.__len__)
         self.redirection: Optional[RedirectionTable] = (
             RedirectionTable(config.redirection_entries)
             if hdpat.use_redirection and config.iommu_tlb is None
@@ -169,26 +170,21 @@ class IOMMU(Component):
         self._pipeline_ids.add(request.request_id)
         if self.walkers.queue_length < self.config.pw_queue_capacity:
             self._submit(request)
-        elif not self.front.try_push(request):
-            self._spill.append(request)
-            self.bump("buffer_overflows")
+        else:
+            self.front.append(request)
 
     def _submit(self, request: TranslationRequest) -> None:
         request.pw_enqueue = self.sim.now
         self.walkers.submit(request, self._walk_done)
 
-    def _refill(self) -> None:
-        while self.walkers.queue_length < self.config.pw_queue_capacity and (
-            len(self.front) or self._spill
-        ):
-            self._submit(self.front.pop() if len(self.front) else self._spill.popleft())
-            if len(self.front) < self.front.capacity and self._spill:
-                self.front.push(self._spill.popleft())
-
     # ------------------------------------------------------------------
     # Walk completion
     # ------------------------------------------------------------------
-    def _walk_done(self, request: TranslationRequest, record) -> None:
+    def _walk_done(self, request: TranslationRequest) -> None:
+        """A finished walk: frees its walker first and starts queued walks
+        last, so the revisit can coalesce the PW-queue head first."""
+        walkers = self.walkers
+        walkers.busy_walkers -= 1
         entry = self.page_table.walk(request.vpn)
         if entry is None:
             raise AddressError(
@@ -198,24 +194,23 @@ class IOMMU(Component):
         entry.touch()
         self.bump("walks")
         self.served_window.record(self.sim.now)
+        ptw = walkers.service_cycles
+        started = self.sim.now - ptw
         pre_queue = request.pw_enqueue - request.iommu_arrival
-        self.breakdown.record(
-            pre_queue=pre_queue,
-            ptw_queue=record.queue_delay,
-            ptw=record.service_time,
-        )
+        ptw_queue = started - request.pw_enqueue
+        self.breakdown.record(pre_queue=pre_queue, ptw_queue=ptw_queue, ptw=ptw)
         if self._lat_hists is not None:
             self._lat_hists["pre_queue"].observe(pre_queue)
-            self._lat_hists["ptw_queue"].observe(record.queue_delay)
-            self._lat_hists["ptw"].observe(record.service_time)
+            self._lat_hists["ptw_queue"].observe(ptw_queue)
+            self._lat_hists["ptw"].observe(ptw)
         if self._tracer is not None:
             self._tracer.complete(
-                record.started_at, record.service_time, "iommu.walk",
+                started, ptw, "iommu.walk",
                 cat="iommu", track="iommu", span_id=request.request_id,
                 args={
                     "vpn": request.vpn,
                     "pre_queue": pre_queue,
-                    "ptw_queue": record.queue_delay,
+                    "ptw_queue": ptw_queue,
                 },
             )
         self._deliver_and_push(request, entry)
@@ -223,7 +218,10 @@ class IOMMU(Component):
             self._revisit(request.vpn, entry)
         if self.migration is not None:
             self.migration.observe_walk(request.vpn, request.requester_gpm)
-        self._refill()
+        front = self.front
+        while front and walkers.queue_length < self.config.pw_queue_capacity:
+            self._submit(front.popleft())
+        walkers.dispatch()
 
     def _deliver_and_push(
         self, request: TranslationRequest, entry: PageTableEntry
@@ -407,4 +405,4 @@ class IOMMU(Component):
     # ------------------------------------------------------------------
     def buffer_pressure(self) -> int:
         """Requests waiting anywhere before a walker (Figure 4's metric)."""
-        return len(self.front) + len(self._spill) + self.walkers.queue_length
+        return len(self.front) + self.walkers.queue_length

@@ -43,10 +43,10 @@ class HostProfiler:
     A mesh delivery is the receiving handler bound to its payload, so
     its seconds land in the handler's layer (``GPM.handle_data_request``
     in ``gpm``, ``IOMMU.receive_request`` in ``iommu``), and a send's
-    own cost in the row of the callback that sends.  Walker-pool
-    completions (IOMMU and GMMU walks finishing) are scheduled as
-    :mod:`repro.sim.queueing` lambdas, so their seconds land in the
-    ``sim`` row, not in the layer that submitted the walk.
+    own cost in the row of the callback that sends.  A walker-pool
+    completion is likewise the submitter's handler bound to its payload
+    (``IOMMU._walk_done`` in ``iommu``, ``GPM._local_walk_done`` in
+    ``gpm``).
     """
 
     __slots__ = ("seconds", "counts", "run_seconds", "sanitize_seconds",

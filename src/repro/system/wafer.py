@@ -323,7 +323,6 @@ class WaferScaleGPU:
                     registry.merge_stats(f"{gpm.name}.tlb.{level}", tlb.stats)
             registry.merge_stats("iommu", self.iommu.stats)
             registry.merge_stats("iommu.walkers", self.iommu.walkers.stats)
-            registry.merge_stats("iommu.front", self.iommu.front.stats)
             registry.merge_stats("noc", {
                 "messages_sent": self.network.messages_sent,
                 "messages_routed": self.network.messages_routed,

@@ -45,7 +45,6 @@ def small_system_config(tiny_gpm_config) -> SystemConfig:
         iommu=IOMMUConfig(
             num_walkers=4,
             walk_latency=100,
-            buffer_capacity=256,
             pw_queue_capacity=8,
             redirection_entries=64,
         ),
@@ -72,7 +71,6 @@ def wafer_5x5_config(tiny_gpm_config) -> SystemConfig:
         iommu=IOMMUConfig(
             num_walkers=4,
             walk_latency=100,
-            buffer_capacity=256,
             pw_queue_capacity=8,
             redirection_entries=64,
         ),

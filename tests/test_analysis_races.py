@@ -2,6 +2,7 @@
 both catch the seeded racy fixture, stay silent on clean code, honour
 benign justifications, and leave the determinism contract untouched."""
 
+import ast
 import json
 import os
 import textwrap
@@ -218,6 +219,50 @@ class TestDynamicSanitizer:
         finally:
             for key in added:
                 del BENIGN_RACE_FIELDS[key]
+
+    def test_benign_registry_names_only_stored_fields(self):
+        # An entry outliving its field would silence nothing and hide the
+        # deletion: each (class, field) must be a ``self.<field>`` store in
+        # a class of that name under src/repro, or in one of its bases.
+        bases, stores = {}, {}
+        src = os.path.join(REPO_ROOT, "src", "repro")
+        for directory, _, files in os.walk(src):
+            for filename in files:
+                if not filename.endswith(".py"):
+                    continue
+                with open(os.path.join(directory, filename), encoding="utf-8") as handle:
+                    tree = ast.parse(handle.read())
+                for cls in ast.walk(tree):
+                    if not isinstance(cls, ast.ClassDef):
+                        continue
+                    bases.setdefault(cls.name, set()).update(
+                        base.id if isinstance(base, ast.Name) else base.attr
+                        for base in cls.bases
+                        if isinstance(base, (ast.Name, ast.Attribute))
+                    )
+                    stores.setdefault(cls.name, set()).update(
+                        node.attr
+                        for node in ast.walk(cls)
+                        if isinstance(node, ast.Attribute)
+                        and isinstance(node.ctx, ast.Store)
+                        and isinstance(node.value, ast.Name)
+                        and node.value.id == "self"
+                    )
+
+        def stored(cls_name, field):
+            pending, seen = [cls_name], set()
+            while pending:
+                name = pending.pop()
+                if name in seen:
+                    continue
+                seen.add(name)
+                if field in stores.get(name, ()):
+                    return True
+                pending.extend(bases.get(name, ()))
+            return False
+
+        stale = [key for key in BENIGN_RACE_FIELDS if not stored(*key)]
+        assert stale == []
 
     def test_observer_readers_do_not_count_as_race(self):
         # A read-only observer (the wafer's sampler tick is registered as

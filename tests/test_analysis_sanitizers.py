@@ -5,6 +5,7 @@ import heapq
 import os
 import subprocess
 import sys
+from collections import deque
 
 import pytest
 
@@ -21,7 +22,7 @@ from repro.noc.messages import MessageKind
 from repro.noc.network import MeshNetwork
 from repro.noc.topology import MeshTopology
 from repro.sim.engine import Simulator
-from repro.sim.queueing import FiniteBuffer
+from repro.sim.queueing import WalkerPool
 from repro.system.runner import run_benchmark
 
 
@@ -65,19 +66,23 @@ class TestEventOrder:
 # BufferLeakSanitizer
 # ----------------------------------------------------------------------
 class TestBufferLeak:
+    def _toy_queue(self, sim):
+        queue = deque()
+        sim.sanitizer.watch_buffer("toy_buffer", queue.__len__)
+        return queue
+
     def test_leaked_entry_raises_at_quiesce(self):
         sim = Simulator(sanitize=True)
-        buffer = FiniteBuffer(sim, "toy_buffer", capacity=4)
-        buffer.push("stuck")
+        self._toy_queue(sim).append("stuck")
         sim.schedule(5, lambda: None)
         with pytest.raises(BufferLeakError, match="toy_buffer holds 1"):
             sim.run()
 
     def test_drained_buffer_is_clean(self):
         sim = Simulator(sanitize=True)
-        buffer = FiniteBuffer(sim, "toy_buffer", capacity=4)
-        buffer.push("transient")
-        sim.schedule(5, buffer.pop)
+        queue = self._toy_queue(sim)
+        queue.append("transient")
+        sim.schedule(5, queue.popleft)
         sim.run()
         assert sim.sanitizer.report()["buffers_watched"] == 1
 
@@ -85,11 +90,35 @@ class TestBufferLeak:
         # Truncation legitimately strands buffer entries; the leak check
         # must not fire for a run cut off at max_cycles.
         sim = Simulator(max_cycles=3, sanitize=True)
-        buffer = FiniteBuffer(sim, "toy_buffer", capacity=4)
-        buffer.push("stranded")
-        sim.schedule(10, buffer.pop)
+        queue = self._toy_queue(sim)
+        queue.append("stranded")
+        sim.schedule(10, queue.popleft)
         sim.run()
         assert sim.truncated
+
+    def test_stranded_walk_names_the_pool(self):
+        # A handler that never frees its walker strands it in service,
+        # and the walk queued behind it never starts: both count.
+        sim = Simulator(sanitize=True)
+        pool = WalkerPool(sim, "toy.walkers", 1, 10)
+        for item in range(2):
+            pool.submit(item, lambda payload: None)
+        with pytest.raises(BufferLeakError, match="toy.walkers holds 2"):
+            sim.run()
+
+    def test_released_walks_are_clean(self):
+        sim = Simulator(sanitize=True)
+        pool = WalkerPool(sim, "toy.walkers", 1, 10)
+
+        def handler(payload):
+            pool.busy_walkers -= 1
+            pool.dispatch()
+
+        for item in range(2):
+            pool.submit(item, handler)
+        sim.run()
+        assert sim.now == 20
+        assert sim.sanitizer.report()["buffers_watched"] == 1
 
 
 # ----------------------------------------------------------------------
@@ -187,7 +216,8 @@ class TestSanitizedRun:
         assert report["violations"] == 0
         assert report["events_checked"] > 0
         assert report["messages_delivered"] > 0
-        assert report["buffers_watched"] >= 1
+        # The IOMMU pre-queue, its walkers and each of the 24 GMMUs.
+        assert report["buffers_watched"] == 2 + 24
         assert report["quiesce_checks_run"] == 1
 
     def test_all_sanitizer_errors_are_typed(self):

@@ -45,7 +45,6 @@ def small_system_config(tiny_gpm_config):
         iommu=IOMMUConfig(
             num_walkers=4,
             walk_latency=100,
-            buffer_capacity=256,
             pw_queue_capacity=8,
             redirection_entries=64,
         ),

@@ -180,7 +180,8 @@ class TestPeerProbe:
         gpm.serve_peer_probe(own_vpn, results.append)
         wafer.sim.run()
         assert results and results[0].vpn == own_vpn
-        assert gpm.gmmu.completed == 1
+        assert gpm.gmmu.stat("submitted") == 1
+        assert gpm.gmmu.busy_walkers == 0
 
     def test_probe_port_contention_counted(self, wafer):
         gpm = wafer.gpms[0]

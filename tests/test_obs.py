@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from repro.core.request import ServedBy
 from repro.errors import AccountingWarning, ObservabilityError, TruncationWarning
 from repro.obs import NULL_METRIC, Observability, Tracer, summarize
 from repro.obs.export import (
@@ -439,6 +440,26 @@ class TestPhaseAttribution:
         assert sum(row["seconds"] for row in layer_rows) == pytest.approx(
             profiler.run_seconds
         )
+
+    def test_walk_completions_are_booked_to_their_handlers(
+        self, small_hdpat_config
+    ):
+        obs = Observability(profile=True)
+        result = run_benchmark(small_hdpat_config, "spmv", scale=0.02,
+                               seed=7, obs=obs)
+        counts = obs.profiler.counts
+        assert not [key for key in counts if key[0] == "repro.sim.queueing"]
+        assert counts[("repro.iommu.iommu", "IOMMU._walk_done")] == (
+            result.iommu_walks
+        )
+        gmmu = sum(
+            calls for (module, callback), calls in counts.items()
+            if module == "repro.gpm.gpm" and callback in (
+                "GPM._local_walk_done",
+                "GPM.serve_peer_probe.<locals>._walk_then",
+            )
+        )
+        assert gmmu >= result.served(ServedBy.LOCAL_WALK) > 0
 
     def test_instrumented_digest_matches_bare_run(self, small_system_config):
         from repro.analysis.sanitizers import result_digest

@@ -1,78 +1,29 @@
-"""Tests for finite buffers and walker pools."""
+"""Tests for the walker pool."""
 
 import pytest
 
-from repro.errors import CapacityError
-from repro.sim.queueing import FiniteBuffer, WalkerPool
+from repro.obs.profile import HostProfiler
+from repro.sim.engine import Simulator
+from repro.sim.queueing import WalkerPool
 
 
-class TestFiniteBuffer:
-    def test_push_pop_fifo(self, sim):
-        buffer = FiniteBuffer(sim, "b", 4)
-        buffer.push("a")
-        buffer.push("b")
-        assert buffer.pop() == "a"
-        assert buffer.pop() == "b"
+def finishing(pool, done, record=lambda payload, now: now):
+    """A handler doing a walk's two pool steps: free the walker first,
+    start queued walks last."""
 
-    def test_capacity_enforced(self, sim):
-        buffer = FiniteBuffer(sim, "b", 2)
-        buffer.push(1)
-        buffer.push(2)
-        assert buffer.try_push(3) is False
-        with pytest.raises(CapacityError):
-            buffer.push(3)
+    def handler(payload):
+        pool.busy_walkers -= 1
+        done.append(record(payload, pool.sim.now))
+        pool.dispatch()
 
-    def test_rejected_stat_counted(self, sim):
-        buffer = FiniteBuffer(sim, "b", 1)
-        buffer.push(1)
-        buffer.try_push(2)
-        assert buffer.stat("rejected") == 1
-
-    def test_pop_empty_raises(self, sim):
-        buffer = FiniteBuffer(sim, "b", 1)
-        with pytest.raises(IndexError):
-            buffer.pop()
-
-    def test_peak_occupancy(self, sim):
-        buffer = FiniteBuffer(sim, "b", 8)
-        for item in range(5):
-            buffer.push(item)
-        buffer.pop()
-        assert buffer.peak_occupancy == 5
-
-    def test_drain_matching_removes_only_matches(self, sim):
-        buffer = FiniteBuffer(sim, "b", 8)
-        for item in range(6):
-            buffer.push(item)
-        removed = buffer.drain_matching(lambda i: i % 2 == 0)
-        assert removed == [0, 2, 4]
-        assert len(buffer) == 3
-        assert buffer.pop() == 1
-
-    def test_is_full(self, sim):
-        buffer = FiniteBuffer(sim, "b", 1)
-        assert not buffer.is_full
-        buffer.push(1)
-        assert buffer.is_full
-
-    def test_invalid_capacity(self, sim):
-        with pytest.raises(ValueError):
-            FiniteBuffer(sim, "b", 0)
-
-    def test_mean_occupancy_time_weighted(self, sim):
-        buffer = FiniteBuffer(sim, "b", 8)
-        buffer.push(1)
-        sim.schedule(100, lambda: buffer.push(2))
-        sim.run()
-        # one item for the full 100 cycles, so the mean is ~1.
-        assert buffer.mean_occupancy() == pytest.approx(1.0, abs=0.05)
+    return handler
 
 
 class TestWalkerPool:
     def test_service_latency(self, sim):
         pool = WalkerPool(sim, "w", 1, 50)
         done = []
-        pool.submit("x", lambda p, r: done.append((p, sim.now)))
+        pool.submit("x", finishing(pool, done, lambda p, now: (p, now)))
         sim.run()
         assert done == [("x", 50)]
 
@@ -80,7 +31,7 @@ class TestWalkerPool:
         pool = WalkerPool(sim, "w", 2, 50)
         done = []
         for item in range(2):
-            pool.submit(item, lambda p, r: done.append(sim.now))
+            pool.submit(item, finishing(pool, done))
         sim.run()
         assert done == [50, 50]
 
@@ -88,62 +39,59 @@ class TestWalkerPool:
         pool = WalkerPool(sim, "w", 1, 50)
         done = []
         for item in range(3):
-            pool.submit(item, lambda p, r: done.append(sim.now))
+            pool.submit(item, finishing(pool, done))
         sim.run()
         assert done == [50, 100, 150]
-
-    def test_service_record_timing(self, sim):
-        pool = WalkerPool(sim, "w", 1, 50)
-        records = []
-        pool.submit("a", lambda p, r: records.append(r))
-        pool.submit("b", lambda p, r: records.append(r))
-        sim.run()
-        first, second = records
-        assert first.queue_delay == 0
-        assert first.service_time == 50
-        assert second.queue_delay == 50
-        assert second.total_time == 100
 
     def test_queue_length_and_in_flight(self, sim):
         pool = WalkerPool(sim, "w", 1, 50)
         for item in range(3):
-            pool.submit(item, lambda p, r: None)
-        assert pool.in_flight == 1
+            pool.submit(item, finishing(pool, []))
+        assert pool.busy_walkers == 1
         assert pool.queue_length == 2
 
-    def test_drain_matching_skips_in_service(self, sim):
+    def test_drain_vpns_skips_in_service(self, sim):
+        class Walk:
+            def __init__(self, vpn):
+                self.vpn = vpn
+
         pool = WalkerPool(sim, "w", 1, 50)
-        for item in range(4):
-            pool.submit(item, lambda p, r: None)
-        removed = pool.drain_matching(lambda p: p in (0, 2))
-        # item 0 is already in service and cannot be drained.
-        assert removed == [2]
+        walks = [Walk(vpn) for vpn in (0, 1, 2, 3, 2)]
+        for walk in walks:
+            pool.submit(walk, finishing(pool, []))
+        # The first walk of VPN 0 is already in service and cannot be
+        # drained; both queued walks of VPN 2 are, in queue order.
+        assert pool.drain_vpns({0, 2}) == [walks[2], walks[4]]
+        assert pool.drain_vpns({2}) == []
         assert pool.queue_length == 2
+        assert pool.stat("coalesced") == 2
 
-    def test_mean_queue_delay(self, sim):
+    def test_completion_is_booked_to_its_handler(self):
+        # The engine runs the handler bound to its payload, with no pool
+        # code in between, so the profiler books each completion to the
+        # handler's own row.
+        profiler = HostProfiler()
+        sim = Simulator(profiler=profiler)
         pool = WalkerPool(sim, "w", 1, 10)
-        for item in range(2):
-            pool.submit(item, lambda p, r: None)
+        done = []
+        for item in range(3):
+            pool.submit(item, finishing(pool, done, lambda p, now: p))
         sim.run()
-        assert pool.mean_queue_delay() == pytest.approx(5.0)
-        assert pool.mean_service_time() == pytest.approx(10.0)
-
-    def test_idle_property(self, sim):
-        pool = WalkerPool(sim, "w", 1, 10)
-        assert pool.idle
-        pool.submit(1, lambda p, r: None)
-        assert not pool.idle
-        sim.run()
-        assert pool.idle
+        assert done == [0, 1, 2]
+        assert profiler.counts == {
+            (__name__, "finishing.<locals>.handler"): 3,
+        }
 
     def test_completion_can_resubmit(self, sim):
         pool = WalkerPool(sim, "w", 1, 10)
         done = []
 
-        def again(payload, _record):
+        def again(payload):
+            pool.busy_walkers -= 1
             done.append(sim.now)
             if len(done) < 3:
                 pool.submit(payload, again)
+            pool.dispatch()
 
         pool.submit("x", again)
         sim.run()
