@@ -14,13 +14,14 @@ from repro.errors import ConfigurationError
 
 class PeerCachingScheme(enum.Enum):
     """Which peer-caching strategy handles remote translations before the
-    IOMMU (§IV-B through §IV-E, plus the distributed-caching baseline)."""
+    IOMMU (§IV-B through §IV-E, plus the §V-A comparison points)."""
 
     NONE = "none"
     ROUTE = "route"  # §IV-B: cache along the XY route to the CPU
     CONCENTRIC = "concentric"  # §IV-C: one attempt per concentric layer
     DISTRIBUTED = "distributed"  # §V-A baseline: two symmetric groups
     CLUSTER_ROTATION = "cluster_rotation"  # §IV-D/E: full HDPAT placement
+    VALKYRIE = "valkyrie"  # §V-A SOTA: probe the nearest neighbour's L2 TLB
 
 
 @dataclass(frozen=True)

@@ -1,28 +1,10 @@
 """State-of-the-art comparison points (§V-A / Figure 14).
 
-Each baseline is modelled by the mechanism this paper attributes to it:
-
-* **Trans-FW** [19] — short-circuits page-table-walk memory accesses via
-  remote forwarding; remote requests still converge at the IOMMU, so we
-  model it as a reduced effective IOMMU walk latency (300 vs 500 cycles)
-  on top of the shared baseline architecture (which already includes
-  Trans-FW's cuckoo-filter bypass — the paper adopts it as the baseline).
-* **Valkyrie** [7] — exploits inter-TLB locality: a missing GPM probes the
-  L2 TLB of its nearest neighbour before going remote.
-* **Barre (Barre Chord)** [14] — finds reuse inside the IOMMU's PW-queue:
-  when a walk completes, identical queued requests are answered without
-  their own walks (bounded by the PW-queue size).
+Every baseline is a :class:`~repro.config.SystemConfig` value, built by
+:func:`~repro.core.baselines.registry.sota_system_config`; the config
+alone decides how a run behaves.
 """
 
-from repro.core.baselines.barre import barre_hdpat_config
-from repro.core.baselines.transfw import TransFWPolicy
-from repro.core.baselines.valkyrie import ValkyriePolicy
 from repro.core.baselines.registry import SOTA_NAMES, sota_system_config
 
-__all__ = [
-    "SOTA_NAMES",
-    "TransFWPolicy",
-    "ValkyriePolicy",
-    "barre_hdpat_config",
-    "sota_system_config",
-]
+__all__ = ["SOTA_NAMES", "sota_system_config"]

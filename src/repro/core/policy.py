@@ -18,6 +18,11 @@ Implemented policies:
 * :class:`ClusterRotationPolicy` — §IV-D/E: one holder per layer computed
   from the VPN (quadrant clustering + 180-degree rotation), probed
   concurrently; the innermost holder forwards to the IOMMU on miss.
+* :class:`ValkyriePolicy` — §V-A's Valkyrie [7]: one probe at the nearest
+  neighbour's L2 TLB, then the IOMMU.
+
+:func:`build_policy` is the only place a policy is chosen: the HDPAT
+config's ``peer_caching`` scheme names it.
 """
 
 from __future__ import annotations
@@ -42,8 +47,6 @@ class TranslationPolicy:
     #: Whether the IOMMU should install the response at every GPM the
     #: request probed on its way (route/concentric/distributed caching).
     install_at_probed = False
-    #: Builder hook: override the IOMMU walk latency (used by Trans-FW).
-    iommu_walk_latency_override: Optional[int] = None
 
     def __init__(self, hdpat: HDPATConfig) -> None:
         self.hdpat = hdpat
@@ -419,12 +422,60 @@ class ClusterRotationPolicy(TranslationPolicy):
         ]
 
 
+class ValkyriePolicy(TranslationPolicy):
+    """Valkyrie (PACT'20): probe the nearest neighbour's L2 TLB, then the
+    IOMMU.
+
+    Valkyrie exploits inter-TLB locality.  On the wafer one probe goes to
+    the nearest neighbouring GPM's L2 TLB (one mesh hop); a miss continues
+    to the IOMMU.  No pushes, placement or redirection: the gain comes
+    purely from neighbours having translated the same pages recently.
+    """
+
+    name = "valkyrie"
+
+    def bind(self, wafer) -> None:
+        super().bind(wafer)
+        topology = wafer.topology
+        self._neighbor_of: Dict[int, int] = {}
+        for gpm in wafer.gpms:
+            nearest = min(
+                (t for t in topology.gpm_tiles if t.coordinate != gpm.coordinate),
+                key=lambda t: (
+                    topology.manhattan(gpm.coordinate, t.coordinate),
+                    t.tile_id,
+                ),
+            )
+            self._neighbor_of[gpm.gpm_id] = wafer.gpm_id_at(nearest.coordinate)
+
+    def start_remote(self, gpm, pending) -> None:
+        request = self.make_request(gpm, pending)
+        neighbor = self.coord_of_gpm(self._neighbor_of[gpm.gpm_id])
+        self.wafer.network.send(
+            MessageKind.PEER_PROBE, gpm.coordinate, neighbor, request
+        )
+
+    def on_peer_probe(self, gpm, request: TranslationRequest) -> None:
+        entry: Optional[PageTableEntry] = gpm.hierarchy.l2.lookup(request.vpn)
+        latency = gpm.config.l2_tlb.latency
+
+        def _answer() -> None:
+            if entry is not None:
+                gpm.bump("valkyrie_l2_hits")
+                self.respond(gpm, request, entry, ServedBy.PEER)
+            else:
+                self.send_to_iommu(gpm.coordinate, request)
+
+        gpm.sim.schedule(latency, _answer)
+
+
 _SCHEME_POLICIES = {
     PeerCachingScheme.NONE: BaselinePolicy,
     PeerCachingScheme.ROUTE: RouteCachePolicy,
     PeerCachingScheme.CONCENTRIC: ConcentricPolicy,
     PeerCachingScheme.DISTRIBUTED: DistributedPolicy,
     PeerCachingScheme.CLUSTER_ROTATION: ClusterRotationPolicy,
+    PeerCachingScheme.VALKYRIE: ValkyriePolicy,
 }
 
 

@@ -75,8 +75,9 @@ class RunCache:
     """Memoises benchmark runs: an in-memory L1 over the executor.
 
     Experiments share baselines heavily (every speedup normalises to the
-    same run); the L1 keys on the full config repr plus workload, scale,
-    seed, policy key, and run kwargs, so distinct jobs never collide.
+    same run); the L1 keys on the frozen :class:`~repro.exec.jobs.RunJob`
+    itself (config, workload, scale, seed and run kwargs), so distinct
+    jobs never collide.
 
     Every miss goes through the :class:`~repro.exec.SweepExecutor` (by
     default ``SweepExecutor(jobs=1)``, in-process and without a disk
@@ -87,7 +88,7 @@ class RunCache:
     """
 
     def __init__(self, executor: Optional[SweepExecutor] = None) -> None:
-        self._runs: Dict[str, RunResult] = {}
+        self._runs: Dict[RunJob, RunResult] = {}
         self.hits = 0
         self.misses = 0
         self.disk_hits = 0
@@ -98,20 +99,20 @@ class RunCache:
         result = self.executor.lookup(job)
         if result is not None:
             self.disk_hits += 1
-            self._runs[job.memory_key] = result
+            self._runs[job] = result
         return result
 
     def get(self, job: RunJob) -> RunResult:
         """The result for one job, computed at most once."""
-        key = job.memory_key
-        if key in self._runs:
+        result = self._runs.get(job)
+        if result is not None:
             self.hits += 1
             self.executor.note_memory_hit()
-            return self._runs[key]
+            return result
         result = self._load(job)
         if result is None:
             self.misses += 1
-            result = self._runs[key] = self.executor.run_inline(job)
+            result = self._runs[job] = self.executor.run_inline(job)
         return result
 
     def warm(self, jobs: Iterable[RunJob]) -> None:
@@ -127,16 +128,12 @@ class RunCache:
         """
         if self.executor.jobs <= 1:
             return
-        to_run: Dict[str, RunJob] = {}
-        for job in jobs:
-            key = job.memory_key
-            if key in self._runs or key in to_run:
-                continue
-            if self._load(job) is None:
-                to_run[key] = job
-        batch = list(to_run.values())
+        batch: List[RunJob] = []
+        for job in dict.fromkeys(jobs):
+            if job not in self._runs and self._load(job) is None:
+                batch.append(job)
         for index, result in self.executor.map(batch).items():
-            self._runs[batch[index].memory_key] = result
+            self._runs[batch[index]] = result
 
 
 def job_grid(

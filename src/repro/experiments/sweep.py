@@ -78,13 +78,7 @@ def cell_job(
     sweep grid and Figure 14.  Its content address is the same however
     the cell runs (serial, pooled, or revived from the disk cache), which
     is what makes result tables byte-comparable."""
-    return make_job(
-        scheme_config(scheme),
-        workload,
-        scale,
-        seed=seed,
-        policy_key=scheme if scheme in SOTA_NAMES else "",
-    )
+    return make_job(scheme_config(scheme), workload, scale, seed=seed)
 
 
 def run(

@@ -7,12 +7,11 @@ load / run lifecycle the benchmark runner drives.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.config.system import SystemConfig
 from repro.core.layers import ConcentricLayout
-from repro.core.policy import TranslationPolicy, build_policy
+from repro.core.policy import build_policy
 from repro.errors import ConfigurationError
 from repro.faults import FaultState
 from repro.gpm.gpm import GPM
@@ -34,7 +33,6 @@ class WaferScaleGPU:
     def __init__(
         self,
         config: SystemConfig,
-        policy: Optional[TranslationPolicy] = None,
         obs: Optional[Observability] = None,
         sanitize: Union[bool, str] = False,
         sample_buffer_every: Optional[int] = None,
@@ -64,17 +62,11 @@ class WaferScaleGPU:
             config.hdpat.num_layers, len(self.topology.complete_rings())
         )
         self.layout = ConcentricLayout(self.topology, effective_layers)
-        self.policy = policy if policy is not None else build_policy(config.hdpat)
-        iommu_config = config.iommu
-        if self.policy.iommu_walk_latency_override is not None:
-            iommu_config = replace(
-                iommu_config,
-                walk_latency=self.policy.iommu_walk_latency_override,
-            )
+        self.policy = build_policy(config.hdpat)
         self.iommu = IOMMU(
             self.sim,
             self.topology.cpu_coordinate,
-            iommu_config,
+            config.iommu,
             config.hdpat,
             self.network,
             obs=self.obs,

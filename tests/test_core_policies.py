@@ -5,13 +5,14 @@ from dataclasses import replace
 import pytest
 
 from repro.config.hdpat import HDPATConfig, PeerCachingScheme
-from repro.core.baselines.registry import sota_policy
+from repro.core.baselines.registry import sota_system_config
 from repro.core.policy import (
     BaselinePolicy,
     ClusterRotationPolicy,
     ConcentricPolicy,
     DistributedPolicy,
     RouteCachePolicy,
+    ValkyriePolicy,
     build_policy,
 )
 from repro.core.request import ServedBy
@@ -19,8 +20,8 @@ from repro.mem.allocator import PageAllocator
 from repro.system.wafer import WaferScaleGPU
 
 
-def _build(config, hdpat, policy=None):
-    wafer = WaferScaleGPU(config.with_hdpat(hdpat), policy=policy)
+def _build(config, hdpat):
+    wafer = WaferScaleGPU(config.with_hdpat(hdpat))
     allocator = PageAllocator(wafer.address_space, wafer.num_gpms)
     allocation = allocator.allocate_pages(wafer.num_gpms * 4)
     wafer.install_entries(allocator.materialize(allocation))
@@ -45,6 +46,7 @@ class TestBuildPolicy:
             PeerCachingScheme.CONCENTRIC: ConcentricPolicy,
             PeerCachingScheme.DISTRIBUTED: DistributedPolicy,
             PeerCachingScheme.CLUSTER_ROTATION: ClusterRotationPolicy,
+            PeerCachingScheme.VALKYRIE: ValkyriePolicy,
         }
         for scheme, cls in cases.items():
             assert isinstance(
@@ -203,15 +205,20 @@ class TestClusterRotationPolicy:
         assert gpm.stat("accesses_completed") == 1
 
 
+VALKYRIE = HDPATConfig(peer_caching=PeerCachingScheme.VALKYRIE)
+
+
 class TestSOTAPolicies:
     def test_transfw_overrides_walk_latency(self, wafer_5x5_config):
-        policy = sota_policy("transfw", HDPATConfig())
-        wafer = WaferScaleGPU(wafer_5x5_config, policy=policy)
+        wafer = WaferScaleGPU(sota_system_config("transfw", wafer_5x5_config))
         assert wafer.iommu.config.walk_latency == 450
+        assert isinstance(wafer.policy, BaselinePolicy)
 
     def test_valkyrie_probes_neighbor_l2(self, wafer_5x5_config):
-        policy = sota_policy("valkyrie", HDPATConfig())
-        wafer, allocation = _build(wafer_5x5_config, HDPATConfig(), policy)
+        config = sota_system_config("valkyrie", wafer_5x5_config)
+        assert config.hdpat == VALKYRIE
+        wafer, allocation = _build(wafer_5x5_config, VALKYRIE)
+        assert isinstance(wafer.policy, ValkyriePolicy)
         gpm, vpn = _run_remote_access(wafer, allocation)
         neighbor_id = wafer.policy._neighbor_of[gpm.gpm_id]
         neighbor = wafer.gpms[neighbor_id]
@@ -219,8 +226,7 @@ class TestSOTAPolicies:
         assert gpm.stat("accesses_completed") == 1
 
     def test_valkyrie_neighbor_hit_short_circuits(self, wafer_5x5_config):
-        policy = sota_policy("valkyrie", HDPATConfig())
-        wafer, allocation = _build(wafer_5x5_config, HDPATConfig(), policy)
+        wafer, allocation = _build(wafer_5x5_config, VALKYRIE)
         gpm = wafer.gpms[0]
         neighbor = wafer.gpms[wafer.policy._neighbor_of[0]]
         vpn = next(
@@ -235,10 +241,8 @@ class TestSOTAPolicies:
         assert wafer.iommu.stat("requests") == 0
         assert gpm.served_by_counts.get(ServedBy.PEER) == 1
 
-    def test_barre_is_baseline_plus_revisit(self):
-        from repro.core.baselines.barre import barre_hdpat_config
-
-        config = barre_hdpat_config()
+    def test_barre_is_baseline_plus_revisit(self, wafer_5x5_config):
+        config = sota_system_config("barre", wafer_5x5_config).hdpat
         assert config.pw_queue_revisit
         assert not config.peer_caching_enabled
         assert not config.use_redirection

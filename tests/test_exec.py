@@ -17,6 +17,7 @@ from repro.exec import (
     make_job,
 )
 from repro.exec.jobs import MAX_ATTEMPTS
+from repro.experiments import sweep
 from repro.experiments.cli import main
 from repro.experiments.common import RunCache
 from repro.system.result import RunResult
@@ -75,7 +76,7 @@ class TestRunJob:
         a = make_job(small_system_config, "aes", 0.02, seed=1)
         b = make_job(small_system_config, "aes", 0.02, seed=1)
         assert a.cache_key() == b.cache_key()
-        assert a.memory_key == b.memory_key
+        assert a == b and hash(a) == hash(b)
 
     def test_cache_key_covers_every_coordinate(self, small_system_config):
         base = make_job(small_system_config, "aes", 0.02, seed=1)
@@ -84,12 +85,18 @@ class TestRunJob:
             make_job(small_system_config, "aes", 0.03, seed=1),
             make_job(small_system_config, "aes", 0.02, seed=2),
             make_job(small_system_config, "aes", 0.02, seed=1,
-                     policy_key="transfw"),
-            make_job(small_system_config, "aes", 0.02, seed=1,
                      max_cycles=1000),
         ]
         keys = {base.cache_key()} | {v.cache_key() for v in variants}
         assert len(keys) == len(variants) + 1
+        # Every scheme, the SOTA baselines included, is its config alone.
+        schemes = [
+            sweep.cell_job(scheme, "aes", 0.02, 1)
+            for scheme in sweep.SCHEME_NAMES
+        ]
+        assert len(schemes) == 5
+        assert len({job.cache_key() for job in schemes}) == 5
+        assert len(set(schemes)) == 5
 
     def test_schema_bump_changes_the_key(
         self, small_system_config, monkeypatch
@@ -103,15 +110,6 @@ class TestRunJob:
         current = job.cache_key()
         monkeypatch.setattr(jobs, "CACHE_SCHEMA", 3)
         assert job.cache_key() != current
-
-    def test_make_job_rejects_unrevivable_policy_key(
-        self, small_system_config
-    ):
-        # Only "" (config-derived) and SOTA names can be rebuilt in
-        # another process.
-        with pytest.raises(ConfigurationError):
-            make_job(small_system_config, "aes", 0.02, seed=1,
-                     policy_key="mcm")
 
     def test_make_job_rejects_non_scalar_kwargs(self, small_system_config):
         with pytest.raises(ConfigurationError):
