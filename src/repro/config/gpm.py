@@ -91,7 +91,6 @@ class GPMConfig:
     l2_cache: CacheConfig = field(
         default_factory=lambda: CacheConfig(4 * MB, 16, 64, 20)
     )
-    l2_cache_hit_latency: int = 20
     hbm_capacity: int = 8 * GB
     hbm_bandwidth: float = 1.23e12
     hbm_latency: int = 120

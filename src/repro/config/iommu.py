@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from repro.config.gpm import TLBConfig
@@ -33,14 +33,15 @@ class IOMMUConfig:
             raise ConfigurationError("walk latency cannot be negative")
 
     def idealized(self, walk_latency: int = None, num_walkers: int = None) -> "IOMMUConfig":
-        """A copy with idealised parameters (Fig. 2 headroom study)."""
-        return IOMMUConfig(
-            num_walkers=num_walkers if num_walkers is not None else self.num_walkers,
-            walk_latency=walk_latency if walk_latency is not None else self.walk_latency,
-            pw_queue_capacity=max(
-                self.pw_queue_capacity,
-                num_walkers if num_walkers is not None else 0,
-            ),
-            redirection_entries=self.redirection_entries,
-            iommu_tlb=self.iommu_tlb,
-        )
+        """A copy with idealised parameters (Fig. 2 headroom study).
+
+        Every other field is kept; a wider walker pool grows the PW-queue
+        to hold at least one request per walker.
+        """
+        changes = {}
+        if walk_latency is not None:
+            changes["walk_latency"] = walk_latency
+        if num_walkers is not None:
+            changes["num_walkers"] = num_walkers
+            changes["pw_queue_capacity"] = max(self.pw_queue_capacity, num_walkers)
+        return replace(self, **changes)

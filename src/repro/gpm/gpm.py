@@ -465,7 +465,7 @@ class GPM(Component):
         key = (owner_gpm << 60) | (entry.pfn << 16) | (offset >> 6)
         if self.l2_data.access(key):
             self.sim.schedule(
-                self.config.l2_cache_hit_latency,
+                self.config.l2_cache.latency,
                 lambda: self._complete_if_current(epoch),
             )
             return
@@ -486,7 +486,7 @@ class GPM(Component):
         carries the requester's epoch back."""
         key, requester_coord, epoch = request
         if self.l2_data.probe(key):
-            latency = self.config.l2_cache_hit_latency
+            latency = self.config.l2_cache.latency
         else:
             latency = self.hbm.access(self.sim.now) - self.sim.now
         self.sim.schedule(

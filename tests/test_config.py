@@ -1,5 +1,7 @@
 """Configuration dataclass tests: Table I defaults, presets, scaling."""
 
+from dataclasses import fields
+
 import pytest
 
 from repro.config.gpm import CacheConfig, GPMConfig, TLBConfig
@@ -123,6 +125,22 @@ class TestSystemConfig:
         wide = IOMMUConfig().idealized(num_walkers=4096)
         assert wide.num_walkers == 4096
         assert wide.pw_queue_capacity >= 4096
+
+    def test_idealized_iommu_keeps_every_other_field(self):
+        base = IOMMUConfig(
+            num_walkers=8, walk_latency=300, pw_queue_capacity=32,
+            redirection_entries=77, iommu_tlb=TLBConfig(4, 4, 4, 4),
+        )
+        for ideal, changed in (
+            (base.idealized(walk_latency=1), {"walk_latency"}),
+            (base.idealized(num_walkers=64),
+             {"num_walkers", "pw_queue_capacity"}),
+        ):
+            for field in fields(IOMMUConfig):
+                if field.name not in changed:
+                    assert getattr(ideal, field.name) == getattr(
+                        base, field.name
+                    ), field.name
 
 
 class TestCacheConfig:

@@ -290,6 +290,41 @@ class TestDataPath:
         assert gpm.stat("remote_data_accesses") == 1  # second is an L2 hit
         assert gpm.l2_data.hits == 1
 
+    def test_l2_hit_latency_is_the_l2_cache_latency(
+        self, small_system_config
+    ):
+        gpm_config = small_system_config.gpm
+        config = replace(small_system_config, gpm=replace(
+            gpm_config, l2_cache=replace(gpm_config.l2_cache, latency=37),
+        ))
+        wafer = WaferScaleGPU(config)
+        allocation = _install_pages(wafer)
+        gpm = wafer.gpms[0]
+        remote_vpn = next(
+            v for v, owner in allocation.owner_of.items() if owner == 7
+        )
+        starts, completions = [], []
+        data_phase = gpm._data_phase
+        complete = gpm._complete_if_current
+
+        def record_start(*args):
+            starts.append(wafer.sim.now)
+            data_phase(*args)
+
+        def record_completion(epoch):
+            completions.append(wafer.sim.now)
+            complete(epoch)
+
+        gpm._data_phase = record_start
+        gpm._complete_if_current = record_completion
+        gpm.load_trace([_addr(wafer, remote_vpn)] * 2, interval=5000, burst=1)
+        gpm.start()
+        wafer.sim.run()
+        assert gpm.l2_data.hits == 1
+        # The first access completes through the DATA_RESP handler bound
+        # at build time; the wrapper sees only the L2 hit's completion.
+        assert completions == [starts[1] + 37]
+
 
 def _with_mshrs(config, num_mshrs):
     l2_tlb = replace(config.gpm.l2_tlb, num_mshrs=num_mshrs)
